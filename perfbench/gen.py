@@ -174,10 +174,8 @@ class ColdPQ:
     Every D is 5 mod 8, so 2 is inert and the 2-adic engine is built
     whenever the twist symbol is needed; with D = 1 mod 8 mixed in, the
     latencies split into two modes and the median jumped between them.
-    n is odd, drawn until it is locally solvable at 2, p, q and every prime
-    of n.  The locally solvable even n are multiples of 4, and on some of
-    those the criterion contradicts the oracle (for example D = 1691629,
-    n = -276): a defect of the program, kept out of a performance workload.
+    n is drawn uniformly from 0 < |n| < COLD_PQ_N_MAX until it is locally
+    solvable at 2, p, q and every prime of n.
     """
 
     def __init__(self, seed: int):
@@ -212,7 +210,7 @@ class ColdPQ:
         p, q = rng.choice(cands)
         D = p * q
         while True:
-            n = (2 * rng.randrange(COLD_PQ_N_MAX // 2) + 1) * rng.choice((1, -1))
+            n = rng.randrange(1, COLD_PQ_N_MAX) * rng.choice((1, -1))
             primes = {p, q} | set(small_factor(n))
             if local_ok_2(D, n) and all(local_ok_odd(D, n, l) for l in primes):
                 return D, n, p, q

@@ -55,8 +55,6 @@ WORKLOADS = {
     "scan_2p": {"tail": 75.0, "trace": 1, "chunk": 1},
 }
 SETUP_SAMPLES = 7
-# Kernel time of worker.calibrate() that times are scaled to (seconds).
-REF_CAL_S = 0.0015
 WORKER_TIMEOUT_S = 170
 CACHE_NAMES = tuple(f"{m}.{a}" for m, a in spans.CACHES)
 COUNT_SUFFIXES = (".calls", ".entries", ".hits", ".misses", "calls_per_decision", "_ratio")
@@ -69,7 +67,7 @@ class WorkerError(Exception):
 def spawn(workload: str, seed: int, count: int, digest: int, *, start: int = 0,
           seconds: float = 0.0, probe: bool = False, trace: bool = False,
           spans_out: str | None = None):
-    """Run one fresh worker; return (set-up seconds, its JSON result)."""
+    """Run one fresh worker; return (set-up seconds, its JSON result or None for a probe)."""
     cmd = [sys.executable, WORKER, "--workload", workload, "--seed", str(seed),
            "--start", str(start), "--count", str(count), "--seconds", str(seconds),
            "--digest-count", str(digest)]
@@ -95,12 +93,7 @@ def spawn(workload: str, seed: int, count: int, digest: int, *, start: int = 0,
             proc.wait()
     if ready.strip() != "READY" or proc.returncode != 0:
         raise WorkerError(f"worker {' '.join(cmd[1:])} exited {proc.returncode}")
-    return setup, json.loads(rest.splitlines()[-1])
-
-
-def scaled(result: dict) -> list[float]:
-    """Request times at the reference host speed."""
-    return [t * REF_CAL_S / c for t, c in zip(result["latencies"], result["cal"])]
+    return setup, None if probe else json.loads(rest.splitlines()[-1])
 
 
 def percentile(sorted_xs: list[float], pct: float) -> tuple[float, int]:
@@ -152,12 +145,14 @@ def regime(workload: str, results: list[dict]) -> tuple[list[str], list[str]]:
             bad = [l for l in sorted(primes) if not localanalysis.local_solvable(D, n, l)]
             if bad:
                 problems.append(f"n={n} is not locally solvable at {bad} for D={D}")
-            if D % 8 != 5 or n % 2 == 0:
-                problems.append(f"D={D}, n={n} is outside D = 5 mod 8 with n odd")
-        ds = [x[0] for x in results[0]["regime"]["inputs"]]
+            if D % 8 != 5:
+                problems.append(f"D={D} is not 5 mod 8")
+        inputs = results[0]["regime"]["inputs"]
+        ds = [x[0] for x in inputs]
+        four = sum(x[1] % 4 == 0 for x in inputs)
         lines.append(f"regime: {len(ds)} requests, {len(set(ds))} distinct D = 5 mod 8 in "
-                     f"[{min(ds)}, {max(ds)}], odd n, all cor14_applicable and locally "
-                     f"solvable: {not problems}")
+                     f"[{min(ds)}, {max(ds)}], {four} with 4 | n, all cor14_applicable and "
+                     f"locally solvable: {not problems}")
     elif workload == "oracle_sweep":
         drawn = sum(r["regime"]["requests"] for r in results)
         high = sum(r["regime"]["v2_D_ge_5"] for r in results)
@@ -171,7 +166,7 @@ def regime(workload: str, results: list[dict]) -> tuple[list[str], list[str]]:
 def measure(workload: str, seed: int, seconds: float):
     """The untraced run: end-to-end metrics over S seconds of closed loop."""
     conf = WORKLOADS[workload]
-    setups: list[tuple[float, float]] = []  # (seconds, kernel seconds just after)
+    setups: list[float] = []
     results: list[dict] = []
     chunk = conf.get("chunk")
     if chunk:
@@ -181,7 +176,7 @@ def measure(workload: str, seed: int, seconds: float):
             t0 = time.perf_counter()
             setup, res = spawn(workload, seed, chunk, conf["trace"] if start == 0 else 0, start=start)
             spent += time.perf_counter() - t0
-            setups.append((setup, res["setup_cal"]))
+            setups.append(setup)
             results.append(res)
             start += chunk
     else:
@@ -191,30 +186,23 @@ def measure(workload: str, seed: int, seconds: float):
         for k in range(SETUP_SAMPLES - 1):
             if k == half:
                 setup, res = spawn(workload, seed, 10**9, conf["trace"], seconds=seconds)
-                setups.append((setup, res["setup_cal"]))
+                setups.append(setup)
                 results.append(res)
-            setup, probe = spawn(workload, seed, 1, 0, probe=True)
-            setups.append((setup, probe["setup_cal"]))
+            setups.append(spawn(workload, seed, 1, 0, probe=True)[0])
 
-    raw = sorted(x for r in results for x in r["latencies"])
-    lat = sorted(x for r in results for x in scaled(r))
+    lat = sorted(x for r in results for x in r["latencies"])
     decisions = sum(r["decisions"] for r in results)
     tail, beyond = percentile(lat, conf["tail"])
     metrics = {
         "throughput_dps": (decisions / sum(lat), "1/s"),
         "latency_p50_ms": (1000 * statistics.median(lat), "ms"),
         "latency_tail_ms": (1000 * tail, "ms"),
-        "setup_s": (statistics.median(s * REF_CAL_S / c for s, c in setups), "s"),
+        "setup_s": (statistics.median(setups), "s"),
         "peak_rss_mb": (statistics.median(r["rss_kb"] for r in results) / 1024, "MB"),
     }
-    speed = statistics.median(REF_CAL_S / c for r in results for c in r["cal"])
     notes = [
         f"latency_tail_ms is p{conf['tail']:g} of {len(lat)} samples, {beyond} beyond it",
-        f"times are scaled to the reference host speed; median host speed {speed:.3f}; unscaled: "
-        f"throughput_dps={decisions / sum(raw):.4f} latency_p50_ms={1000 * statistics.median(raw):.5f} "
-        f"latency_tail_ms={1000 * percentile(raw, conf['tail'])[0]:.4f} "
-        f"setup_s={statistics.median(s for s, _ in setups):.4f}",
-        "setup_s samples (unscaled): " + ", ".join(f"{s:.4f}" for s, _ in setups),
+        "setup_s samples: " + ", ".join(f"{s:.4f}" for s in setups),
     ]
     notes += cache_lines(merge_cache(results))
     return metrics, results, notes, []
@@ -244,11 +232,7 @@ def traced(workload: str, seed: int):
                 for k in first if k.endswith(COUNT_SUFFIXES) and first[k] != second[k]]
     if len({r["digest"] for r in results}) != 1:
         problems.append("traced and plain passes reached different verdicts")
-    busy = [sum(scaled(r)) for r in results]
-    speed = statistics.median(REF_CAL_S / c for c in passes[0]["cal"])
-    for name in first:
-        if name.endswith("_s"):
-            first[name] *= speed
+    busy = [sum(r["latencies"]) for r in results]
     first["trace.overhead_ratio"] = statistics.mean(busy[1:]) / busy[0]
     metrics = {}
     for name, value in first.items():
@@ -260,7 +244,7 @@ def traced(workload: str, seed: int):
             unit = "count"
         metrics[name] = (value, unit)
     notes = [f"{n} requests per pass; first traced pass's spans in {os.path.relpath(path, ROOT)}",
-             "pass busy seconds at reference speed (plain, traced, traced): "
+             "pass busy seconds (plain, traced, traced): "
              + ", ".join(f"{b:.4f}" for b in busy)]
     return metrics, results, notes, problems
 

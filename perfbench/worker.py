@@ -35,26 +35,6 @@ import spans  # noqa: E402
 SOLVABLE, UNSOLVABLE = "solvable", "unsolvable"
 # Brute-force depth for spot-checking unsolvable oracle verdicts.
 UNSOLVABLE_Y_CHECK = 64
-# Seconds of loop between two timings of the host-speed kernel.
-CAL_INTERVAL_S = 0.25
-
-
-def calibrate() -> float:
-    """Seconds for a fixed integer-and-dict kernel: the host's current speed.
-
-    Shared hosts drift in speed by tens of percent over seconds; run.py
-    divides each request's time by the kernel time around it.  Median of
-    three timings, so one preemption does not count.
-    """
-    times = []
-    for _ in range(3):
-        t0 = time.perf_counter()
-        x, acc = 1, {}
-        for _ in range(4000):
-            x = (x * 6364136223846793005 + 1442695040888963407) % 18446744073709551616
-            acc[x % 509] = acc.get(x % 509, 0) + 1
-        times.append(time.perf_counter() - t0)
-    return sorted(times)[1]
 
 
 class Failure(Exception):
@@ -246,9 +226,7 @@ def main() -> int:
         tracer = spans.Tracer()
         tracer.install()
     print("READY", flush=True)
-    cals = [calibrate()]
     if args.probe:
-        print(json.dumps({"setup_cal": cals[0]}))
         return 0
 
     before = spans.cache_snapshot(caches)
@@ -257,9 +235,8 @@ def main() -> int:
     decisions = 0
     digest = hashlib.sha256()
     digested = 0
-    cal_index: list[int] = []
     clock = time.perf_counter
-    t_loop = t_cal = clock()
+    t_loop = clock()
     req = first
     for i in range(args.start, args.start + args.count):
         if i > args.start:
@@ -269,10 +246,6 @@ def main() -> int:
                 req = work.draw(i)
             except IndexError:
                 break
-            if clock() - t_cal >= CAL_INTERVAL_S:
-                cals.append(calibrate())
-                t_cal = clock()
-        cal_index.append(len(cals) - 1)
         if tracer:
             tracer.request = i
         t0 = clock()
@@ -297,7 +270,6 @@ def main() -> int:
                 digest.update(repr(line).encode() + b"\n")
             if digested == args.digest_count:
                 rss_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-    cals.append(calibrate())
     if digested < args.digest_count or not args.digest_count:
         rss_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     after = spans.cache_snapshot(caches)
@@ -305,8 +277,6 @@ def main() -> int:
 
     result = {
         "latencies": latencies,
-        "cal": [(cals[k] + cals[k + 1]) / 2 for k in cal_index],
-        "setup_cal": cals[0],
         "decisions": decisions,
         "failures": failures,
         "digest": digest.hexdigest(),
