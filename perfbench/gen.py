@@ -217,8 +217,14 @@ class ColdPQ:
 
 
 def scan_max(seed: int, i: int) -> int:
-    """The --max of scan request i: uniform in [SCAN_M_LO, SCAN_M_HI]."""
-    return random.Random(f"scan_2p:{seed}:{i}").randint(SCAN_M_LO, SCAN_M_HI)
+    """The --max of scan request i, in [SCAN_M_LO, SCAN_M_HI].
+
+    A golden-ratio sequence from a seeded offset: any run of consecutive
+    calls covers the range evenly, so the median call cost does not move
+    with the seed as it did with independent uniform draws.
+    """
+    u = (random.Random(f"scan_2p:{seed}").random() + i * (math.sqrt(5) - 1) / 2) % 1.0
+    return SCAN_M_LO + int(u * (SCAN_M_HI - SCAN_M_LO + 1))
 
 
 def odd_primes_upto(m: int) -> list[int]:

@@ -10,13 +10,16 @@ file for why each was chosen and what each layer should move):
   oracle_sweep  pellsolver.solve over non-square D <= 300, 0 < |n| <= 50
   scan_2p       cli scan --family 2p, one fresh process per scan call
 
+cold_pq is not listed in BENCHMARK.json: on some n with 4 | n the program's
+criterion contradicts its oracle, so a cold_pq run exits 1 (README.md).
+
 With --trace 0 the run measures about S seconds of closed loop in fresh
-interpreters (one for joint_2d and cold_pq, with six more started only to
+interpreters (one for joint_2d and cold_pq, with ten more started only to
 time set-up; one per block of requests for oracle_sweep and scan_2p) and
-prints the end-to-end metrics.  With --trace 1 it runs a fixed request
-count three times, once plain and twice with per-layer spans, checks that
-the two traced passes count exactly the same, and prints the per-layer
-metrics.  Every output is checked; the run exits 1 when any request
+prints the end-to-end metrics, with times scaled to a reference host
+speed (README.md).  With --trace 1 it runs a fixed request count three
+times, once plain and twice with per-layer spans, checks that the two
+traced passes count exactly the same, and prints the per-layer metrics.  Every output is checked; the run exits 1 when any request
 failed and 2 when it could not run at all.  The last stdout line is the
 JSON result.
 """
@@ -40,6 +43,7 @@ sys.path.insert(0, os.path.join(ROOT, "src"))
 sys.path.insert(1, HERE)
 
 import gen  # noqa: E402
+import hostspeed  # noqa: E402
 import spans  # noqa: E402
 
 # tail: the percentile reported as latency_tail_ms (see README.md).
@@ -54,7 +58,7 @@ WORKLOADS = {
                      "limit": len(gen.ORACLE_DS) * len(gen.ORACLE_NS)},
     "scan_2p": {"tail": 75.0, "trace": 1, "chunk": 1},
 }
-SETUP_SAMPLES = 7
+SETUP_SAMPLES = 11
 WORKER_TIMEOUT_S = 170
 CACHE_NAMES = tuple(f"{m}.{a}" for m, a in spans.CACHES)
 COUNT_SUFFIXES = (".calls", ".entries", ".hits", ".misses", "calls_per_decision", "_ratio")
@@ -67,7 +71,8 @@ class WorkerError(Exception):
 def spawn(workload: str, seed: int, count: int, digest: int, *, start: int = 0,
           seconds: float = 0.0, probe: bool = False, trace: bool = False,
           spans_out: str | None = None):
-    """Run one fresh worker; return (set-up seconds, its JSON result or None for a probe)."""
+    """Run one fresh worker; return (set-up seconds, kernel seconds just before
+    the spawn, its JSON result or None for a probe)."""
     cmd = [sys.executable, WORKER, "--workload", workload, "--seed", str(seed),
            "--start", str(start), "--count", str(count), "--seconds", str(seconds),
            "--digest-count", str(digest)]
@@ -77,6 +82,7 @@ def spawn(workload: str, seed: int, count: int, digest: int, *, start: int = 0,
         cmd.append("--trace")
     if spans_out:
         cmd += ["--spans-out", spans_out]
+    cal = hostspeed.calibrate()
     t0 = time.perf_counter()
     # Unbuffered, so readline() takes only the READY line and communicate()
     # gets everything after it.
@@ -93,7 +99,12 @@ def spawn(workload: str, seed: int, count: int, digest: int, *, start: int = 0,
             proc.wait()
     if ready.strip() != "READY" or proc.returncode != 0:
         raise WorkerError(f"worker {' '.join(cmd[1:])} exited {proc.returncode}")
-    return setup, None if probe else json.loads(rest.splitlines()[-1])
+    return setup, cal, None if probe else json.loads(rest.splitlines()[-1])
+
+
+def scaled(result: dict) -> list[float]:
+    """Request times at the reference host speed."""
+    return [t * hostspeed.REF_S / c for t, c in zip(result["latencies"], result["cal"])]
 
 
 def percentile(sorted_xs: list[float], pct: float) -> tuple[float, int]:
@@ -166,7 +177,7 @@ def regime(workload: str, results: list[dict]) -> tuple[list[str], list[str]]:
 def measure(workload: str, seed: int, seconds: float):
     """The untraced run: end-to-end metrics over S seconds of closed loop."""
     conf = WORKLOADS[workload]
-    setups: list[float] = []
+    setups: list[tuple[float, float]] = []  # (seconds, kernel seconds just before)
     results: list[dict] = []
     chunk = conf.get("chunk")
     if chunk:
@@ -174,9 +185,10 @@ def measure(workload: str, seed: int, seconds: float):
         spent, start = 0.0, 0
         while spent < seconds and start < conf.get("limit", start + 1):
             t0 = time.perf_counter()
-            setup, res = spawn(workload, seed, chunk, conf["trace"] if start == 0 else 0, start=start)
+            setup, cal, res = spawn(workload, seed, chunk, conf["trace"] if start == 0 else 0,
+                                    start=start)
             spent += time.perf_counter() - t0
-            setups.append(setup)
+            setups.append((setup, cal))
             results.append(res)
             start += chunk
     else:
@@ -185,24 +197,30 @@ def measure(workload: str, seed: int, seconds: float):
         half = (SETUP_SAMPLES - 1) // 2
         for k in range(SETUP_SAMPLES - 1):
             if k == half:
-                setup, res = spawn(workload, seed, 10**9, conf["trace"], seconds=seconds)
-                setups.append(setup)
+                setup, cal, res = spawn(workload, seed, 10**9, conf["trace"], seconds=seconds)
+                setups.append((setup, cal))
                 results.append(res)
-            setups.append(spawn(workload, seed, 1, 0, probe=True)[0])
+            setups.append(spawn(workload, seed, 1, 0, probe=True)[:2])
 
-    lat = sorted(x for r in results for x in r["latencies"])
+    raw = sorted(x for r in results for x in r["latencies"])
+    lat = sorted(x for r in results for x in scaled(r))
     decisions = sum(r["decisions"] for r in results)
     tail, beyond = percentile(lat, conf["tail"])
     metrics = {
         "throughput_dps": (decisions / sum(lat), "1/s"),
         "latency_p50_ms": (1000 * statistics.median(lat), "ms"),
         "latency_tail_ms": (1000 * tail, "ms"),
-        "setup_s": (statistics.median(setups), "s"),
+        "setup_s": (statistics.median(s * hostspeed.REF_S / c for s, c in setups), "s"),
         "peak_rss_mb": (statistics.median(r["rss_kb"] for r in results) / 1024, "MB"),
     }
+    speed = statistics.median(hostspeed.REF_S / c for r in results for c in r["cal"])
     notes = [
         f"latency_tail_ms is p{conf['tail']:g} of {len(lat)} samples, {beyond} beyond it",
-        "setup_s samples: " + ", ".join(f"{s:.4f}" for s in setups),
+        f"times are scaled to the reference host speed; median host speed {speed:.3f}; unscaled: "
+        f"throughput_dps={decisions / sum(raw):.4f} latency_p50_ms={1000 * statistics.median(raw):.5f} "
+        f"latency_tail_ms={1000 * percentile(raw, conf['tail'])[0]:.4f} "
+        f"setup_s={statistics.median(s for s, _ in setups):.4f}",
+        "setup_s samples (unscaled): " + ", ".join(f"{s:.4f}" for s, _ in setups),
     ]
     notes += cache_lines(merge_cache(results))
     return metrics, results, notes, []
@@ -213,9 +231,9 @@ def traced(workload: str, seed: int):
     n = WORKLOADS[workload]["trace"]
     os.makedirs(OUT_DIR, exist_ok=True)
     path = os.path.join(OUT_DIR, f"spans-{workload}.csv")
-    _, plain = spawn(workload, seed, n, n)
-    passes = [spawn(workload, seed, n, n, trace=True, spans_out=path)[1],
-              spawn(workload, seed, n, n, trace=True)[1]]
+    plain = spawn(workload, seed, n, n)[2]
+    passes = [spawn(workload, seed, n, n, trace=True, spans_out=path)[2],
+              spawn(workload, seed, n, n, trace=True)[2]]
     results = [plain] + passes
 
     def summary(res: dict) -> dict:
@@ -232,7 +250,11 @@ def traced(workload: str, seed: int):
                 for k in first if k.endswith(COUNT_SUFFIXES) and first[k] != second[k]]
     if len({r["digest"] for r in results}) != 1:
         problems.append("traced and plain passes reached different verdicts")
-    busy = [sum(r["latencies"]) for r in results]
+    busy = [sum(scaled(r)) for r in results]
+    speed = statistics.median(hostspeed.REF_S / c for c in passes[0]["cal"])
+    for name in first:
+        if name.endswith("_s"):
+            first[name] *= speed
     first["trace.overhead_ratio"] = statistics.mean(busy[1:]) / busy[0]
     metrics = {}
     for name, value in first.items():
@@ -244,7 +266,7 @@ def traced(workload: str, seed: int):
             unit = "count"
         metrics[name] = (value, unit)
     notes = [f"{n} requests per pass; first traced pass's spans in {os.path.relpath(path, ROOT)}",
-             "pass busy seconds (plain, traced, traced): "
+             "pass busy seconds at reference speed (plain, traced, traced): "
              + ", ".join(f"{b:.4f}" for b in busy)]
     return metrics, results, notes, problems
 

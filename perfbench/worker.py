@@ -31,10 +31,13 @@ from pellcrit import artin, cli, pellsolver  # noqa: E402
 
 import gen  # noqa: E402
 import spans  # noqa: E402
+from hostspeed import calibrate  # noqa: E402
 
 SOLVABLE, UNSOLVABLE = "solvable", "unsolvable"
 # Brute-force depth for spot-checking unsolvable oracle verdicts.
 UNSOLVABLE_Y_CHECK = 64
+# Seconds of loop between two timings of the host-speed kernel.
+CAL_INTERVAL_S = 0.25
 
 
 class Failure(Exception):
@@ -228,6 +231,7 @@ def main() -> int:
     print("READY", flush=True)
     if args.probe:
         return 0
+    cals = [calibrate()]
 
     before = spans.cache_snapshot(caches)
     latencies: list[float] = []
@@ -235,8 +239,9 @@ def main() -> int:
     decisions = 0
     digest = hashlib.sha256()
     digested = 0
+    cal_index: list[int] = []
     clock = time.perf_counter
-    t_loop = clock()
+    t_loop = t_cal = clock()
     req = first
     for i in range(args.start, args.start + args.count):
         if i > args.start:
@@ -246,6 +251,10 @@ def main() -> int:
                 req = work.draw(i)
             except IndexError:
                 break
+            if clock() - t_cal >= CAL_INTERVAL_S:
+                cals.append(calibrate())
+                t_cal = clock()
+        cal_index.append(len(cals) - 1)
         if tracer:
             tracer.request = i
         t0 = clock()
@@ -270,6 +279,7 @@ def main() -> int:
                 digest.update(repr(line).encode() + b"\n")
             if digested == args.digest_count:
                 rss_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    cals.append(calibrate())
     if digested < args.digest_count or not args.digest_count:
         rss_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     after = spans.cache_snapshot(caches)
@@ -277,6 +287,7 @@ def main() -> int:
 
     result = {
         "latencies": latencies,
+        "cal": [(cals[k] + cals[k + 1]) / 2 for k in cal_index],
         "decisions": decisions,
         "failures": failures,
         "digest": digest.hexdigest(),
