@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .intcore import factor, isqrt, is_square, sqrt_mod
+from .intcore import factor, isqrt, is_square, sqrt_mod, valuation
 from .symbols import jacobi, quartic_residue, burde_product
 from .verdict import Verdict
 from .quadring import (
@@ -347,14 +347,6 @@ def class_images_of_norm(D: int, n: int) -> ClassImages:
 # the twist-extension symbol product
 
 
-def _vp(n: int, l: int) -> int:
-    v = 0
-    while n % l == 0:
-        n //= l
-        v += 1
-    return v
-
-
 def twist_symbol(D: int, twist: TwistPoint, choice: AdelicChoice, n: int) -> int:
     """Artin image in the twist extension of the adelic point named by choice.
 
@@ -368,7 +360,7 @@ def twist_symbol(D: int, twist: TwistPoint, choice: AdelicChoice, n: int) -> int
     sym = 1
     # places over 2
     st2 = splitting_type(D, 2)
-    v2n = _vp(n, 2)
+    v2n = valuation(n, 2)
     if st2 == SPLIT:
         j = choice.j_at(2)
         u = Fraction(2) ** j
@@ -383,7 +375,7 @@ def twist_symbol(D: int, twist: TwistPoint, choice: AdelicChoice, n: int) -> int
         sym *= hilbert_ev((pt.x, pt.y), theta, place2)
     # place over the odd twist prime
     if ell != 2:
-        pt = find_local_point(D, n, ell, prec=_vp(n, ell) + 10)
+        pt = find_local_point(D, n, ell, prec=valuation(n, ell) + 10)
         if pt is None:
             raise ValueError(f"no {ell}-adic point for D={D}, n={n}")
         sym *= hilbert_ev((pt.x, pt.y), theta, places_over(D, ell)[0])
@@ -391,7 +383,7 @@ def twist_symbol(D: int, twist: TwistPoint, choice: AdelicChoice, n: int) -> int
     rel = {l for l, _ in factor(abs(n)).factors if l not in (2, ell)}
     rel |= {l for l, _ in factor(twist.z0).factors if l not in (2, ell)} if twist.z0 > 1 else set()
     for l in sorted(rel):
-        e = _vp(n, l)
+        e = valuation(n, l)
         st = splitting_type(D, l)
         if st == SPLIT:
             if e == 0:
@@ -404,7 +396,7 @@ def twist_symbol(D: int, twist: TwistPoint, choice: AdelicChoice, n: int) -> int
                 sym *= 1 if twist_residue_square(D, twist, vm_pl) else -1
         elif st == INERT:
             ev = e // 2
-            vtheta = _vp(twist.z0, l)
+            vtheta = valuation(twist.z0, l)
             place = places_over(D, l)[0]
             if ev % 2:
                 sym *= 1 if twist_residue_square(D, twist, place) else -1

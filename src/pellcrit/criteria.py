@@ -16,8 +16,6 @@ from .quadring import classify_order, FAMILY_2D, two_squares_all
 from .verdict import Verdict
 from . import pellsolver
 
-UNDETERMINED = "undetermined"
-
 
 def _oracle_target(D: int, targets: list[int]) -> tuple[int | None, Verdict]:
     hits = [(t, pellsolver.solve(D, t)) for t in targets]

@@ -21,6 +21,19 @@ def is_square(n: int) -> bool:
     return r * r == n
 
 
+def valuation(n: int, p: int) -> int:
+    """Exponent of the prime p in the nonzero integer n."""
+    if n == 0:
+        raise ValueError("valuation of 0")
+    if p == 2:
+        return (n & -n).bit_length() - 1
+    v = 0
+    while n % p == 0:
+        n //= p
+        v += 1
+    return v
+
+
 def _sieve(limit: int) -> list[int]:
     flags = bytearray([1]) * (limit + 1)
     flags[0:2] = b"\x00\x00"
@@ -259,6 +272,40 @@ def _sqrt_mod_unit(a: int, p: int, k: int) -> list[int]:
         pj *= p
         r = (r - (r * r - a) * pow(2 * r, -1, pj)) % pj
     return sorted({r, pk - r})
+
+
+def _square_in_coset(c: int, k: int) -> bool:
+    # whether c + 2^k Z_2 holds a square of Z_2, i.e. c is a square mod 2^k
+    if c % (1 << k) == 0:
+        return True
+    v = valuation(c, 2)
+    return v % 2 == 0 and (c >> v) % (1 << min(3, k - v)) == 1
+
+
+def two_adic_solvable(D: int, n: int) -> bool:
+    """True iff x^2 - D y^2 = n has a solution in Z_2 x Z_2 (D, n nonzero).
+
+    Closed form in O(v2(n) + v2(D)) steps.  Write D = 2^a d with d odd.  A
+    solution with y = 0 exists iff n is a square in Z_2.  The odd squares of
+    Z_2 are exactly 1 + 8 Z_2, so for v2(y) = t the values D y^2 fill exactly
+    the coset 2^m d + 2^(m+3) Z_2 with m = a + 2t, and a solution with
+    v2(y) = t exists iff n + 2^m d + 2^(m+3) Z_2 contains a square.  That
+    coset's elements share one valuation v (unless it contains 0), and it
+    holds a square iff v is even and its unit part is 1 mod 2^min(3, m+3-v).
+    Once m >= v2(n) + 3 the coset test is the test that n is a square, so
+    only m = a, a + 2, ... below v2(n) + 3 need checking.
+    """
+    if D == 0 or n == 0:
+        raise ValueError("D and n must be nonzero")
+    a = valuation(D, 2)
+    d = D >> a
+    s = valuation(n, 2)
+    if s % 2 == 0 and (n >> s) % 8 == 1:
+        return True
+    for m in range(a, s + 3, 2):
+        if _square_in_coset(n + (d << m), m + 3):
+            return True
+    return False
 
 
 def crt(residues: list[tuple[int, int]]) -> tuple[int, int]:

@@ -20,8 +20,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .intcore import is_prime, sqrt_mod
-from .symbols import REAL, jacobi, hilbert_q
+from .intcore import is_prime, sqrt_mod, two_adic_solvable, valuation
+from .symbols import jacobi, hilbert_q
 from .quadring import (
     FAMILY_2D,
     INERT,
@@ -46,7 +46,7 @@ class Place:
     sign of sqrt(D).
     """
 
-    l: object  # prime or REAL
+    l: object  # prime or symbols.REAL
     kind: str
     D: int
     root: int | None = None
@@ -88,10 +88,6 @@ def places_over(D: int, l: int, prec: int = 24) -> tuple[Place, ...]:
     return (Place(l, st, D, prec=prec),)
 
 
-def real_places(D: int) -> tuple[Place, Place]:
-    return (Place(REAL, "real", D, sign=1), Place(REAL, "real", D, sign=-1))
-
-
 def _as_pair(x) -> tuple[Fraction, Fraction]:
     if isinstance(x, tuple):
         return (Fraction(x[0]), Fraction(x[1]))
@@ -112,11 +108,8 @@ def square_class_2(u) -> tuple[int, int]:
     if f == 0:
         raise ValueError("square class of 0 undefined")
     t = f.numerator * f.denominator
-    v = 0
-    while t % 2 == 0:
-        t //= 2
-        v += 1
-    rep = {1: 1, 3: -5, 5: 5, 7: -1}[t % 8]
+    v = valuation(t, 2)
+    rep = {1: 1, 3: -5, 5: 5, 7: -1}[(t >> v) % 8]
     return (v & 1, rep)
 
 
@@ -135,14 +128,6 @@ def norm_class_2(u) -> int | None:
 # local solvability and local points
 
 
-def _val(n: int, l: int) -> int:
-    v = 0
-    while n % l == 0:
-        n //= l
-        v += 1
-    return v
-
-
 def local_solvable(D: int, n: int, l: int) -> bool:
     """True iff x^2 - D y^2 = n has a solution in Z_l x Z_l."""
     if n == 0:
@@ -150,11 +135,11 @@ def local_solvable(D: int, n: int, l: int) -> bool:
     if not is_prime(l):
         raise ValueError(f"{l} is not prime")
     if l == 2:
-        return _local2(D, n)
-    dv = _val(D, l)
+        return two_adic_solvable(D, n)
+    dv = valuation(D, l)
     if dv >= 2:
         # x must be divisible by l; descend to the reduced equation
-        nv = _val(n, l)
+        nv = valuation(n, l)
         if nv == 0:
             return jacobi(n, l) == 1
         if nv == 1:
@@ -163,7 +148,7 @@ def local_solvable(D: int, n: int, l: int) -> bool:
     if dv == 0:
         if jacobi(D, l) == 1:
             return True
-        return _val(n, l) % 2 == 0
+        return valuation(n, l) % 2 == 0
     # l exactly divides D
     m = n
     while m % (l * l) == 0:
@@ -171,43 +156,6 @@ def local_solvable(D: int, n: int, l: int) -> bool:
     if m % l == 0:
         return jacobi(-(m // l) * (D // l), l) == 1
     return jacobi(m, l) == 1
-
-
-def _local2(D: int, n: int) -> bool:
-    while True:
-        # primitive layer: some solution with x or y odd
-        if _primitive_at_2(D, n):
-            return True
-        if n % 4 != 0:
-            return False
-        n //= 4
-
-
-@lru_cache(maxsize=65536)
-def _primitive_at_2_key(dmod: int, nmod: int, k: int) -> bool:
-    mod = 1 << k
-    for y in range(mod):
-        t = (nmod + dmod * y * y) % mod
-        if y & 1:
-            # x may be anything; t must be a square mod 2^k
-            tt = t
-            v = 0
-            while tt and tt % 2 == 0:
-                tt //= 2
-                v += 1
-            if t == 0 or (v % 2 == 0 and (k - v < 3 or tt % 8 == 1)
-                          and (k - v != 2 or tt % 4 == 1)):
-                return True
-        elif t % 8 == 1:  # x must be odd when y is even
-            return True
-    return False
-
-
-def _primitive_at_2(D: int, n: int) -> bool:
-    v2d = _val(D, 2) if D % 2 == 0 else 0
-    k = 2 * v2d + 5
-    mod = 1 << k
-    return _primitive_at_2_key(D % mod, n % mod, k)
 
 
 @dataclass(frozen=True)
@@ -246,8 +194,8 @@ def find_local_point(D: int, n: int, l: int, prec: int = 24) -> LocalPoint | Non
     if l == 2:
         return _point_at_2(D, n, prec)
     mod = l**prec
-    dv = _val(D, l)
-    nv = _val(n, l)
+    dv = valuation(D, l)
+    nv = valuation(n, l)
     if dv == 0:
         if jacobi(D, l) == 1:
             r = _lift_root_odd(D, l, prec)
@@ -291,49 +239,37 @@ def find_local_point(D: int, n: int, l: int, prec: int = 24) -> LocalPoint | Non
     return LocalPoint(l, prec, 0, y * scale % mod)
 
 
-def _point_at_2(D: int, n: int, prec: int) -> LocalPoint | None:
+def _point_at_2(D: int, n: int, prec: int) -> LocalPoint:
+    # only called for Z_2-solvable (D, n)
     mod = 1 << prec
     scale = 1
+    m = n
     while True:
-        pt = _point_at_2_primitive(D, n, prec)
+        pt = _point_at_2_primitive(D, m, prec)
         if pt is not None:
             return LocalPoint(2, prec, pt[0] * scale % mod, pt[1] * scale % mod)
-        if n % 4 != 0:
-            return None
-        n //= 4
+        if m % 4 != 0:
+            raise ArithmeticError(f"no 2-adic point found for D={D}, n={n}")
+        m //= 4
         scale *= 2
 
 
 def _point_at_2_primitive(D: int, n: int, prec: int) -> tuple[int, int] | None:
-    # scan y residues; t = n + D y^2 an exact 2-adic square gives a point
+    # scan y residues; t = n + D y^2 an exact 2-adic square gives a point.
+    # The odd y < 1024 make D y^2 run through every residue of D (1 + 8 Z_2)
+    # mod 2^(v2(D) + 11), and y = 0, 2 cover x odd, so the scan finds a
+    # primitive point whenever one exists.
     for y in range(1024):
         t = n + D * y * y
         if t == 0:
             return (0, y)
-        tt, v = t, 0
-        while tt % 2 == 0:
-            tt //= 2
-            v += 1
+        v = valuation(t, 2)
+        tt = t >> v
         if v % 2 == 0 and tt % 8 == 1:
             x = _newton_sqrt_mod_lk(tt % (1 << prec), 2, prec)
             x = x * (1 << (v // 2)) % (1 << prec)
             if x % 2 == 1 or y % 2 == 1:
                 return (x, y)
-    # fallback: fix an x residue, Newton-lift an odd y through the gradient
-    v2d = _val(D, 2) if D % 2 == 0 else 0
-    k = 2 * v2d + 5
-    mod = 1 << k
-    big = 1 << prec
-    for x in range(mod):
-        for y in range(1, mod, 2):
-            if (x * x - D * y * y - n) % mod == 0:
-                mj = mod
-                while mj < big:
-                    mj <<= 1
-                    f = x * x - D * y * y - n
-                    y = (y + f * pow(2 * D * y, -1, mj)) % mj
-                assert (x * x - D * y * y - n) % (big >> 2) == 0
-                return (x % big, y % big)
     return None
 
 
@@ -349,7 +285,7 @@ class TwoAdicQuad:
     and the quadratic Hilbert pairing on E_v*/(E_v*)^2."""
 
     def __init__(self, D: int):
-        v2 = _val(D, 2) if D % 2 == 0 else 0
+        v2 = valuation(D, 2)
         if v2 >= 2:
             raise ValueError("D must have 2-adic valuation 0 or 1")
         if v2 == 0 and D % 8 == 1:
@@ -394,14 +330,10 @@ class TwoAdicQuad:
         nrm = Fraction(self.norm(u))
         if nrm == 0:
             raise ValueError("valuation of 0")
-        t = nrm.numerator * nrm.denominator
-        v = 0
-        while t % 2 == 0:
-            t //= 2
-            v += 1
-        v -= 2 * _val(nrm.denominator, 2)
+        v = valuation(nrm.numerator, 2) - valuation(nrm.denominator, 2)
         if self.f == 2:
-            assert v % 2 == 0
+            if v % 2:
+                raise ArithmeticError(f"odd norm valuation in the inert field, D={self.D}")
             return v // 2
         return v
 
@@ -607,13 +539,10 @@ def _embed_val_unit(x: Fraction, y: Fraction, place: Place) -> tuple[int, int]:
     t %= mod
     if t == 0:
         raise ArithmeticError("split embedding needs more precision")
-    v = 0
-    while t % l == 0:
-        t //= l
-        v += 1
+    v = valuation(t, l)
     if v > place.prec - 4:
         raise ArithmeticError("split embedding needs more precision")
-    return v, t
+    return v, t // l**v
 
 
 def hilbert_ev(alpha, beta, place: Place) -> int:
@@ -662,14 +591,10 @@ def _odd_val_unit(ctx_D: int, x: Fraction, y: Fraction, place: Place):
     l = place.l
     D = ctx_D
     nrm = x * x - D * y * y
-    t = nrm.numerator * nrm.denominator
-    vn = 0
-    while t % l == 0:
-        t //= l
-        vn += 1
-    vn -= 2 * _val(nrm.denominator, l)
+    vn = valuation(nrm.numerator, l) - valuation(nrm.denominator, l)
     if place.kind == INERT:
-        assert vn % 2 == 0
+        if vn % 2:
+            raise ArithmeticError(f"odd norm valuation at the inert place {l}, D={D}")
         v = vn // 2
         scale = Fraction(1, l**v)
         return v, (x * scale, y * scale)

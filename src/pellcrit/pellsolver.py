@@ -19,7 +19,7 @@ import os
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .intcore import crt, factor, is_square, isqrt, sqrt_mod_prime_power
+from .intcore import crt, factor, is_square, isqrt, sqrt_mod_prime_power, two_adic_solvable
 from .verdict import Verdict
 
 # Above this orbit-scan bound the continued-fraction engine takes over.
@@ -64,7 +64,8 @@ def cf_fundamental(D: int) -> tuple[CFExpansion, PellFundamental]:
         h_prev, h = h, a * h + h_prev
         k_prev, k = k, a * k + k_prev
     norm = -1 if len(period) % 2 == 1 else 1
-    assert h * h - D * k * k == norm
+    if h * h - D * k * k != norm:
+        raise ArithmeticError(f"CF expansion of sqrt({D}) gave no unit")
     return CFExpansion(a0, tuple(period), tuple(states)), PellFundamental(h, k, norm)
 
 
@@ -200,59 +201,9 @@ def minimal_solutions(D: int, n: int) -> list[tuple[int, int]]:
     return sorted(reps, key=lambda t: (t[1], t[0]))
 
 
-def _square_mod_2k(t: int, k: int) -> bool:
-    # is t congruent to a square mod 2^k
-    if t % (1 << k) == 0:
-        return True
-    v = 0
-    while t % 2 == 0:
-        t //= 2
-        v += 1
-    if v % 2 == 1:
-        return False
-    rem = k - v
-    if rem >= 3:
-        return t % 8 == 1
-    if rem == 2:
-        return t % 4 == 1
-    return True
-
-
-@lru_cache(maxsize=65536)
-def _primitive2(dmod: int, nmod: int, k: int) -> bool:
-    # primitive (not both even) solution of x^2 - D y^2 = n mod 2^k; at this
-    # precision a primitive congruence solution certifies a true Z_2 point
-    mod = 1 << k
-    for y in range(mod):
-        t = (nmod + dmod * y * y) % mod
-        if y & 1:
-            if _square_mod_2k(t, k):
-                return True
-        elif t % 8 == 1:  # x must be odd when y is even
-            return True
-    return False
-
-
-def _local2_solvable(D: int, n: int) -> bool:
-    # self-contained 2-adic solvability of x^2 - D y^2 = n (independent of
-    # the local-analysis module by design: the oracle trusts nobody)
-    v2d = 0
-    d = D
-    while d % 2 == 0:
-        d //= 2
-        v2d += 1
-    k = 2 * v2d + 5
-    mod = 1 << k
-    while True:
-        if _primitive2(D % mod, n % mod, k):
-            return True
-        if n % 4 != 0:
-            return False
-        n //= 4
-
-
 def _local_obstruction(D: int, n: int) -> int | None:
-    # closed forms at odd primes dividing D, plus the 2-adic search above
+    # only labels the reason of an unsolvable verdict, never decides it, so
+    # the oracle shares the local layer's 2-adic test
     for l, dl in factor(D).factors:
         if l == 2 or dl != 1:
             continue
@@ -265,7 +216,7 @@ def _local_obstruction(D: int, n: int) -> int | None:
             u = m % l
         if pow(u, (l - 1) // 2, l) == l - 1:
             return l
-    if not _local2_solvable(D, n):
+    if not two_adic_solvable(D, n):
         return 2
     return None
 
@@ -275,7 +226,8 @@ def solve(D: int, n: int) -> Verdict:
     reps = minimal_solutions(D, n)
     if reps:
         x, y = reps[0]
-        assert x * x - D * y * y == n
+        if x * x - D * y * y != n:
+            raise ArithmeticError(f"oracle witness {(x, y)} fails for D={D}, n={n}")
         return Verdict("solvable", (x, y), provenance="oracle")
     l = _local_obstruction(D, n)
     if l is not None:

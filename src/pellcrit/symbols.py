@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .intcore import Factorization, factor, is_prime, two_squares_prime
+from .intcore import Factorization, factor, is_prime, two_squares_prime, valuation
 
 # Distinguished token for the archimedean place (never a pseudo-prime).
 REAL = "real"
@@ -91,14 +91,6 @@ def _to_int_pair(a) -> int:
     return f.numerator * f.denominator
 
 
-def _split_val(n: int, l: int) -> tuple[int, int]:
-    v = 0
-    while n % l == 0:
-        n //= l
-        v += 1
-    return v, n
-
-
 def hilbert_q(a, b, l) -> int:
     """Quadratic Hilbert symbol (a, b)_l over Q_l, or over R for l = REAL.
 
@@ -110,17 +102,15 @@ def hilbert_q(a, b, l) -> int:
         return -1 if (a < 0 and b < 0) else 1
     if not isinstance(l, int) or not is_prime(l):
         raise ValueError(f"{l} is not a prime or the real place")
+    alpha, beta = valuation(a, l), valuation(b, l)
+    u, w = a // l**alpha, b // l**beta
     if l == 2:
-        alpha, u = _split_val(a, 2)
-        beta, w = _split_val(b, 2)
         eps_u = ((u - 1) // 2) & 1
         eps_w = ((w - 1) // 2) & 1
         om_u = ((u * u - 1) // 8) & 1
         om_w = ((w * w - 1) // 8) & 1
         e = eps_u * eps_w + alpha * om_w + beta * om_u
         return -1 if e & 1 else 1
-    alpha, u = _split_val(a, l)
-    beta, w = _split_val(b, l)
     s = 1
     if (alpha & 1) and (beta & 1) and (l - 1) // 2 % 2 == 1:
         s = -s

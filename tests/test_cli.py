@@ -48,6 +48,12 @@ def test_usage_error_exit_code():
     assert res.returncode == 2
     res = run_cli("scan", "--family", "weird", "--max", "10")
     assert res.returncode == 2
+    # parsed, but rejected by the library: one line on stderr, no traceback
+    for args in (("decide", "4", "1"), ("decide", "221", "0"), ("classify-pq", "4", "5")):
+        res = run_cli(*args)
+        assert res.returncode == 2, args
+        assert res.stdout == "" and len(res.stderr.splitlines()) == 1, args
+        assert "Traceback" not in res.stderr, args
 
 
 def test_scan_records_round_trip():

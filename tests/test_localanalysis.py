@@ -1,12 +1,14 @@
+import functools
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
 from pellcrit import localanalysis as la
 from pellcrit import pellsolver, quadring
-from pellcrit.intcore import factor
+from pellcrit.intcore import factor, two_adic_solvable
 from pellcrit.symbols import hilbert_q, jacobi
 
 
@@ -21,19 +23,104 @@ def test_local_solvable_examples():
     assert la.local_solvable(21, -1, 2)
 
 
+@functools.lru_cache(maxsize=None)
+def _squares_mod_2k(k):
+    mod = 1 << k
+    return (
+        frozenset(x * x % mod for x in range(mod)),
+        frozenset(x * x % mod for x in range(1, mod, 2)),
+    )
+
+
+@functools.lru_cache(maxsize=None)
+def _dy2_mod_2k(dmod, k):
+    # D y^2 mod 2^k for y odd and for y even
+    mod = 1 << k
+    return (
+        frozenset(dmod * y * y % mod for y in range(1, mod, 2)),
+        frozenset(dmod * y * y % mod for y in range(0, mod, 2)),
+    )
+
+
+def _z2_solvable_brute(D, n):
+    """Z_2-solvability of x^2 - D y^2 = n by enumerating residues mod 2^k.
+
+    With k = 2 v2(D) + 5, a primitive solution (x or y odd) mod 2^k lifts to
+    Z_2; a solution with x, y both even is a solution for n / 4.
+    """
+    a = 0
+    while D % (2 ** (a + 1)) == 0:
+        a += 1
+    k = 2 * a + 5
+    mod = 1 << k
+    squares, odd_squares = _squares_mod_2k(k)
+    y_odd, y_even = _dy2_mod_2k(D % mod, k)
+    while True:
+        if any((n + t) % mod in squares for t in y_odd):
+            return True
+        if any((n + t) % mod in odd_squares for t in y_even):
+            return True
+        if n % 4:
+            return False
+        n //= 4
+
+
+def _check_local2(D, n):
+    want = _z2_solvable_brute(D, n)
+    assert two_adic_solvable(D, n) == want, (D, n)
+    assert la.local_solvable(D, n, 2) == want, (D, n)
+    # the oracle labels an unsolvable verdict by the first odd prime l || D
+    # that obstructs, then by 2
+    odd = [
+        l for l, e in factor(D).factors
+        if l != 2 and e == 1 and not la.local_solvable(D, n, l)
+    ]
+    reason = pellsolver.solve(D, n).reason
+    if odd:
+        assert reason == f"local-obstruction:{odd[0]}", (D, n, reason)
+    elif not want:
+        assert reason == "local-obstruction:2", (D, n, reason)
+    else:
+        assert reason is None or not reason.startswith("local-obstruction"), (D, n)
+
+
 def test_local2_brute():
-    # two independent 2-adic implementations must agree everywhere
-    random.seed(9)
-    for _ in range(250):
-        D = random.randint(2, 120)
+    # every non-square D <= 300 with v2(D) >= 5, against the residue search
+    for D in range(32, 301, 32):
         if math.isqrt(D) ** 2 == D:
             continue
-        n = random.randint(-40, 40)
-        if n == 0:
+        for n in range(-150, 151):
+            if n:
+                _check_local2(D, n)
+
+
+def test_local2_brute_sampled():
+    # D with v2(D) < 5, n with v2(n) up to 8
+    rng = random.Random(9)
+    for _ in range(1500):
+        D = rng.randint(2, 2000)
+        if math.isqrt(D) ** 2 == D or D % 32 == 0:
             continue
-        got = la.local_solvable(D, n, 2)
-        # independent implementation inside the oracle
-        assert got == pellsolver._local2_solvable(D, n), (D, n)
+        n = rng.choice((-1, 1)) * rng.randrange(1, 200, 2) << rng.randint(0, 8)
+        _check_local2(D, n)
+
+
+def test_local2_valuation_of_D_beyond_n():
+    # D = 3 * 2^20 is far beyond the residue search (k = 45).  When
+    # v2(D) >= v2(n) + 3, Z_2-solvability holds iff n is a square in Z_2.
+    D = 3 << 20
+    rng = random.Random(11)
+    start = time.perf_counter()
+    for _ in range(2000):
+        s = rng.randint(0, 17)
+        n = rng.choice((-1, 1)) * rng.randrange(1, 10**6, 2) << s
+        square = s % 2 == 0 and (n >> s) % 8 == 1
+        assert la.local_solvable(D, n, 2) == square, n
+        assert two_adic_solvable(D, n) == square, n
+    # each call is a handful of integer operations: stay far under 10 ms
+    assert (time.perf_counter() - start) / 4000 < 0.01
+    assert la.find_local_point(D, 1, 2) is not None
+    assert la.find_local_point(D, 2, 2) is None
 
 
 def test_local_solvable_odd_brute():
