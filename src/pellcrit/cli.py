@@ -45,11 +45,7 @@ def _primes_upto(m: int) -> list[int]:
 
 def cmd_decide(args) -> int:
     t0 = time.time()
-    try:
-        verdict = artin.joint_artin_decide(args.D, args.n)
-    except ArithmeticError as exc:
-        print(f"inconsistency: {exc}", file=sys.stderr)
-        return EXIT_INCONSISTENT
+    verdict = artin.joint_artin_decide(args.D, args.n)
     oracle = pellsolver.solve(args.D, args.n)
     record = {
         "D": args.D,
@@ -289,6 +285,10 @@ def main(argv=None) -> int:
         # arguments the parser accepts but the mathematics rejects
         print(f"pellcrit: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except ArithmeticError as exc:
+        # a criterion or the oracle broke one of its own invariants
+        print(f"pellcrit: inconsistency: {exc}", file=sys.stderr)
+        return EXIT_INCONSISTENT
 
 
 if __name__ == "__main__":

@@ -28,6 +28,15 @@ def _oracle_target(D: int, targets: list[int]) -> tuple[int | None, Verdict]:
     raise ArithmeticError(f"trichotomy violated for D={D}: {solvable}")
 
 
+def _confirmed(D: int, n: int, provenance: str) -> Verdict:
+    # the criterion says solvable; the oracle must agree and give the witness
+    v = pellsolver.solve(D, n)
+    if not v.solvable:
+        raise ArithmeticError(f"criterion {provenance} says x^2 - {D} y^2 = {n}"
+                              " is solvable, the oracle disagrees")
+    return Verdict("solvable", v.witness, provenance=provenance)
+
+
 def classify_pq(p: int, q: int) -> tuple[int | None, Verdict]:
     """The solvable target among x^2 - pq y^2 = -1, p, q.
 
@@ -41,19 +50,13 @@ def classify_pq(p: int, q: int) -> tuple[int | None, Verdict]:
         # -1 is locally impossible; the symbols here say nothing more
         return _oracle_target(D, [p, q])
     if jacobi(p, q) == -1:
-        v = pellsolver.solve(D, -1)
-        assert v.solvable
-        return -1, Verdict("solvable", v.witness, provenance="nonresidue-pair")
+        return -1, _confirmed(D, -1, "nonresidue-pair")
     rp, rq = quartic_residue(q, p), quartic_residue(p, q)
     if rp * rq == -1:
         target = p if rp == 1 else q
-        v = pellsolver.solve(D, target)
-        assert v.solvable, (p, q, target)
-        return target, Verdict("solvable", v.witness, provenance="quartic-trichotomy")
+        return target, _confirmed(D, target, "quartic-trichotomy")
     if rp == -1 and rq == -1:
-        v = pellsolver.solve(D, -1)
-        assert v.solvable
-        return -1, Verdict("solvable", v.witness, provenance="quartic-both-negative")
+        return -1, _confirmed(D, -1, "quartic-both-negative")
     return _oracle_target(D, [-1, p, q])
 
 
@@ -76,9 +79,7 @@ def classify_2p(p: int) -> tuple[int | None, Verdict]:
         target, prov = 2, "quartic-2p"
     else:
         return _oracle_target(D, [-1, 2, -2])
-    v = pellsolver.solve(D, target)
-    assert v.solvable, (p, target)
-    return target, Verdict("solvable", v.witness, provenance=prov)
+    return target, _confirmed(D, target, prov)
 
 
 @dataclass(frozen=True)
@@ -101,7 +102,8 @@ def _quartic_splits_mod_p(p: int) -> bool:
     # does x^4 - 238 x^2 + 17 have a root mod p; its roots in x^2 are
     # 119 +- 8 sqrt(221), and the two choices are squares simultaneously
     r = sqrt_mod(221, p)
-    assert r is not None
+    if r is None:
+        raise ArithmeticError(f"221 has no square root mod {p}")
     return jacobi(119 - 8 * r, p) == 1
 
 
@@ -168,9 +170,7 @@ def decide_221(n: int) -> Verdict:
         cond2 = lhs == rhs
     if not cond2:
         return Verdict("unsolvable", None, "221-closed-form", reason="twist-condition")
-    v = pellsolver.solve(221, n)
-    assert v.solvable, n
-    return Verdict("solvable", v.witness, "221-closed-form")
+    return _confirmed(221, n, "221-closed-form")
 
 
 def known_obstructions(d: int, n: int) -> Verdict | None:

@@ -320,6 +320,25 @@ def crt(residues: list[tuple[int, int]]) -> tuple[int, int]:
     return x, m
 
 
+def sqrt_mod_factored(a: int, factors) -> list[int]:
+    """All x in [0, m) with x^2 = a mod m, for m = prod p^e given as (p, e) pairs.
+
+    The roots mod each p^e are combined through the CRT idempotents of m;
+    the list is empty when some p^e admits no root, and [0] when m = 1.
+    """
+    mods = [p**e for p, e in factors]
+    m = math.prod(mods)
+    roots = [0]
+    for i, (p, e) in enumerate(factors):
+        rs = sqrt_mod_prime_power(a, p, e)
+        if not rs:
+            return []
+        # idempotent: 1 mod p^e, 0 mod every other prime power of m
+        idem, _ = crt([(int(j == i), q) for j, q in enumerate(mods)])
+        roots = [(r + s * idem) % m for r in roots for s in rs]
+    return sorted(roots)
+
+
 def two_squares_prime(p: int) -> tuple[int, int]:
     """Write a prime p = 1 mod 4 as a^2 + b^2 with a odd > 0, b even > 0."""
     if p % 4 != 1 or not is_prime(p):

@@ -11,14 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .intcore import (
-    crt,
-    factor,
-    isqrt,
-    is_square,
-    sqrt_mod_prime_power,
-    two_squares_prime,
-)
+from .intcore import factor, isqrt, is_square, sqrt_mod_factored, two_squares_prime
 from .pellsolver import minimal_solutions
 
 SPLIT = "split"
@@ -134,17 +127,7 @@ def repr_x2_plus_2y2(m: int) -> tuple[int, int] | None:
         if p != 2 and p % 8 not in (1, 3):
             return None
     # Cornacchia with -2: run Euclid from each square root of -2 mod m
-    parts = []
-    for p, e in fac.factors:
-        rs = sqrt_mod_prime_power(-2 % p**e, p, e)
-        if not rs:
-            return None
-        parts.append([(r, p**e) for r in rs])
-    combos: list[list[tuple[int, int]]] = [[]]
-    for options in parts:
-        combos = [c + [o] for c in combos for o in options]
-    roots = sorted({crt(c)[0] % m for c in combos})
-    for t in roots:
+    for t in sqrt_mod_factored(-2, fac.factors):
         r0, r1 = m, t
         while r1 * r1 > m:
             r0, r1 = r1, r0 % r1

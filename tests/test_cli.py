@@ -3,6 +3,9 @@ import json
 import subprocess
 import sys
 
+from pellcrit import cli, pellsolver
+from pellcrit.verdict import Verdict
+
 
 def run_cli(*args):
     return subprocess.run(
@@ -54,6 +57,15 @@ def test_usage_error_exit_code():
         assert res.returncode == 2, args
         assert res.stdout == "" and len(res.stderr.splitlines()) == 1, args
         assert "Traceback" not in res.stderr, args
+
+
+def test_scan_inconsistency_exit_code(monkeypatch, capsys):
+    # an oracle that finds nothing contradicts every criterion that says solvable
+    monkeypatch.setattr(pellsolver, "solve", lambda D, n: Verdict("unsolvable", None, "oracle"))
+    assert cli.main(["scan", "--family", "2p", "--max", "20"]) == cli.EXIT_INCONSISTENT
+    out, err = capsys.readouterr()
+    assert out == "" and len(err.splitlines()) == 1
+    assert "Traceback" not in err
 
 
 def test_scan_records_round_trip():

@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+
 import pytest
 
+import pellcrit
 from pellcrit import criteria, pellsolver
+from pellcrit.verdict import Verdict
 from pellcrit.intcore import _SMALL_PRIMES
 from pellcrit.symbols import jacobi, quartic_residue
 
@@ -125,3 +131,40 @@ def test_decompose_221_sets():
     # 43 splits in both quadratic fields but the quartic stays irreducible
     assert jacobi(13, 43) == 1 and jacobi(17, 43) == 1
     assert 43 not in dec.set3
+
+
+def _oracle_finds_nothing(D, n):
+    return Verdict("unsolvable", None, "oracle")
+
+
+def test_criteria_raise_when_oracle_disagrees(monkeypatch):
+    monkeypatch.setattr(pellsolver, "solve", _oracle_finds_nothing)
+    # classify_pq: (5, 13) nonresidue pair, (13, 17) quartic trichotomy,
+    # (5, 29) both quartic symbols -1
+    for call, args in [
+        (criteria.classify_pq, (5, 13)),
+        (criteria.classify_pq, (13, 17)),
+        (criteria.classify_pq, (5, 29)),
+        (criteria.classify_2p, (3,)),
+        (criteria.classify_2p, (97,)),
+        (criteria.decide_221, (17,)),
+    ]:
+        with pytest.raises(ArithmeticError):
+            call(*args)
+
+
+def test_classify_2p_raises_under_optimize():
+    code = (
+        "from pellcrit import criteria, pellsolver\n"
+        "from pellcrit.verdict import Verdict\n"
+        "pellsolver.solve = lambda D, n: Verdict('unsolvable', None, 'oracle')\n"
+        "try:\n"
+        "    criteria.classify_2p(3)\n"
+        "except ArithmeticError:\n"
+        "    print('raised', __debug__)\n"
+    )
+    src = os.path.dirname(os.path.dirname(pellcrit.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    res = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "raised False"

@@ -92,6 +92,14 @@ def test_sqrt_mod_prime_power_exhaustive():
             assert got == want, (a, p, k)
 
 
+def test_sqrt_mod_factored_exhaustive():
+    for m in range(1, 200):
+        fac = intcore.factor(m).factors
+        for a in range(-3, m):
+            want = sorted(x for x in range(m) if (x * x - a) % m == 0)
+            assert intcore.sqrt_mod_factored(a, fac) == want, (a, m)
+
+
 def test_two_squares_prime():
     assert intcore.two_squares_prime(13) == (3, 2)
     assert intcore.two_squares_prime(17) == (1, 4)
