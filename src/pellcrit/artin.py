@@ -109,75 +109,37 @@ def _cycle(f: Form, s: int, disc: int) -> tuple[Form, ...]:
 
 
 class ClassGroup:
-    """Wide form class group of a positive non-square discriminant.
+    """Principality in the wide form class group of discriminant 4D.
 
-    Classes are reduction cycles of primitive indefinite forms, merged
-    under (a, b, c) ~ (-a, b, -c); composition is Gaussian.
+    A form is principal in the wide sense when its reduction lies on the
+    cycle of the principal form or on the cycle of its negation, since
+    (a, b, c) ~ (-a, b, -c) merges exactly those two cycles.  Only that set
+    of reduced forms is built, one cycle walk of about the continued
+    fraction period; the rest of the group is never enumerated.
+    Composition is Gaussian.
     """
 
     def __init__(self, disc: int):
         if disc <= 0 or disc % 4 != 0 or is_square(disc):
             raise ValueError("discriminant must be 4D, positive, non-square")
         self.disc = disc
-        self.s = isqrt(disc)
-        self._build()
-
-    def _build(self) -> None:
-        disc, s = self.disc, self.s
-        reduced = []
-        for b in range(1, s + 1):
-            if (disc - b * b) % 4:
-                continue
-            M = (disc - b * b) // 4  # = -a c > 0
-            for u in _divisors(M):
-                for a in (u, -u):
-                    c = -M // a
-                    f = Form(a, b, c) if math.gcd(math.gcd(a, b), c) == 1 else None
-                    if f and _is_reduced(f, s, disc):
-                        reduced.append(f)
-        cycle_of: dict[Form, int] = {}
-        cycles: list[tuple[Form, ...]] = []
-        for f in reduced:
-            if f in cycle_of:
-                continue
-            cyc = _cycle(f, s, disc)
-            for g in cyc:
-                cycle_of[g] = len(cycles)
-            cycles.append(cyc)
-        # merge cycles under negation
-        parent = list(range(len(cycles)))
-
-        def find(i: int) -> int:
-            while parent[i] != i:
-                parent[i] = parent[parent[i]]
-                i = parent[i]
-            return i
-
-        for f, ci in cycle_of.items():
-            cj = cycle_of[reduce_form(f.neg())]
-            ri, rj = find(ci), find(cj)
-            if ri != rj:
-                parent[ri] = rj
-        roots = sorted({find(i) for i in range(len(cycles))})
-        self._class_index = {r: k for k, r in enumerate(roots)}
-        self._cycle_of = cycle_of
-        self._find = find
-        self.order = len(roots)
         D = disc // 4
         a0 = isqrt(D)
         self.principal = Form(1, 2 * a0, a0 * a0 - D)
-        self.principal_id = self.class_id(self.principal)
-
-    def class_id(self, f: Form) -> int:
-        g = reduce_form(f)
-        return self._class_index[self._find(self._cycle_of[g])]
+        s = isqrt(disc)
+        self._principal_forms = frozenset(
+            _cycle(self.principal, s, disc) + _cycle(self.principal.neg(), s, disc)
+        )
 
     def is_principal(self, f: Form) -> bool:
-        return self.class_id(f) == self.principal_id
+        if f.disc != self.disc:
+            raise ValueError(f"form {f} does not have discriminant {self.disc}")
+        return reduce_form(f) in self._principal_forms
 
     def compose(self, f1: Form, f2: Form) -> Form:
         disc = self.disc
-        assert f1.disc == disc and f2.disc == disc
+        if f1.disc != disc or f2.disc != disc:
+            raise ValueError(f"forms {f1}, {f2} do not both have discriminant {disc}")
         f2 = self._coprime_rep(f2, f1.a)
         a1, a2 = f1.a, f2.a
         # b = b1 mod 2 a1, b = b2 mod 2 a2
@@ -188,10 +150,14 @@ class ClassGroup:
 
     def power(self, f: Form, k: int) -> Form:
         if k < 0:
-            return self.power(Form(f.a, -f.b, f.c), -k)
+            f, k = Form(f.a, -f.b, f.c), -k
         out = self.principal
-        for _ in range(k):
-            out = self.compose(out, f)
+        while k:
+            if k & 1:
+                out = self.compose(out, f)
+            k >>= 1
+            if k:
+                f = self.compose(f, f)
         return out
 
     def _coprime_rep(self, f: Form, target: int) -> Form:
@@ -231,16 +197,9 @@ def _crt2(r1: int, m1: int, r2: int, m2: int) -> int:
     return (r1 + m1 * t) % lcm
 
 
-def _divisors(n: int) -> list[int]:
-    out = [1]
-    for p, e in factor(n).factors:
-        out = [d * p**k for d in out for k in range(e + 1)]
-    return sorted(out)
-
-
 @lru_cache(maxsize=None)
 def class_group(disc: int) -> ClassGroup:
-    """The wide form class group of discriminant 4D (cached, immutable)."""
+    """Principality test of the wide class group of discriminant 4D (cached)."""
     return ClassGroup(disc)
 
 
@@ -256,7 +215,8 @@ def prime_form(D: int, l: int) -> Form:
     if st == RAMIFIED:
         return Form(l, 0, -(D // l))
     beta = sqrt_mod(D, l)
-    assert beta is not None and beta != 0
+    if beta is None or beta == 0:
+        raise ArithmeticError(f"no unit square root of {D} mod the split prime {l}")
     return Form(l, 2 * beta, (beta * beta - D) // l)
 
 

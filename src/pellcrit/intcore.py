@@ -237,7 +237,12 @@ def sqrt_mod_prime_power(a: int, p: int, k: int) -> list[int]:
     if v % 2 == 1:
         return []
     if v == 0:
-        return _sqrt_mod_unit(a, p, k)
+        r = lift_unit_sqrt(a, p, k)
+        if r is None:
+            return []
+        if p == 2 and k > 2:
+            return sorted({r, pk - r, (r + pk // 2) % pk, (pk // 2 - r) % pk})
+        return sorted({r, pk - r})
     half = p ** (v // 2)
     sub = sqrt_mod_prime_power(aa, p, k - v)
     roots = set()
@@ -249,29 +254,32 @@ def sqrt_mod_prime_power(a: int, p: int, k: int) -> list[int]:
     return sorted(roots)
 
 
-def _sqrt_mod_unit(a: int, p: int, k: int) -> list[int]:
-    pk = p**k
+def lift_unit_sqrt(a: int, p: int, k: int) -> int | None:
+    """One square root of the unit a mod p^k, or None when a is no square.
+
+    For odd p this is the Newton lift of sqrt_mod's normalized root mod p;
+    for p = 2 it is the bit-by-bit lift from 1.  Callers rely on that exact
+    root: the order of the two split places over p follows from it.
+    """
     if p == 2:
-        if k == 1:
-            return [1]
-        if k == 2:
-            return [1, 3] if a % 4 == 1 else []
-        if a % 8 != 1:
-            return []
+        if a % (1 << min(k, 3)) != 1:
+            return None
         r = 1
         for j in range(3, k):
             if (r * r - a) % (1 << (j + 1)):
                 r += 1 << (j - 1)
-        return sorted({r % pk, (-r) % pk, (r + pk // 2) % pk, (-r + pk // 2) % pk})
+        return r % (1 << k)
     r = sqrt_mod(a, p)
     if r is None:
-        return []
-    pj = p
-    while pj < pk:
-        # Newton lift: r <- r - (r^2 - a)/(2r)
-        pj *= p
-        r = (r - (r * r - a) * pow(2 * r, -1, pj)) % pj
-    return sorted({r, pk - r})
+        return None
+    if r == 0:
+        raise ValueError(f"{a} is not a unit mod {p}")
+    pk, mod = p**k, p
+    while mod < pk:
+        # Newton step r <- r - (r^2 - a)/(2r), doubling the precision
+        mod = min(mod * mod, pk)
+        r = (r - (r * r - a) * pow(2 * r, -1, mod)) % mod
+    return r
 
 
 def _square_in_coset(c: int, k: int) -> bool:
@@ -344,13 +352,15 @@ def two_squares_prime(p: int) -> tuple[int, int]:
     if p % 4 != 1 or not is_prime(p):
         raise ValueError(f"{p} is not a prime = 1 mod 4")
     r = sqrt_mod(p - 1, p)
-    assert r is not None
+    if r is None:
+        raise ArithmeticError(f"-1 has no square root mod the prime {p} = 1 mod 4")
     a0, a1 = p, r
     while a1 * a1 > p:
         a0, a1 = a1, a0 % a1
     a = a1
     b = isqrt(p - a * a)
-    assert a * a + b * b == p
+    if a * a + b * b != p:
+        raise ArithmeticError(f"Euclid's descent failed to write {p} as a sum of two squares")
     if a % 2 == 0:
         a, b = b, a
     return a, b

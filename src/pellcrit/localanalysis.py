@@ -20,8 +20,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .intcore import is_prime, sqrt_mod, two_adic_solvable, valuation
-from .symbols import jacobi, hilbert_q
+from .intcore import is_prime, lift_unit_sqrt, sqrt_mod, two_adic_solvable, valuation
+from .symbols import hilbert_q, hilbert_q_parts, jacobi
 from .quadring import (
     FAMILY_2D,
     INERT,
@@ -54,32 +54,11 @@ class Place:
     sign: int = 0
 
 
-def _lift_root_odd(D: int, l: int, prec: int) -> int:
-    r = sqrt_mod(D % l, l)
-    if r is None or r == 0:
-        raise ValueError(f"D not a nonzero square mod {l}")
-    mod = l
-    while mod < l**prec:
-        mod *= l
-        r = (r - (r * r - D) * pow(2 * r, -1, mod)) % mod
-    return r
-
-
-def _lift_root_2(D: int, prec: int) -> int:
-    if D % 8 != 1:
-        raise ValueError("D must be 1 mod 8 to split at 2")
-    r = 1
-    for j in range(3, prec):
-        if (r * r - D) % (1 << (j + 1)):
-            r += 1 << (j - 1)
-    return r % (1 << prec)
-
-
 def places_over(D: int, l: int, prec: int = 24) -> tuple[Place, ...]:
     """The places of E over the rational prime l."""
     st = splitting_type(D, l)
     if st == SPLIT:
-        r = _lift_root_2(D, prec) if l == 2 else _lift_root_odd(D, l, prec)
+        r = lift_unit_sqrt(D, l, prec)
         mod = l**prec
         return (
             Place(l, SPLIT, D, root=r, prec=prec),
@@ -166,25 +145,6 @@ class LocalPoint:
     precision: int
     x: int
     y: int
-    liftable: bool = True
-
-
-def _newton_sqrt_mod_lk(a: int, l: int, prec: int) -> int:
-    # square root of a unit square a mod l^prec (odd l) or 2^prec (a = 1 mod 8)
-    if l == 2:
-        r = 1
-        for j in range(3, prec):
-            if (r * r - a) % (1 << (j + 1)):
-                r += 1 << (j - 1)
-        return r % (1 << prec)
-    r = sqrt_mod(a % l, l)
-    if r is None:
-        raise ValueError("not a residue")
-    mod = l
-    while mod < l**prec:
-        mod *= l
-        r = (r - (r * r - a) * pow(2 * r, -1, mod)) % mod
-    return r % l**prec
 
 
 def find_local_point(D: int, n: int, l: int, prec: int = 24) -> LocalPoint | None:
@@ -196,9 +156,13 @@ def find_local_point(D: int, n: int, l: int, prec: int = 24) -> LocalPoint | Non
     mod = l**prec
     dv = valuation(D, l)
     nv = valuation(n, l)
+    if dv >= 2 and nv >= 2:
+        # l divides x: descend to x'^2 - (D/l^2) y^2 = n/l^2, as local_solvable does
+        pt = find_local_point(D // (l * l), n // (l * l), l, prec)
+        return LocalPoint(l, prec, pt.x * l % mod, pt.y)
     if dv == 0:
         if jacobi(D, l) == 1:
-            r = _lift_root_odd(D, l, prec)
+            r = lift_unit_sqrt(D, l, prec)
             inv2 = pow(2, -1, mod)
             x = (1 + n) * inv2 % mod
             y = (1 - n) * inv2 * pow(r, -1, mod) % mod
@@ -231,11 +195,11 @@ def find_local_point(D: int, n: int, l: int, prec: int = 24) -> LocalPoint | Non
     scale = l ** (nv // 2) if nv % 2 == 0 else l ** ((nv - 1) // 2)
     m = n // scale**2
     if nv % 2 == 0:
-        x = _newton_sqrt_mod_lk(m % mod, l, prec)
+        x = lift_unit_sqrt(m % mod, l, prec)
         return LocalPoint(l, prec, x * scale % mod, 0)
     # y^2 = -(m/l) / (D/l), a unit
     c2 = (-(m // l)) * pow(D // l, -1, mod) % mod
-    y = _newton_sqrt_mod_lk(c2, l, prec)
+    y = lift_unit_sqrt(c2, l, prec)
     return LocalPoint(l, prec, 0, y * scale % mod)
 
 
@@ -266,7 +230,7 @@ def _point_at_2_primitive(D: int, n: int, prec: int) -> tuple[int, int] | None:
         v = valuation(t, 2)
         tt = t >> v
         if v % 2 == 0 and tt % 8 == 1:
-            x = _newton_sqrt_mod_lk(tt % (1 << prec), 2, prec)
+            x = lift_unit_sqrt(tt % (1 << prec), 2, prec)
             x = x * (1 << (v // 2)) % (1 << prec)
             if x % 2 == 1 or y % 2 == 1:
                 return (x, y)
@@ -391,7 +355,8 @@ class TwoAdicQuad:
         ]
         self._squares = {self._mulmod(u, u) for u in units}
         unit_classes = sorted({self._canon(self._coords_mod(u)) for u in units})
-        assert len(unit_classes) == 8, (self.D, len(unit_classes))
+        if len(unit_classes) != 8:
+            raise ArithmeticError(f"{len(unit_classes)} unit square classes for D={self.D}, not 8")
         self._trivial = (0, self._canon((1, 0)))
         self.classes = [(p, c) for p in (0, 1) for c in unit_classes]
         # exact integer representatives
@@ -411,7 +376,8 @@ class TwoAdicQuad:
                 for known, kv in list(vec.items()):
                     prod = self.class_of(self.mul(self._rep[known], self._rep[cls]))
                     vec[prod] = kv | bit
-        assert len(basis) == 4 and len(vec) == 16, (self.D, len(vec))
+        if len(basis) != 4 or len(vec) != 16:
+            raise ArithmeticError(f"square classes for D={self.D} span {len(vec)} elements, not 16")
         self._vec = vec
 
     @staticmethod
@@ -512,28 +478,13 @@ def two_adic_context(D: int) -> TwoAdicQuad:
 # Hilbert symbols over E_v
 
 
-def _q_symbol_from_data(l: int, v1: int, u1: int, v2: int, u2: int) -> int:
-    # (a, b)_l from valuations and unit parts
-    if l == 2:
-        eps1, eps2 = (u1 - 1) // 2 & 1, (u2 - 1) // 2 & 1
-        om1, om2 = (u1 * u1 - 1) // 8 & 1, (u2 * u2 - 1) // 8 & 1
-        return -1 if (eps1 * eps2 + v1 * om2 + v2 * om1) & 1 else 1
-    s = 1
-    if (v1 & 1) and (v2 & 1) and ((l - 1) // 2) & 1:
-        s = -s
-    if v2 & 1:
-        s *= jacobi(u1, l)
-    if v1 & 1:
-        s *= jacobi(u2, l)
-    return s
-
-
 def _embed_val_unit(x: Fraction, y: Fraction, place: Place) -> tuple[int, int]:
     # valuation and unit part mod small power for x + y * root in Q_l
     l = place.l
     den = x.denominator * y.denominator
     x, y = x * den * den, y * den * den  # same square class, now integral
-    assert x.denominator == 1 and y.denominator == 1
+    if x.denominator != 1 or y.denominator != 1:
+        raise ArithmeticError(f"clearing denominators left {x}, {y} non-integral")
     t = x.numerator + y.numerator * place.root
     mod = l**place.prec
     t %= mod
@@ -562,9 +513,7 @@ def hilbert_ev(alpha, beta, place: Place) -> int:
     if place.kind == SPLIT:
         v1, u1 = _embed_val_unit(xa, ya, place)
         v2, u2 = _embed_val_unit(xb, yb, place)
-        if place.l == 2:
-            return _q_symbol_from_data(2, v1, u1 % 8, v2, u2 % 8)
-        return _q_symbol_from_data(place.l, v1, u1 % place.l, v2, u2 % place.l)
+        return hilbert_q_parts(place.l, v1, u1, v2, u2)
     if place.l == 2:
         ctx = two_adic_context(D)
         return ctx.pair(ctx.from_sqrt_basis(xa, ya), ctx.from_sqrt_basis(xb, yb))
@@ -670,7 +619,8 @@ def character_table(D: int, twist: TwistPoint) -> CharacterTable:
     values = {}
     for c in (1, -1, 2, -2):
         pt = find_local_point(D, c, 2, prec=24)
-        assert pt is not None, (D, c)
+        if pt is None:
+            raise ArithmeticError(f"no 2-adic point of norm {c} for D={D}")
         xi = ctx.from_sqrt_basis(pt.x, pt.y)
         values[c] = ctx.pair(xi, theta)
     tab = CharacterTable(values[1], values[-1], values[2], values[-2])

@@ -32,10 +32,6 @@ class QuadOrderInfo:
     family: str
     primes: tuple[int, ...]  # (p, q) for pq; prime divisors of d for 2d
 
-    @property
-    def d(self) -> int:
-        return self.D // 2
-
 
 def classify_order(D: int) -> QuadOrderInfo:
     if D <= 0 or is_square(D):
@@ -107,7 +103,8 @@ def two_squares_all(m: int) -> list[tuple[int, int]]:
     out = set()
     for x, y in reps:
         r, s = sorted((abs(x), abs(y)), reverse=True)
-        assert r * r + s * s == m and math.gcd(r, s) == 1
+        if r * r + s * s != m or math.gcd(r, s) != 1:
+            raise ArithmeticError(f"Gaussian product ({r}, {s}) is no primitive representation of {m}")
         out.add((r, s))
     return sorted(out)
 

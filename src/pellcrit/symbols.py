@@ -103,7 +103,11 @@ def hilbert_q(a, b, l) -> int:
     if not isinstance(l, int) or not is_prime(l):
         raise ValueError(f"{l} is not a prime or the real place")
     alpha, beta = valuation(a, l), valuation(b, l)
-    u, w = a // l**alpha, b // l**beta
+    return hilbert_q_parts(l, alpha, a // l**alpha, beta, b // l**beta)
+
+
+def hilbert_q_parts(l: int, alpha: int, u: int, beta: int, w: int) -> int:
+    """(l^alpha u, l^beta w)_l over Q_l for units u, w and a prime l."""
     if l == 2:
         eps_u = ((u - 1) // 2) & 1
         eps_w = ((w - 1) // 2) & 1

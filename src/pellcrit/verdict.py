@@ -6,7 +6,6 @@ from dataclasses import dataclass
 
 SOLVABLE = "solvable"
 UNSOLVABLE = "unsolvable"
-UNDETERMINED = "undetermined"
 
 
 @dataclass(frozen=True)
@@ -24,7 +23,7 @@ class Verdict:
     reason: str | None = None
 
     def __post_init__(self) -> None:
-        if self.status not in (SOLVABLE, UNSOLVABLE, UNDETERMINED):
+        if self.status not in (SOLVABLE, UNSOLVABLE):
             raise ValueError(f"bad status {self.status!r}")
         if (self.witness is not None) != (self.status == SOLVABLE):
             raise ValueError("witness present iff solvable")

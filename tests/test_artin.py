@@ -1,45 +1,144 @@
 import itertools
+import math
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
-from pellcrit import artin, pellsolver, quadring
+from pellcrit import artin, cli, pellsolver, quadring
+from pellcrit.intcore import is_prime
+
+
+class _ReferenceClasses:
+    """Brute-force wide class group of discriminant 4D, a test reference.
+
+    Enumerates every reduced form (every b <= sqrt(4D) and every divisor a
+    of (4D - b^2)/4), then merges forms along reduction steps and under
+    (a, b, c) ~ (-a, b, -c) with a union-find.
+    """
+
+    def __init__(self, disc):
+        s = math.isqrt(disc)
+        forms = []
+        for b in range(1, s + 1):
+            if (disc - b * b) % 4:
+                continue
+            M = (disc - b * b) // 4
+            divisors = {u for t in range(1, math.isqrt(M) + 1) if M % t == 0 for u in (t, M // t)}
+            for u in sorted(divisors):
+                for a in (u, -u):
+                    c = -M // a
+                    if math.gcd(math.gcd(a, b), c) == 1:
+                        f = artin.Form(a, b, c)
+                        if artin._is_reduced(f, s, disc):
+                            forms.append(f)
+        parent = {f: f for f in forms}
+
+        def find(f):
+            while parent[f] != f:
+                parent[f] = parent[parent[f]]
+                f = parent[f]
+            return f
+
+        for f in forms:
+            for g in (artin._rho(f, s, disc), f.neg()):
+                parent[find(f)] = find(g)
+        roots = sorted({find(f) for f in forms}, key=lambda f: (f.a, f.b))
+        self.forms = forms
+        self._find = find
+        self._index = {r: k for k, r in enumerate(roots)}
+        self.order = len(roots)
+        self.principal_id = self.class_id(artin.class_group(disc).principal)
+
+    def class_id(self, f):
+        return self._index[self._find(artin.reduce_form(f))]
+
+    def reps(self):
+        out = {}
+        for f in self.forms:
+            out.setdefault(self.class_id(f), f)
+        return list(out.values())
 
 
 def test_class_group_orders():
-    assert artin.class_group(884).order == 2  # D = 221
-    assert artin.class_group(136).order == 2  # D = 34
-    assert artin.class_group(40).order == 2  # D = 10
+    assert _ReferenceClasses(884).order == 2  # D = 221
+    assert _ReferenceClasses(136).order == 2  # D = 34
+    assert _ReferenceClasses(40).order == 2  # D = 10
     with pytest.raises(ValueError):
         artin.class_group(100)  # square
     with pytest.raises(ValueError):
         artin.class_group(-884)
 
 
-def _class_reps(group):
-    reps, seen = [], set()
-    for f in group._cycle_of:
-        cid = group.class_id(f)
-        if cid not in seen:
-            seen.add(cid)
-            reps.append(f)
-    return reps
-
-
 def test_group_laws():
     for disc in (136, 340, 584, 884, 1160):
         g = artin.class_group(disc)
-        reps = _class_reps(g)
-        assert len(reps) == g.order
+        ref = _ReferenceClasses(disc)
+        reps = ref.reps()
+        assert len(reps) == ref.order
         for f in reps:
-            assert g.class_id(g.compose(g.principal, f)) == g.class_id(f)
+            assert ref.class_id(g.compose(g.principal, f)) == ref.class_id(f)
         for f1, f2, f3 in itertools.product(reps, repeat=3):
             lhs = g.compose(g.compose(f1, f2), f3)
             rhs = g.compose(f1, g.compose(f2, f3))
-            assert g.class_id(lhs) == g.class_id(rhs)
+            assert ref.class_id(lhs) == ref.class_id(rhs)
         # every element's order divides the group order
         for f in reps:
-            assert g.is_principal(g.power(f, g.order))
+            assert g.is_principal(g.power(f, ref.order))
+
+
+def test_is_principal_matches_reference():
+    # every reduced form of every non-square D <= 1000
+    checked = 0
+    for D in range(2, 1001):
+        if math.isqrt(D) ** 2 == D:
+            continue
+        g = artin.class_group(4 * D)
+        ref = _ReferenceClasses(4 * D)
+        for f in ref.forms:
+            assert g.is_principal(f) == (ref.class_id(f) == ref.principal_id), (D, f)
+        checked += len(ref.forms)
+    assert checked == 39688
+
+
+def test_power_equals_repeated_compose():
+    for disc in (136, 584, 1160, 4 * 2379, 4 * 7453):
+        g = artin.class_group(disc)
+        ref = _ReferenceClasses(disc)
+        for f in ref.reps():
+            acc = g.principal
+            for k in range(12):
+                assert ref.class_id(g.power(f, k)) == ref.class_id(acc), (disc, f, k)
+                inv = g.power(f, -k)
+                assert g.is_principal(g.compose(inv, acc)), (disc, f, k)
+                acc = g.compose(acc, f)
+
+
+def test_compose_rejects_other_discriminant():
+    g = artin.class_group(136)
+    other = artin.class_group(584).principal
+    with pytest.raises(ValueError):
+        g.compose(g.principal, other)
+    with pytest.raises(ValueError):
+        g.is_principal(other)
+
+
+def test_compose_raises_under_optimize():
+    code = (
+        "from pellcrit import artin\n"
+        "try:\n"
+        "    artin.class_group(136).compose(artin.class_group(136).principal,"
+        " artin.class_group(584).principal)\n"
+        "except ValueError:\n"
+        "    print('raised', __debug__)\n"
+    )
+    src = os.path.dirname(os.path.dirname(artin.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    res = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "raised False"
 
 
 def test_prime_form_discriminants():
@@ -192,3 +291,25 @@ def test_applicability_predicates():
     assert artin.thm24_applicable(17)
     assert artin.thm24_applicable(73)
     assert not artin.thm24_applicable(41)  # 82 = 81 + 1 only
+
+
+def test_split_prime_cap_boundary(capsys):
+    # D = 34: the first 14 odd primes that split, 3, 5, ..., 131, 137
+    split = [l for l in range(3, 138, 2) if is_prime(l) and l != 17
+             and quadring.splitting_type(34, l) == "split"]
+    assert len(split) == 14 and artin._MAX_SPLIT_PRIMES == 12
+    n12 = math.prod(split[:12])
+    assert n12 == 6892116137846939505
+    v = artin.joint_artin_decide(34, n12)
+    x, y = v.witness
+    assert v.provenance == "artin" and x * x - 34 * y * y == n12
+    # n12 * 131 is obstructed at 2, so the local test would return before
+    # the cap; n12 * 137 is locally solvable and has 13 split primes
+    assert artin.local_obstruction_anywhere(34, n12 * split[12]) == 2
+    n13 = n12 * split[13]
+    assert artin.local_obstruction_anywhere(34, n13) is None
+    with pytest.raises(ValueError, match="split primes"):
+        artin.joint_artin_decide(34, n13)
+    assert cli.main(["decide", "34", str(n13)]) == cli.EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == "" and len(err.splitlines()) == 1

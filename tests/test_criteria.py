@@ -1,3 +1,5 @@
+import ast
+import glob
 import os
 import subprocess
 import sys
@@ -168,3 +170,22 @@ def test_classify_2p_raises_under_optimize():
     res = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env)
     assert res.returncode == 0, res.stderr
     assert res.stdout.strip() == "raised False"
+
+
+def test_no_assert_statements_in_package():
+    # invariants must survive python -O, so the package raises instead
+    src = os.path.dirname(pellcrit.__file__)
+    paths = sorted(glob.glob(os.path.join(src, "*.py")))
+    assert len(paths) >= 10
+    for path in paths:
+        with open(path) as fh:
+            tree = ast.parse(fh.read(), path)
+        found = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+        assert not found, (path, found)
+
+
+def test_verdict_statuses():
+    assert Verdict("solvable", (1, 0), "oracle").solvable
+    assert not Verdict("unsolvable", None, "oracle").solvable
+    with pytest.raises(ValueError):
+        Verdict("undetermined", None, "oracle")

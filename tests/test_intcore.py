@@ -116,3 +116,26 @@ def test_crt():
     assert m == 105 and x % 3 == 2 and x % 5 == 3 and x % 7 == 2
     with pytest.raises(ValueError):
         intcore.crt([(0, 4), (1, 6)])
+
+
+def test_lift_unit_sqrt_pins_one_root():
+    # odd p: the root congruent to sqrt_mod's normalized root mod p;
+    # p = 2: the root below 2^(k-1) that is 1 mod 4 (the bit-by-bit lift from 1)
+    for p, kmax in ((2, 10), (3, 6), (5, 4), (7, 3), (13, 2)):
+        for k in range(1, kmax + 1):
+            pk = p**k
+            squares = {x * x % pk for x in range(pk) if x % p}
+            for a in range(pk):
+                if a % p == 0:
+                    continue
+                r = intcore.lift_unit_sqrt(a, p, k)
+                if a not in squares:
+                    assert r is None, (a, p, k)
+                    continue
+                assert r is not None and 0 <= r < pk and (r * r - a) % pk == 0, (a, p, k)
+                if p == 2:
+                    assert r == 1 or (r % 4 == 1 and r < pk // 2), (a, k)
+                else:
+                    assert r % p == intcore.sqrt_mod(a, p), (a, p, k)
+    with pytest.raises(ValueError):
+        intcore.lift_unit_sqrt(9, 3, 4)

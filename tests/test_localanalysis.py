@@ -8,7 +8,7 @@ import pytest
 
 from pellcrit import localanalysis as la
 from pellcrit import pellsolver, quadring
-from pellcrit.intcore import factor, two_adic_solvable
+from pellcrit.intcore import factor, lift_unit_sqrt, two_adic_solvable
 from pellcrit.symbols import hilbert_q, jacobi
 
 
@@ -237,7 +237,7 @@ def test_norm_one_elements_have_trivial_symbol():
 
 def test_explicit_norm_minus_one_element():
     ctx = la.two_adic_context(34)
-    x2 = la._newton_sqrt_mod_lk(33, 2, 20)
+    x2 = lift_unit_sqrt(33, 2, 20)
     alpha = ctx.from_sqrt_basis(x2, 1)  # norm 33 - 34 = -1
     theta = ctx.from_sqrt_basis(6, -1)
     assert ctx.pair(alpha, theta) == -1
@@ -374,5 +374,23 @@ def test_twist_residue_square_matches_quartic_221():
 
 def test_local_point_liftability_flag():
     pt = la.find_local_point(34, -1, 2, prec=16)
-    assert pt is not None and pt.liftable
+    assert pt is not None
     assert pt.l == 2 and pt.precision == 16
+    assert (pt.x * pt.x - 34 * pt.y * pt.y + 1) % (1 << 16) == 0
+
+
+def test_local_point_exists_iff_solvable_odd():
+    # includes D with l^2 | D, where a point needs l | x and a descent
+    prec = 8
+    for D in range(2, 200):
+        if math.isqrt(D) ** 2 == D:
+            continue
+        for l in (3, 5, 7):
+            mod = l**prec
+            for n in range(-60, 61):
+                if n == 0:
+                    continue
+                pt = la.find_local_point(D, n, l, prec)
+                assert (pt is not None) == la.local_solvable(D, n, l), (D, n, l)
+                if pt is not None:
+                    assert (pt.x * pt.x - D * pt.y * pt.y - n) % mod == 0, (D, n, l)
