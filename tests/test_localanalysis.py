@@ -8,7 +8,7 @@ import pytest
 
 from pellcrit import localanalysis as la
 from pellcrit import pellsolver, quadring
-from pellcrit.intcore import factor, lift_unit_sqrt, two_adic_solvable
+from pellcrit.intcore import factor, lift_unit_sqrt, two_adic_solvable, valuation
 from pellcrit.symbols import hilbert_q, jacobi
 
 
@@ -379,13 +379,14 @@ def test_local_point_liftability_flag():
     assert (pt.x * pt.x - 34 * pt.y * pt.y + 1) % (1 << 16) == 0
 
 
-def test_local_point_exists_iff_solvable_odd():
-    # includes D with l^2 | D, where a point needs l | x and a descent
+def test_local_point_exists_iff_solvable():
+    # includes D with l^2 | D, where a point needs l | x and a descent, and
+    # at l = 2 every layer v2(y) the closed form can name
     prec = 8
     for D in range(2, 200):
         if math.isqrt(D) ** 2 == D:
             continue
-        for l in (3, 5, 7):
+        for l in (2, 3, 5, 7):
             mod = l**prec
             for n in range(-60, 61):
                 if n == 0:
@@ -394,3 +395,85 @@ def test_local_point_exists_iff_solvable_odd():
                 assert (pt is not None) == la.local_solvable(D, n, l), (D, n, l)
                 if pt is not None:
                     assert (pt.x * pt.x - D * pt.y * pt.y - n) % mod == 0, (D, n, l)
+    # v2(D) and v2(n) far beyond any residue search, at full precision
+    for D in (3 << 20, 5 << 33):
+        for n in (1 << 40, -(1 << 40), 17 << 6):
+            for prec in (3, 8, 48):
+                pt = la.find_local_point(D, n, 2, prec)
+                assert (pt is not None) == la.local_solvable(D, n, 2), (D, n)
+                if pt is not None:
+                    assert (pt.x * pt.x - D * pt.y * pt.y - n) % (1 << prec) == 0, (D, n, prec)
+    # -2^40 = x^2 - 5 2^33 y^2 needs v2(y) = 4
+    pt = la.find_local_point(5 << 33, -(1 << 40), 2, 48)
+    assert pt is not None and valuation(pt.y, 2) == 4
+
+
+def _reference_pairing(ctx):
+    """The Hilbert pairing of a TwoAdicQuad solved from identities over GF(2).
+
+    The unknowns are the Gram entries g_ij (i <= j) of the pairing in the
+    basis of ctx._vec.  Each identity is a theorem: the projection formula
+    (c, x) = (c, N x)_2 for rational c, the diagonal identity
+    (x, x) = (x, -1), and the Steinberg relations (x, 1 - x) = 1.
+    """
+
+    def mask(va, vb):
+        # the coefficients of the unknowns in log_{-1} (a, b), as 10 bits
+        m = k = 0
+        for i in range(4):
+            for j in range(i, 4):
+                ai, aj, bi, bj = (va >> i) & 1, (va >> j) & 1, (vb >> i) & 1, (vb >> j) & 1
+                if (ai & bi) if i == j else ((ai & bj) ^ (aj & bi)):
+                    m ^= 1 << k
+                k += 1
+        return m
+
+    def vec(u):
+        return ctx._vec[ctx.class_of(u)]
+
+    rows = []
+    for cls in ctx.classes:
+        nb = ctx.norm(ctx._rep[cls])
+        rows.append((mask(ctx._vec[cls], ctx._vec[cls]), hilbert_q(nb, -1, 2) == -1))
+        for c in (1, -1, 2, -2, 5, -5, 10, -10):
+            rows.append((mask(vec((c, 0)), ctx._vec[cls]), hilbert_q(nb, c, 2) == -1))
+    for layer in ((1, 0), ctx.pi):
+        for a in range(-8, 9):
+            for b in range(-8, 9):
+                xi = ctx.mul(layer, (a, b))
+                one_minus = (1 - xi[0], -xi[1])
+                if ctx.norm(xi) != 0 and ctx.norm(one_minus) != 0:
+                    rows.append((mask(vec(xi), vec(one_minus)), False))
+    pivots = {}
+    for m, rhs in rows:
+        for pb in sorted(pivots, reverse=True):
+            if m >> pb & 1:
+                m ^= pivots[pb][0]
+                rhs ^= pivots[pb][1]
+        if m:
+            pivots[m.bit_length() - 1] = (m, rhs)
+        else:
+            assert not rhs, "inconsistent identities"
+    assert len(pivots) == 10, "identities leave the pairing open"
+    gram = 0
+    for pb in sorted(pivots):
+        m, rhs = pivots[pb]
+        # the lower pivots are already solved: substitute them
+        rhs ^= bin(m & gram & ((1 << pb) - 1)).count("1") & 1
+        gram |= rhs << pb
+    return {
+        (ca, cb): -1 if bin(mask(ctx._vec[ca], ctx._vec[cb]) & gram).count("1") & 1 else 1
+        for ca in ctx.classes
+        for cb in ctx.classes
+    }
+
+
+def test_pairing_matches_gf2_reference():
+    # the norm-group definition against the identities it must satisfy,
+    # on all 256 class pairs of every field Q_2(sqrt D) with D < 100
+    Ds = [D for D in range(2, 100) if D % 4 == 2 or D % 8 in (3, 5, 7)]
+    for D in Ds + [1394, 221, 1691629]:
+        ctx = la.TwoAdicQuad(D)
+        ref = _reference_pairing(ctx)
+        got = {(ca, cb): ctx.pair(ctx._rep[ca], ctx._rep[cb]) for ca, cb in ref}
+        assert got == ref, D
