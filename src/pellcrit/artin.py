@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .intcore import factor, isqrt, is_square, sqrt_mod, valuation
+from .intcore import Factorization, factor, isqrt, is_square, sqrt_mod, valuation
 from .symbols import jacobi, quartic_residue, burde_product
 from .verdict import Verdict
 from .quadring import (
@@ -30,6 +30,7 @@ from .quadring import (
     two_squares_all,
 )
 from .localanalysis import (
+    Place,
     find_local_point,
     hilbert_ev,
     local_solvable,
@@ -251,16 +252,18 @@ class ClassImages:
 _MAX_SPLIT_PRIMES = 12
 
 
-def class_images_of_norm(D: int, n: int) -> ClassImages:
+def class_images_of_norm(D: int, n: int, *, fac: Factorization | None = None) -> ClassImages:
     """All ideals of Z[sqrt(D)] of norm |n| with their form classes.
 
     Returns an empty list with the failing prime when some completion
-    admits no integral point for valuation reasons.
+    admits no integral point for valuation reasons.  ``fac``, when given,
+    is the factorization of |n|.
     """
     if n == 0:
         raise ValueError("n must be nonzero")
     group = class_group(4 * D)
-    fac = factor(abs(n))
+    if fac is None:
+        fac = factor(abs(n))
     split_primes: list[tuple[int, int, Form]] = []
     forced: list[tuple[int, str, int]] = []
     base = group.principal
@@ -306,27 +309,32 @@ def class_images_of_norm(D: int, n: int) -> ClassImages:
 # the twist-extension symbol product
 
 
-def twist_symbol(D: int, twist: TwistPoint, choice: AdelicChoice, n: int) -> int:
+def twist_symbol(
+    D: int, twist: TwistPoint, choice: AdelicChoice, n: int, *, fac: Factorization | None = None
+) -> int:
     """Artin image in the twist extension of the adelic point named by choice.
 
     Product of Hilbert symbols (f-value, x0 - y0 sqrt(D)) over the ramified
     places (those over 2 and the twist prime), times residue-character
     contributions at odd-valuation places elsewhere; real places give +1
-    because the twist element is totally positive.
+    because the twist element is totally positive.  ``fac``, when given,
+    is the factorization of |n|.
     """
+    if fac is None:
+        fac = factor(abs(n))
+    place2 = _d_context(D).place2
     ell = twist.ell
     theta = twist.element()
     sym = 1
     # places over 2
-    if splitting_type(D, 2) == SPLIT:
+    if place2.kind == SPLIT:
         # 2 is never a split prime of a choice (class_images_of_norm stops
         # first), so the whole of n sits at the second place over 2
-        sym *= hilbert_ev(n, theta, places_over(D, 2)[1])
+        sym *= hilbert_ev(n, theta, place2)
     else:
         pt = find_local_point(D, n, 2, prec=valuation(n, 2) + 18)
         if pt is None:
             raise ValueError(f"no 2-adic point for D={D}, n={n}")
-        place2 = places_over(D, 2)[0]
         sym *= hilbert_ev((pt.x, pt.y), theta, place2)
     # place over the odd twist prime
     if ell != 2:
@@ -334,33 +342,25 @@ def twist_symbol(D: int, twist: TwistPoint, choice: AdelicChoice, n: int) -> int
         if pt is None:
             raise ValueError(f"no {ell}-adic point for D={D}, n={n}")
         sym *= hilbert_ev((pt.x, pt.y), theta, places_over(D, ell)[0])
-    # everywhere else only odd-valuation data contributes
-    rel = {l for l, _ in factor(abs(n)).factors if l not in (2, ell)}
-    rel |= {l for l, _ in factor(twist.z0).factors if l not in (2, ell)} if twist.z0 > 1 else set()
-    for l in sorted(rel):
-        e = valuation(n, l)
+    # everywhere else only odd-valuation data of n contributes.  The primes
+    # of z0 add nothing of their own: split and ramified places need an odd
+    # exponent in n, and no inert prime divides z0, as it would divide both
+    # x0 and y0
+    for l, e in fac.factors:
+        if l in (2, ell):
+            continue
         st = splitting_type(D, l)
         if st == SPLIT:
-            if e == 0:
-                continue
             j = choice.j_at(l)
             vp_pl, vm_pl = places_over(D, l)
             if j % 2:
                 sym *= 1 if twist_residue_square(D, twist, vp_pl) else -1
             if (e - j) % 2:
                 sym *= 1 if twist_residue_square(D, twist, vm_pl) else -1
-        elif st == INERT:
-            ev = e // 2
-            vtheta = valuation(twist.z0, l)
+        elif (e // 2 if st == INERT else e) % 2:
+            # the one place over l takes e/2 of n when inert, e when ramified
             place = places_over(D, l)[0]
-            if ev % 2:
-                sym *= 1 if twist_residue_square(D, twist, place) else -1
-            if vtheta % 2:
-                sym *= jacobi((n // l**e) % l, l)
-        else:
-            if e % 2:
-                place = places_over(D, l)[0]
-                sym *= 1 if twist_residue_square(D, twist, place) else -1
+            sym *= 1 if twist_residue_square(D, twist, place) else -1
     return sym
 
 
@@ -400,27 +400,57 @@ def canonical_twist(D: int) -> TwistPoint:
     raise ValueError(f"D={D} is outside both families")
 
 
-def local_obstruction_anywhere(D: int, n: int) -> int | None:
-    for l in sorted({2} | set(factor(D).primes()) | set(factor(abs(n)).primes())):
+@dataclass(frozen=True)
+class _DContext:
+    """What every decision at one D reuses.
+
+    The twist point, class group and 2-adic engine stay in their own
+    caches.  The place over the twist prime is not kept: that prime is
+    ramified, and its place costs no square-root lift.
+    """
+
+    applicable: bool
+    primes: tuple[int, ...]
+    place2: Place  # the place over 2 that carries n: the only one, or the second
+
+
+@lru_cache(maxsize=None)
+def _d_context(D: int) -> _DContext:
+    info = classify_order(D)
+    applicable = (info.family == FAMILY_PQ and cor14_applicable(*info.primes)) or (
+        info.family == FAMILY_2D and thm24_applicable(D // 2)
+    )
+    return _DContext(applicable, factor(D).primes(), places_over(D, 2)[-1])
+
+
+def local_obstruction_anywhere(D: int, n: int, *, fac: Factorization | None = None) -> int | None:
+    """The first prime l with no Z_l-point, or None; ``fac`` factors |n|."""
+    if fac is None:
+        fac = factor(abs(n))
+    for l in sorted({2, *_d_context(D).primes, *fac.primes()}):
         if not local_solvable(D, n, l):
             return l
     return None
 
 
-def artin_condition(D: int, n: int, twist: TwistPoint | None = None) -> bool:
-    """Whether some adelic point has principal class and trivial twist symbol."""
-    if local_obstruction_anywhere(D, n) is not None:
-        return False
-    if twist is None:
-        twist = canonical_twist(D)
+def _some_choice_passes(D: int, n: int, twist: TwistPoint, fac: Factorization) -> bool:
+    # the joint condition on a locally solvable n
     group = class_group(4 * D)
-    images = class_images_of_norm(D, n)
+    images = class_images_of_norm(D, n, fac=fac)
     if images.obstruction is not None:
         return False
-    for choice, form in images.entries:
-        if group.is_principal(form) and twist_symbol(D, twist, choice, n) == 1:
-            return True
-    return False
+    return any(
+        group.is_principal(form) and twist_symbol(D, twist, choice, n, fac=fac) == 1
+        for choice, form in images.entries
+    )
+
+
+def artin_condition(D: int, n: int, twist: TwistPoint | None = None) -> bool:
+    """Whether some adelic point has principal class and trivial twist symbol."""
+    fac = factor(abs(n))
+    if local_obstruction_anywhere(D, n, fac=fac) is not None:
+        return False
+    return _some_choice_passes(D, n, canonical_twist(D) if twist is None else twist, fac)
 
 
 def joint_artin_decide(D: int, n: int) -> Verdict:
@@ -431,20 +461,17 @@ def joint_artin_decide(D: int, n: int) -> Verdict:
     """
     if n == 0:
         raise ValueError("n must be nonzero")
-    info = classify_order(D)
-    applicable = (
-        info.family == FAMILY_PQ and cor14_applicable(*info.primes)
-    ) or (info.family == FAMILY_2D and thm24_applicable(D // 2))
-    if not applicable:
+    if not _d_context(D).applicable:
         v = pellsolver.solve(D, n)
         return Verdict(v.status, v.witness, provenance="oracle", reason=v.reason)
-    l = local_obstruction_anywhere(D, n)
+    fac = factor(abs(n))
+    l = local_obstruction_anywhere(D, n, fac=fac)
     if l is not None:
         return Verdict(
             "unsolvable", None, provenance="artin", reason=f"local-obstruction:{l}"
         )
     try:
-        holds = artin_condition(D, n)
+        holds = _some_choice_passes(D, n, canonical_twist(D), fac)
     except NotImplementedError:
         # conductor prime split in the order and 4 | n: outside the model
         v = pellsolver.solve(D, n)

@@ -24,7 +24,7 @@ from concurrent.futures import ProcessPoolExecutor
 
 from .intcore import _SMALL_PRIMES, factor, is_prime
 from .symbols import quartic_2_of_d, jacobi
-from .quadring import find_twist_point, two_squares_all
+from .quadring import find_twist_point
 from .localanalysis import character_table
 from . import artin, criteria, pellsolver
 
@@ -168,7 +168,7 @@ def _scan_instances(family: str, maxval: int):
 
 def cmd_scan(args) -> int:
     worker, instances = _scan_instances(args.family, args.max)
-    if args.jobs and args.jobs > 1:
+    if args.jobs > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             records = list(pool.map(worker, instances, chunksize=16))
     else:
@@ -194,8 +194,7 @@ def cmd_verify_lemmas(args) -> int:
         D = 2 * d
         tw = find_twist_point(D, 2)
         tab = character_table(D, tw)
-        reps = two_squares_all(D)
-        has_rep = any(r % 8 in (3, 5) and s % 8 in (3, 5) for r, s in reps)
+        has_rep = artin.thm24_applicable(d)
         checks = {
             "norm_one_trivial": tab.chi_1 == 1,
             "two_matches_mod16": tab.chi_2 == (1 if d % 16 == 1 else -1),
@@ -283,6 +282,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        for name in ("max", "jobs"):
+            value = getattr(args, name, 1)
+            if value < 1:
+                raise ValueError(f"--{name} must be at least 1, got {value}")
         return args.func(args)
     except ValueError as exc:
         # arguments the parser accepts but the mathematics rejects

@@ -12,7 +12,8 @@ from dataclasses import dataclass
 
 from .intcore import factor, is_prime, sqrt_mod
 from .symbols import jacobi, quartic_2_of_d, quartic_residue
-from .quadring import classify_order, FAMILY_2D, two_squares_all
+from .artin import thm24_applicable
+from .quadring import classify_order, FAMILY_2D
 from .verdict import Verdict
 from . import pellsolver
 
@@ -186,15 +187,11 @@ def known_obstructions(d: int, n: int) -> Verdict | None:
         return None
     if d % 2 == 0:  # the 2d family needs d odd
         return None
-    info = classify_order(2 * d)
-    if info.family != FAMILY_2D:
-        return None
     if n == -1:
-        if any(r % 8 in (3, 5) and s % 8 in (3, 5) for r, s in two_squares_all(2 * d)):
+        if thm24_applicable(d):
             return Verdict("unsolvable", None, "two-squares-obstruction")
         return None
-    if n == -2:
+    if n == -2 and classify_order(2 * d).family == FAMILY_2D:
         if quartic_2_of_d(d) == -1:
             return Verdict("unsolvable", None, "quartic-obstruction")
-        return None
     return None

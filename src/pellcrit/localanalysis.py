@@ -7,7 +7,9 @@ auxiliary quadratic extension, and residue-field splitting tests.
 
 The 2-adic symbol engine works on the finite group E_v*/(E_v*)^2 of 16
 square classes: a unit is a square iff it is one modulo pi^(2e+1), and
-8 O_E lies in pi^(2e+1) O_E, so a unit's coordinates mod 8 fix its class.
+8 O_E lies in pi^(2e+1) O_E, so a unit's coordinates mod 8 fix its class;
+an element is scaled by a square to integer coordinates first, so class
+computations need no rational arithmetic.
 The Hilbert pairing on that group is its definition: (a, b)_v = 1 iff b
 is a norm from E_v(sqrt a).  For a not a square those norms form an
 index-2 subgroup, spanned by the classes of x^2 - a y^2 over a small box
@@ -76,10 +78,16 @@ def places_over(D: int, l: int, prec: int = 24) -> tuple[Place, ...]:
     return (Place(l, st, D, prec=prec),)
 
 
-def _as_pair(x) -> tuple[Fraction, Fraction]:
-    if isinstance(x, tuple):
-        return (Fraction(x[0]), Fraction(x[1]))
-    return (Fraction(x), Fraction(0))
+def _integral_pair(x, y) -> tuple[int, int]:
+    # x, y (ints or Fractions) times the square of their denominators:
+    # the same square class, with integer coordinates
+    sq = (x.denominator * y.denominator) ** 2
+    return x.numerator * (sq // x.denominator), y.numerator * (sq // y.denominator)
+
+
+def _as_pair(x):
+    # coordinates stay ints or Fractions as given
+    return x if isinstance(x, tuple) else (x, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -180,24 +188,15 @@ def find_local_point(D: int, n: int, l: int, prec: int = 24) -> LocalPoint | Non
         half = l ** (nv // 2)
         m = n // l**nv
         for xr in range(l):
-            t = (xr * xr - m) * pow(D, -1, l) % l
-            yr = sqrt_mod(t, l)
-            if yr is None:
+            yr = sqrt_mod((xr * xr - m) * pow(D, -1, l), l)
+            if yr is None or xr == yr == 0:
                 continue
-            if xr % l == 0 and yr % l == 0:
-                continue
-            x, y = xr, yr
-            if x != 0:
-                # lift x as a function of y
-                mod_j = l
-                while mod_j < mod:
-                    mod_j *= l
-                    x = (x - (x * x - D * y * y - m) * pow(2 * x, -1, mod_j)) % mod_j
+            # xr is the least root of its square, so the lifted root is the one
+            # congruent to xr; with x = 0, y is the lifted root congruent to yr
+            if xr:
+                x, y = lift_unit_sqrt((m + D * yr * yr) % mod, l, prec), yr
             else:
-                mod_j = l
-                while mod_j < mod:
-                    mod_j *= l
-                    y = (y + (x * x - D * y * y - m) * pow(2 * D * y, -1, mod_j)) % mod_j
+                x, y = 0, lift_unit_sqrt(-m * pow(D, -1, mod) % mod, l, prec)
             return LocalPoint(l, prec, x * half % mod, y * half % mod)
         return None
     # ramified odd prime
@@ -258,13 +257,13 @@ class TwoAdicQuad:
             raise ValueError("Q_2(sqrt(D)) is split, not a field")
         self.D = D
         if v2 == 1:
-            self.kind, self.e, self.f = "ram2", 2, 1
+            self.kind = "ram2"
             self.pi = (0, 1)
         elif D % 4 == 3:
-            self.kind, self.e, self.f = "ram3", 2, 1
+            self.kind = "ram3"
             self.pi = (1, 1)
         else:
-            self.kind, self.e, self.f = "inert", 1, 2
+            self.kind = "inert"
             self.pi = (2, 0)
             self.c = (D - 1) // 4
         self._canon_cache: dict = {}
@@ -274,7 +273,6 @@ class TwoAdicQuad:
     # -- basis arithmetic (inert uses the (1, phi) basis, phi = (1+sqrt D)/2)
 
     def from_sqrt_basis(self, x, y):
-        x, y = Fraction(x), Fraction(y)
         if self.kind == "inert":
             return (x - y, 2 * y)
         return (x, y)
@@ -292,40 +290,6 @@ class TwoAdicQuad:
             return a * a + a * b - self.c * b * b
         return a * a - self.D * b * b
 
-    def val(self, u) -> int:
-        nrm = Fraction(self.norm(u))
-        if nrm == 0:
-            raise ValueError("valuation of 0")
-        v = valuation(nrm.numerator, 2) - valuation(nrm.denominator, 2)
-        if self.f == 2:
-            if v % 2:
-                raise ArithmeticError(f"odd norm valuation in the inert field, D={self.D}")
-            return v // 2
-        return v
-
-    def _div_pi(self, u):
-        a, b = Fraction(u[0]), Fraction(u[1])
-        if self.kind == "inert":
-            return (a / 2, b / 2)
-        if self.kind == "ram2":
-            return (b, a / self.D)
-        # ram3: divide by 1 + sqrt(D); norm is 1 - D
-        return ((a - b * self.D) / (1 - self.D), (b - a) / (1 - self.D))
-
-    def unit_part(self, u):
-        for _ in range(self.val(u)):
-            u = self._div_pi(u)
-        return u
-
-    def _coords_mod(self, u) -> tuple[int, int]:
-        out = []
-        for t in u:
-            t = Fraction(t)
-            if t.denominator % 2 == 0:
-                raise ValueError("element is not integral")
-            out.append(t.numerator * pow(t.denominator, -1, _COORD_MOD) % _COORD_MOD)
-        return tuple(out)
-
     def _mulmod(self, u, v) -> tuple[int, int]:
         w = self.mul(u, v)
         return (w[0] % _COORD_MOD, w[1] % _COORD_MOD)
@@ -338,13 +302,34 @@ class TwoAdicQuad:
         return hit
 
     def class_of(self, u) -> tuple[int, tuple[int, int]]:
-        """Square class as (valuation parity, canonical unit residue)."""
-        v = self.val(u)
-        w = self.unit_part(u)
-        return (v & 1, self._canon(self._coords_mod(w)))
+        """Square class as (valuation parity, canonical unit residue).
 
-    def is_square(self, u) -> bool:
-        return self.class_of(u) == self._trivial
+        Coordinates may be ints or Fractions; scaling by the square of the
+        common denominator keeps the class, and the rest is integer work.
+        """
+        a, b = _integral_pair(*u)
+        nrm = self.norm((a, b))
+        if nrm == 0:
+            raise ValueError("square class of 0 undefined")
+        v = valuation(nrm, 2)
+        # divide by pi v times, up to square factors: by 2 (inert, where
+        # v(norm) = 2v), by sqrt(D) times d^2 (D = 2d), or by 1 + sqrt(D)
+        # times m^2 (m = (1 - D)/2)
+        D = self.D
+        if self.kind == "inert":
+            if v % 2:
+                raise ArithmeticError(f"odd norm valuation in the inert field, D={D}")
+            v //= 2
+            a, b = a >> v, b >> v
+        elif self.kind == "ram2":
+            d = D >> 1
+            for _ in range(v):
+                a, b = b * d * d, (a >> 1) * d
+        else:
+            m = (1 - D) >> 1
+            for _ in range(v):
+                a, b = ((a - b * D) >> 1) * m, ((b - a) >> 1) * m
+        return (v & 1, self._canon((a % _COORD_MOD, b % _COORD_MOD)))
 
     # -- the group of square classes and the pairing on it
 
@@ -356,7 +341,7 @@ class TwoAdicQuad:
             if self.norm((a, b)) % 2 == 1
         ]
         self._squares = {self._mulmod(u, u) for u in units}
-        unit_classes = sorted({self._canon(self._coords_mod(u)) for u in units})
+        unit_classes = sorted({self._canon(u) for u in units})
         if len(unit_classes) != 8:
             raise ArithmeticError(f"{len(unit_classes)} unit square classes for D={self.D}, not 8")
         self._trivial = (0, self._canon((1, 0)))
@@ -431,11 +416,8 @@ def two_adic_context(D: int) -> TwoAdicQuad:
 def _embed_val_unit(x: Fraction, y: Fraction, place: Place) -> tuple[int, int]:
     # valuation and unit part mod small power for x + y * root in Q_l
     l = place.l
-    den = x.denominator * y.denominator
-    x, y = x * den * den, y * den * den  # same square class, now integral
-    if x.denominator != 1 or y.denominator != 1:
-        raise ArithmeticError(f"clearing denominators left {x}, {y} non-integral")
-    t = x.numerator + y.numerator * place.root
+    x, y = _integral_pair(x, y)
+    t = x + y * place.root
     mod = l**place.prec
     t %= mod
     if t == 0:
@@ -510,28 +492,27 @@ def _odd_val_unit(ctx_D: int, x: Fraction, y: Fraction, place: Place):
 def _tame_symbol(xa, ya, xb, yb, place: Place) -> int:
     l = place.l
     D = place.D
-    v1, (ux1, uy1) = _odd_val_unit(D, xa, ya, place)
-    v2, (ux2, uy2) = _odd_val_unit(D, xb, yb, place)
-
-    def chi(ux: Fraction, uy: Fraction) -> int:
-        if place.kind == INERT:
-            # residue field F_{l^2}; quadratic character via the norm to F_l
-            nrm = ux * ux - D * uy * uy
-            r = nrm.numerator * pow(nrm.denominator, -1, l) % l
-            return jacobi(r, l)
-        r = ux.numerator * pow(ux.denominator, -1, l) % l
-        return jacobi(r, l)
-
+    v1, u1 = _odd_val_unit(D, xa, ya, place)
+    v2, u2 = _odd_val_unit(D, xb, yb, place)
     s = 1
     if (v1 & 1) and (v2 & 1):
         if place.kind == RAMIFIED and ((l - 1) // 2) & 1:
             s = -s
         # inert residue field has -1 a square; no sign there
     if v2 & 1:
-        s *= chi(ux1, uy1)
+        s *= _unit_char(u1, place)
     if v1 & 1:
-        s *= chi(ux2, uy2)
+        s *= _unit_char(u2, place)
     return s
+
+
+def _unit_char(u, place: Place) -> int:
+    # quadratic character of the residue of a unit at a nonsplit odd place;
+    # for the inert residue field F_{l^2}, through the norm to F_l
+    l = place.l
+    ux, uy = u
+    r = ux * ux - place.D * uy * uy if place.kind == INERT else ux
+    return jacobi(r.numerator * pow(r.denominator, -1, l) % l, l)
 
 
 # ---------------------------------------------------------------------------
@@ -590,12 +571,6 @@ def twist_residue_square(D: int, twist: TwistPoint, place: Place) -> bool:
         raise ValueError("place must be prime to 2 and the twist prime")
     x0, y0 = twist.element()
     if place.kind == SPLIT:
-        _, u = _embed_val_unit(Fraction(x0), Fraction(y0), place)
+        _, u = _embed_val_unit(x0, y0, place)
         return jacobi(u % l, l) == 1
-    _, (ux, uy) = _odd_val_unit(D, Fraction(x0), Fraction(y0), place)
-    if place.kind == INERT:
-        nrm = ux * ux - D * uy * uy
-        r = nrm.numerator * pow(nrm.denominator, -1, l) % l
-        return jacobi(r, l) == 1
-    r = ux.numerator * pow(ux.denominator, -1, l) % l
-    return jacobi(r, l) == 1
+    return _unit_char(_odd_val_unit(D, x0, y0, place)[1], place) == 1

@@ -216,6 +216,33 @@ def test_joint_decide_anchors():
     assert v.status == "unsolvable" and v.provenance == "oracle"
 
 
+def test_joint_decide_is_one_pass(monkeypatch):
+    # with the per-D state warm, a decision factors |n| once, never
+    # classifies D again, and tests each prime of 2 D n for a local point once
+    D, n = 1394, -370  # 370 = 2 * 5 * 37, with 5 and 37 split
+    artin.joint_artin_decide(D, n)
+    assert len(artin.class_images_of_norm(D, n).entries[0][0].split) == 2
+    calls = {"factor": [], "classify_order": [], "local_solvable": []}
+
+    def counting(name):
+        orig = getattr(artin, name)
+
+        def wrapped(*args, **kwargs):
+            calls[name].append(args)
+            return orig(*args, **kwargs)
+
+        monkeypatch.setattr(artin, name, wrapped)
+
+    for name in calls:
+        counting(name)
+    v = artin.joint_artin_decide(D, n)
+    x, y = v.witness
+    assert v.provenance == "artin" and x * x - D * y * y == n
+    assert calls["factor"] == [(370,)]
+    assert calls["classify_order"] == []
+    assert sorted(calls["local_solvable"]) == [(D, n, l) for l in (2, 5, 17, 37, 41)]
+
+
 def test_joint_decide_sweeps():
     for D in (34, 146, 221):
         for n in range(-250, 251):

@@ -1,5 +1,6 @@
 import csv
 import json
+import os
 import subprocess
 import sys
 
@@ -52,7 +53,17 @@ def test_usage_error_exit_code():
     res = run_cli("scan", "--family", "weird", "--max", "10")
     assert res.returncode == 2
     # parsed, but rejected by the library: one line on stderr, no traceback
-    for args in (("decide", "4", "1"), ("decide", "221", "0"), ("classify-pq", "4", "5")):
+    for args in (
+        ("decide", "4", "1"),
+        ("decide", "221", "0"),
+        ("classify-pq", "4", "5"),
+        ("scan", "--family", "2p", "--max", "-5"),
+        ("scan", "--family", "2p", "--max", "0"),
+        ("scan", "--family", "2p", "--max", "10", "--jobs", "-1"),
+        ("scan", "--family", "2p", "--max", "10", "--jobs", "0"),
+        ("verify-lemmas", "--max", "0"),
+        ("table", "--out", os.devnull, "--max", "-1"),
+    ):
         res = run_cli(*args)
         assert res.returncode == 2, args
         assert res.stdout == "" and len(res.stderr.splitlines()) == 1, args

@@ -477,3 +477,46 @@ def test_pairing_matches_gf2_reference():
         ref = _reference_pairing(ctx)
         got = {(ca, cb): ctx.pair(ctx._rep[ca], ctx._rep[cb]) for ca, cb in ref}
         assert got == ref, D
+
+
+def _reference_class_of(ctx, u):
+    """The rational route TwoAdicQuad.class_of replaced.
+
+    The valuation comes from the norm in Fractions, the unit part from
+    repeated exact division by pi, and the class from its coordinates mod 8.
+    """
+    a, b = Fraction(u[0]), Fraction(u[1])
+    nrm = ctx.norm((a, b))
+    v = valuation(nrm.numerator, 2) - valuation(nrm.denominator, 2)
+    if ctx.kind == "inert":
+        v //= 2
+    D = ctx.D
+    for _ in range(v):
+        if ctx.kind == "inert":
+            a, b = a / 2, b / 2
+        elif ctx.kind == "ram2":
+            a, b = b, a / D
+        else:
+            a, b = (a - b * D) / (1 - D), (b - a) / (1 - D)
+    coords = tuple(t.numerator * pow(t.denominator, -1, 8) % 8 for t in (a, b))
+    return (v & 1, ctx._canon(coords))
+
+
+def test_integer_classes_match_rational_reference():
+    # integers with large 2-power shifts, and rationals with odd denominators
+    # (integral in O_E), on every nonsplit D < 200 and three larger ones
+    rng = random.Random(21)
+    Ds = [D for D in range(2, 200) if D % 4 == 2 or D % 8 in (3, 5, 7)]
+    for D in Ds + [1394, 221, 1691629]:
+        ctx = la.two_adic_context(D)
+        for k in range(60):
+            if k % 2:
+                u = tuple(rng.randint(-(1 << 40), 1 << 40) << rng.randint(0, 14) for _ in "ab")
+            else:
+                u = tuple(Fraction(rng.randint(-10**6, 10**6), 2 * rng.randint(0, 500) + 1)
+                          for _ in "ab")
+            if ctx.norm(u) == 0:
+                continue
+            assert ctx.class_of(u) == _reference_class_of(ctx, u), (D, u)
+            # a square factor, here 1/4, leaves the class as it was
+            assert ctx.class_of((Fraction(u[0], 4), Fraction(u[1], 4))) == ctx.class_of(u), (D, u)
