@@ -220,6 +220,12 @@ def prime_form(D: int, l: int) -> Form:
     return Form(l, 2 * beta, (beta * beta - D) // l)
 
 
+@lru_cache(maxsize=None)
+def _prime_power(D: int, l: int, k: int) -> Form:
+    # the k-th power of the prime form over l, shared by every n at this D
+    return class_group(4 * D).power(prime_form(D, l), k)
+
+
 # ---------------------------------------------------------------------------
 # adelic choices and their ideal classes
 
@@ -264,7 +270,7 @@ def class_images_of_norm(D: int, n: int, *, fac: Factorization | None = None) ->
     group = class_group(4 * D)
     if fac is None:
         fac = factor(abs(n))
-    split_primes: list[tuple[int, int, Form]] = []
+    split_primes: list[tuple[int, int, tuple[Form, ...]]] = []
     forced: list[tuple[int, str, int]] = []
     base = group.principal
     for l, e in fac.factors:
@@ -275,7 +281,7 @@ def class_images_of_norm(D: int, n: int, *, fac: Factorization | None = None) ->
             forced.append((l, INERT, e // 2))
         elif st == RAMIFIED:
             forced.append((l, RAMIFIED, e))
-            base = group.compose(base, group.power(prime_form(D, l), e))
+            base = group.compose(base, _prime_power(D, l, e))
         else:
             if l == 2:
                 # the order is not maximal at 2 when D is odd
@@ -285,7 +291,8 @@ def class_images_of_norm(D: int, n: int, *, fac: Factorization | None = None) ->
                     "split conductor prime 2 with 4 | n is outside the"
                     " supported families"
                 )
-            split_primes.append((l, e, prime_form(D, l)))
+            # j of the e factors on the chosen-root side contribute l^(2j - e)
+            split_primes.append((l, e, tuple(_prime_power(D, l, 2 * j - e) for j in range(e + 1))))
     if len(split_primes) > _MAX_SPLIT_PRIMES:
         raise ValueError(f"more than {_MAX_SPLIT_PRIMES} split primes in n")
     entries: list[tuple[AdelicChoice, Form]] = []
@@ -296,9 +303,8 @@ def class_images_of_norm(D: int, n: int, *, fac: Factorization | None = None) ->
                 (AdelicChoice(acc_split, tuple(forced)), reduce_form(acc_form))
             )
             return
-        l, e, pf = split_primes[i]
-        for j in range(e + 1):
-            contrib = group.power(pf, 2 * j - e)
+        l, e, powers = split_primes[i]
+        for j, contrib in enumerate(powers):
             rec(i + 1, acc_split + ((l, e, j),), group.compose(acc_form, contrib))
 
     rec(0, (), base)
@@ -322,26 +328,15 @@ def twist_symbol(
     """
     if fac is None:
         fac = factor(abs(n))
-    place2 = _d_context(D).place2
     ell = twist.ell
-    theta = twist.element()
-    sym = 1
-    # places over 2
-    if place2.kind == SPLIT:
-        # 2 is never a split prime of a choice (class_images_of_norm stops
-        # first), so the whole of n sits at the second place over 2
-        sym *= hilbert_ev(n, theta, place2)
-    else:
-        pt = find_local_point(D, n, 2, prec=valuation(n, 2) + 18)
-        if pt is None:
-            raise ValueError(f"no 2-adic point for D={D}, n={n}")
-        sym *= hilbert_ev((pt.x, pt.y), theta, place2)
+    v = valuation(n, 2)
+    sym = _two_adic_factor(D, twist, ((n >> v) % 16) << (v % 4))
     # place over the odd twist prime
     if ell != 2:
         pt = find_local_point(D, n, ell, prec=valuation(n, ell) + 10)
         if pt is None:
             raise ValueError(f"no {ell}-adic point for D={D}, n={n}")
-        sym *= hilbert_ev((pt.x, pt.y), theta, places_over(D, ell)[0])
+        sym *= hilbert_ev((pt.x, pt.y), twist.element(), places_over(D, ell)[0])
     # everywhere else only odd-valuation data of n contributes.  The primes
     # of z0 add nothing of their own: split and ramified places need an odd
     # exponent in n, and no inert prime divides z0, as it would divide both
@@ -350,18 +345,45 @@ def twist_symbol(
         if l in (2, ell):
             continue
         st = splitting_type(D, l)
+        signs = _residue_signs(D, twist, l)
         if st == SPLIT:
             j = choice.j_at(l)
-            vp_pl, vm_pl = places_over(D, l)
             if j % 2:
-                sym *= 1 if twist_residue_square(D, twist, vp_pl) else -1
+                sym *= signs[0]
             if (e - j) % 2:
-                sym *= 1 if twist_residue_square(D, twist, vm_pl) else -1
+                sym *= signs[1]
         elif (e // 2 if st == INERT else e) % 2:
             # the one place over l takes e/2 of n when inert, e when ramified
-            place = places_over(D, l)[0]
-            sym *= 1 if twist_residue_square(D, twist, place) else -1
+            sym *= signs[0]
     return sym
+
+
+@lru_cache(maxsize=None)
+def _residue_signs(D: int, twist: TwistPoint, l: int) -> tuple[int, ...]:
+    # +1 or -1 at each place over the odd prime l, in places_over order
+    return tuple(1 if twist_residue_square(D, twist, pl) else -1 for pl in places_over(D, l))
+
+
+@lru_cache(maxsize=None)
+def _two_adic_factor(D: int, twist: TwistPoint, r: int) -> int:
+    """The symbol at the place over 2 that carries n, for every n keyed r.
+
+    On norm-one elements beta / conj(beta) the symbol against theta is
+    (N beta, N theta) at 2, which is 1 in both families, so it depends on n
+    only modulo N(E_v*)^2.  That group holds 16 and 1 + 16 Z_2, and the key
+    r = ((n >> v) % 16) << (v % 4), v = v2(n), names n's class.  The Q_2
+    square class is coarser and wrong: at D = 34, n = 1 and n = 9 differ.
+    """
+    place2 = _d_context(D).place2
+    theta = twist.element()
+    if place2.kind == SPLIT:
+        # 2 is never a split prime of a choice (class_images_of_norm stops
+        # first), so the whole of n sits at the second place over 2
+        return hilbert_ev(r, theta, place2)
+    pt = find_local_point(D, r, 2, prec=valuation(r, 2) + 18)
+    if pt is None:
+        raise ValueError(f"no 2-adic point for D={D}, n={r} modulo squares of norms")
+    return hilbert_ev((pt.x, pt.y), theta, place2)
 
 
 # ---------------------------------------------------------------------------

@@ -414,18 +414,19 @@ def two_adic_context(D: int) -> TwoAdicQuad:
 
 
 def _embed_val_unit(x: Fraction, y: Fraction, place: Place) -> tuple[int, int]:
-    # valuation and unit part mod small power for x + y * root in Q_l
-    l = place.l
+    # valuation and unit part mod small power for x + y * root in Q_l; while
+    # the root's precision does not fix them, lift the same root further
+    l, prec, root = place.l, place.prec, place.root
     x, y = _integral_pair(x, y)
-    t = x + y * place.root
-    mod = l**place.prec
-    t %= mod
-    if t == 0:
-        raise ArithmeticError("split embedding needs more precision")
-    v = valuation(t, l)
-    if v > place.prec - 4:
-        raise ArithmeticError("split embedding needs more precision")
-    return v, t // l**v
+    while True:
+        t = (x + y * root) % l**prec
+        v = valuation(t, l) if t else prec
+        if v <= prec - 4:
+            return v, t // l**v
+        prec = 2 * v + 8
+        root = lift_unit_sqrt(place.D, l, prec)
+        if (root - place.root) % l**place.prec:
+            root = l**prec - root
 
 
 def hilbert_ev(alpha, beta, place: Place) -> int:

@@ -8,7 +8,15 @@ import sys
 import pytest
 
 from pellcrit import artin, cli, pellsolver, quadring
-from pellcrit.intcore import is_prime
+from pellcrit.intcore import factor, is_prime, is_square, valuation
+from pellcrit.localanalysis import (
+    find_local_point,
+    hilbert_ev,
+    places_over,
+    square_class_2,
+    twist_residue_square,
+)
+from pellcrit.quadring import INERT, SPLIT, splitting_type
 
 
 class _ReferenceClasses:
@@ -163,6 +171,25 @@ def test_class_images_examples():
     assert ci.obstruction == 3 and not ci.entries
 
 
+def test_class_images_match_direct_powers():
+    # each choice's class, recomputed from fresh prime forms: ramified primes
+    # give l^e, a split prime with j of e factors on the root side l^(2j - e)
+    cases = [(1394, -370 * 185**2), (1394, 2 * 5**2 * 37),
+             (221, 13 * 7**3 * 43**2 * 19**2), (34, 3**4 * 5 * 13**2)]
+    for D, n in cases:
+        g = artin.class_group(4 * D)
+        entries = artin.class_images_of_norm(D, n).entries
+        assert len(entries) > 4
+        for choice, form in entries:
+            want = g.principal
+            for l, kind, e in choice.forced:
+                if kind == "ramified":
+                    want = g.compose(want, g.power(artin.prime_form(D, l), e))
+            for l, e, j in choice.split:
+                want = g.compose(want, g.power(artin.prime_form(D, l), 2 * j - e))
+            assert form == artin.reduce_form(want), (D, n, choice)
+
+
 def test_ideal_norm_classes_match_representation():
     # a split prime's class is principal exactly when the prime itself is
     # representable as |x^2 - D y^2|
@@ -203,6 +230,101 @@ def test_twist_symbol_matches_character_table():
             assert got == tab.value(cls), (D, n)
 
 
+def _reference_twist_symbol(D, twist, choice, n, *, fac=None):
+    # the twist symbol as it was before its per-prime and 2-adic caches:
+    # every place recomputed from n on every call
+    if fac is None:
+        fac = factor(abs(n))
+    place2 = artin._d_context(D).place2
+    ell = twist.ell
+    theta = twist.element()
+    sym = 1
+    # places over 2
+    if place2.kind == SPLIT:
+        # 2 is never a split prime of a choice (class_images_of_norm stops
+        # first), so the whole of n sits at the second place over 2
+        sym *= hilbert_ev(n, theta, place2)
+    else:
+        pt = find_local_point(D, n, 2, prec=valuation(n, 2) + 18)
+        if pt is None:
+            raise ValueError(f"no 2-adic point for D={D}, n={n}")
+        sym *= hilbert_ev((pt.x, pt.y), theta, place2)
+    # place over the odd twist prime
+    if ell != 2:
+        pt = find_local_point(D, n, ell, prec=valuation(n, ell) + 10)
+        if pt is None:
+            raise ValueError(f"no {ell}-adic point for D={D}, n={n}")
+        sym *= hilbert_ev((pt.x, pt.y), theta, places_over(D, ell)[0])
+    # everywhere else only odd-valuation data of n contributes.  The primes
+    # of z0 add nothing of their own: split and ramified places need an odd
+    # exponent in n, and no inert prime divides z0, as it would divide both
+    # x0 and y0
+    for l, e in fac.factors:
+        if l in (2, ell):
+            continue
+        st = splitting_type(D, l)
+        if st == SPLIT:
+            j = choice.j_at(l)
+            vp_pl, vm_pl = places_over(D, l)
+            if j % 2:
+                sym *= 1 if twist_residue_square(D, twist, vp_pl) else -1
+            if (e - j) % 2:
+                sym *= 1 if twist_residue_square(D, twist, vm_pl) else -1
+        elif (e // 2 if st == INERT else e) % 2:
+            # the one place over l takes e/2 of n when inert, e when ramified
+            place = places_over(D, l)[0]
+            sym *= 1 if twist_residue_square(D, twist, place) else -1
+    return sym
+
+
+def test_twist_symbol_matches_reference():
+    # every choice of every locally solvable 0 < |n| <= 300, over every
+    # applicable D < 1500: 2 split (D = 1 mod 8), inert (5 mod 8), ramified
+    ds = [D for D in range(2, 1500) if not is_square(D) and artin._d_context(D).applicable]
+    assert {D % 8 for D in ds} == {1, 2, 5}
+    compared = 0
+    for D in ds:
+        twist = artin.canonical_twist(D)
+        for n in range(-300, 301):
+            if n == 0 or artin.local_obstruction_anywhere(D, n) is not None:
+                continue
+            try:
+                images = artin.class_images_of_norm(D, n)
+            except NotImplementedError:  # 2 split in Q(sqrt D) and 4 | n
+                continue
+            for choice, _ in images.entries:
+                got = artin.twist_symbol(D, twist, choice, n)
+                assert got == _reference_twist_symbol(D, twist, choice, n), (D, n, choice)
+                compared += 1
+    assert compared > 5000
+    # twist points other than the canonical one
+    for D in (34, 146):
+        for twist in itertools.islice(quadring.twist_point_candidates(D, 2), 4):
+            for n in range(-120, 121):
+                if n == 0 or artin.local_obstruction_anywhere(D, n) is not None:
+                    continue
+                for choice, _ in artin.class_images_of_norm(D, n).entries:
+                    got = artin.twist_symbol(D, twist, choice, n)
+                    assert got == _reference_twist_symbol(D, twist, choice, n), (D, twist, n)
+
+
+def test_two_adic_factor_is_finer_than_square_class():
+    # n = 1 and n = 9 share a Q_2 square class but not a class modulo squares
+    # of local norms, and their 2-adic factors differ; keying the cache on
+    # the square class would merge them
+    assert square_class_2(1) == square_class_2(9)
+    for D in (34, 146, 1394):
+        twist = artin.canonical_twist(D)
+        assert artin._two_adic_factor(D, twist, 1) == 1
+        assert artin._two_adic_factor(D, twist, 9) == -1
+    # at D = 34 the prime 3 splits, and with both factors over 3 on one side
+    # the whole symbol is the factor at 2
+    trivial = artin.AdelicChoice((), ())
+    tw34 = artin.canonical_twist(34)
+    assert _reference_twist_symbol(34, tw34, trivial, 1) == 1
+    assert _reference_twist_symbol(34, tw34, trivial, 9) == -1
+
+
 def test_joint_decide_anchors():
     v = artin.joint_artin_decide(221, 17)
     assert v.status == "solvable" and v.witness == (119, 8) and v.provenance == "artin"
@@ -241,6 +363,34 @@ def test_joint_decide_is_one_pass(monkeypatch):
     assert calls["factor"] == [(370,)]
     assert calls["classify_order"] == []
     assert sorted(calls["local_solvable"]) == [(D, n, l) for l in (2, 5, 17, 37, 41)]
+
+
+def test_warm_decision_reads_per_prime_caches(monkeypatch):
+    # n1 = n * 185^2 has the primes of n = -370 (2, 5, 37), exponents 1, 3, 3
+    # that cover n's powers of the prime forms, and the same 2-adic key.
+    # After n1, deciding n builds no prime form, place or local point,
+    # which a memo keyed on (D, n) could not achieve
+    D, n = 1394, -370
+    n1 = n * 185**2
+    assert n1 == -12663250
+    assert artin.joint_artin_decide(D, n1).status == "solvable"
+    calls = {"prime_form": 0, "places_over": 0, "find_local_point": 0}
+
+    def counting(name):
+        orig = getattr(artin, name)
+
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return orig(*args, **kwargs)
+
+        monkeypatch.setattr(artin, name, wrapped)
+
+    for name in calls:
+        counting(name)
+    v = artin.joint_artin_decide(D, n)
+    x, y = v.witness
+    assert v.status == "solvable" and v.provenance == "artin" and x * x - D * y * y == n
+    assert calls == {"prime_form": 0, "places_over": 0, "find_local_point": 0}
 
 
 def test_joint_decide_sweeps():

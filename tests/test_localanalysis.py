@@ -310,6 +310,27 @@ def test_hilbert_ev_split_matches_hilbert_q():
                     assert got == hilbert_q(a, b, l), (D, l, a, b)
 
 
+def test_split_embedding_raises_its_precision():
+    # places carry roots mod 3^24; deeper valuations lift the root again
+    # instead of raising, and each place keeps its own root
+    D, l = 34, 3
+    places = la.places_over(D, l)
+    assert [pl.prec for pl in places] == [24, 24]
+    for k in (20, 21, 30, 60):
+        for pl in places:
+            assert la.hilbert_ev(l**k, 5, pl) == hilbert_q(l**k, 5, l), (k, pl.root)
+    # a - sqrt(D), with a near the root of one place, is deep there and a
+    # unit at the other; its depth is the valuation of its norm a^2 - D
+    for k in (21, 30, 60):
+        r = lift_unit_sqrt(D, l, k)
+        for deep, a in enumerate((r, l**k - r)):
+            v = valuation(a * a - D, l)
+            assert v >= k
+            for i, pl in enumerate(places):
+                want = hilbert_q(l**v, 5, l) if i == deep else 1
+                assert la.hilbert_ev((a, -1), 5, pl) == want, (k, deep, i)
+
+
 def test_hilbert_ev_tame_examples():
     p3 = la.places_over(221, 3)[0]
     assert p3.kind == "inert"
