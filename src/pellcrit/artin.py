@@ -2,7 +2,11 @@
 
 The ring class field of Z[sqrt(D)] has Galois group the wide form class
 group of discriminant 4D; an integral point of x^2 - D y^2 = n maps to an
-ideal of norm |n| whose class must be principal.  The auxiliary quadratic
+ideal of norm |n| whose class must be principal.  When D = 5 mod 8 and
+4 | n the ideal is taken in the maximal order, at discriminant D: 2 is
+inert there, and n is a norm from Z[sqrt(D)] iff its odd part is a norm
+from Z[(1 + sqrt(D))/2].  Forms compose by the general Gauss-Shanks rule
+at either discriminant.  The auxiliary quadratic
 extension built from a twist point contributes a second condition, a
 product of local Hilbert symbols.  Solvability for the supported families
 is equivalent to some single adelic choice passing both conditions at once.
@@ -61,9 +65,6 @@ class Form:
     def neg(self) -> "Form":
         return Form(-self.a, self.b, -self.c)
 
-    def value(self, x: int, y: int) -> int:
-        return self.a * x * x + self.b * x * y + self.c * y * y
-
 
 def _is_reduced(f: Form, s: int, disc: int) -> bool:
     # 0 < b < sqrt(disc) and sqrt(disc) - b < 2|a| < sqrt(disc) + b
@@ -109,24 +110,25 @@ def _cycle(f: Form, s: int, disc: int) -> tuple[Form, ...]:
 
 
 class ClassGroup:
-    """Principality in the wide form class group of discriminant 4D.
+    """Principality in the wide form class group of discriminant disc.
 
+    disc is any positive non-square integer = 0 or 1 mod 4: 4D for the
+    order Z[sqrt(D)], D itself for the maximal order when D = 1 mod 4.
     A form is principal in the wide sense when its reduction lies on the
     cycle of the principal form or on the cycle of its negation, since
     (a, b, c) ~ (-a, b, -c) merges exactly those two cycles.  Only that set
     of reduced forms is built, one cycle walk of about the continued
     fraction period; the rest of the group is never enumerated.
-    Composition is Gaussian.
+    Composition is Gauss-Shanks (Cohen, GTM 138, Alg. 5.4.7).
     """
 
     def __init__(self, disc: int):
-        if disc <= 0 or disc % 4 != 0 or is_square(disc):
-            raise ValueError("discriminant must be 4D, positive, non-square")
+        if disc <= 0 or disc % 4 > 1 or is_square(disc):
+            raise ValueError("discriminant must be positive, non-square and 0 or 1 mod 4")
         self.disc = disc
-        D = disc // 4
-        a0 = isqrt(D)
-        self.principal = Form(1, 2 * a0, a0 * a0 - D)
         s = isqrt(disc)
+        b = s - (s - disc) % 2  # the largest b <= sqrt(disc) with b = disc mod 2
+        self.principal = Form(1, b, (b * b - disc) // 4)
         self._principal_forms = frozenset(
             _cycle(self.principal, s, disc) + _cycle(self.principal.neg(), s, disc)
         )
@@ -140,13 +142,18 @@ class ClassGroup:
         disc = self.disc
         if f1.disc != disc or f2.disc != disc:
             raise ValueError(f"forms {f1}, {f2} do not both have discriminant {disc}")
-        f2 = self._coprime_rep(f2, f1.a)
-        a1, a2 = f1.a, f2.a
-        # b = b1 mod 2 a1, b = b2 mod 2 a2
-        b = _crt2(f1.b, 2 * abs(a1), f2.b, 2 * abs(a2))
-        a3 = a1 * a2
-        c3 = (b * b - disc) // (4 * a3)
-        return reduce_form(Form(a3, b, c3))
+        a1, a2, b2, c2 = f1.a, f2.a, f2.b, f2.c
+        s = (f1.b + b2) // 2
+        # y1 a2 = d mod a1 with d = gcd(a1, a2), then x2 s - y2 d = d1 = gcd(s, d)
+        d = math.gcd(a1, a2)
+        y1 = pow(a2 // d, -1, abs(a1) // d)
+        d1 = math.gcd(s, d)
+        x2 = pow(s // d1, -1, d // d1)
+        y2 = (x2 * s - d1) // d
+        v1, v2 = a1 // d1, a2 // d1
+        r = (y1 * y2 * (b2 - s) - x2 * c2) % v1
+        a3, b3 = v1 * v2, b2 + 2 * v2 * r
+        return reduce_form(Form(a3, b3, (b3 * b3 - disc) // (4 * a3)))
 
     def power(self, f: Form, k: int) -> Form:
         if k < 0:
@@ -160,70 +167,43 @@ class ClassGroup:
                 f = self.compose(f, f)
         return out
 
-    def _coprime_rep(self, f: Form, target: int) -> Form:
-        # equivalent form whose leading coefficient is coprime to target
-        if math.gcd(f.a, target) == 1:
-            return f
-        for box in range(1, 40):
-            for m in range(-box, box + 1):
-                for n in range(-box, box + 1):
-                    if math.gcd(m, n) != 1:
-                        continue
-                    v = f.value(m, n)
-                    if v != 0 and math.gcd(v, target) == 1:
-                        g, p, q = _ext_gcd(m, n)
-                        # m q' - n p' = 1 with (p', q') = (-q, p)
-                        pp, qq = -q, p
-                        a2 = v
-                        b2 = 2 * (f.a * m * pp + f.c * n * qq) + f.b * (m * qq + n * pp)
-                        c2 = f.value(pp, qq)
-                        return Form(a2, b2, c2)
-        raise ArithmeticError("no coprime representative found")
-
-
-def _ext_gcd(a: int, b: int) -> tuple[int, int, int]:
-    if b == 0:
-        return abs(a), (1 if a > 0 else -1), 0
-    g, x, y = _ext_gcd(b, a % b)
-    return g, y, x - (a // b) * y
-
-
-def _crt2(r1: int, m1: int, r2: int, m2: int) -> int:
-    g = math.gcd(m1, m2)
-    if (r2 - r1) % g:
-        raise ValueError("incompatible congruences")
-    lcm = m1 // g * m2
-    t = ((r2 - r1) // g * pow(m1 // g, -1, m2 // g)) % (m2 // g)
-    return (r1 + m1 * t) % lcm
-
 
 @lru_cache(maxsize=None)
 def class_group(disc: int) -> ClassGroup:
-    """Principality test of the wide class group of discriminant 4D (cached)."""
+    """Principality test of the wide class group of discriminant disc (cached)."""
     return ClassGroup(disc)
 
 
-def prime_form(D: int, l: int) -> Form:
-    """A form representing the prime ideal of norm l in Z[sqrt(D)]."""
+def prime_form(D: int, l: int, disc: int | None = None) -> Form:
+    """A form of discriminant disc for the prime ideal of norm l.
+
+    disc is 4D, for Z[sqrt(D)], by default, or D = 1 mod 4, for the maximal
+    order (odd l only).  At a split l the ideal is the one where sqrt(D) is
+    sqrt_mod(D, l), the place places_over(D, l)[0], at either discriminant.
+    """
+    if disc is None:
+        disc = 4 * D
     st = splitting_type(D, l)
     if st == INERT:
         raise ValueError(f"{l} is inert; no ideal of norm {l}")
+    if disc != 4 * D and (disc != D or D % 4 != 1 or l == 2):
+        raise ValueError(f"no prime form over {l} of discriminant {disc} for D={D}")
     if l == 2:
         if D % 2 == 0:
             return Form(2, 0, -(D // 2))
         return Form(2, 2, (1 - D) // 2)
-    if st == RAMIFIED:
-        return Form(l, 0, -(D // l))
-    beta = sqrt_mod(D, l)
-    if beta is None or beta == 0:
-        raise ArithmeticError(f"no unit square root of {D} mod the split prime {l}")
-    return Form(l, 2 * beta, (beta * beta - D) // l)
+    beta = 0 if st == RAMIFIED else sqrt_mod(D, l)
+    if beta is None:
+        raise ArithmeticError(f"no square root of {D} mod the split prime {l}")
+    # b = beta mod l, and b = disc mod 2: 2 beta at 4D, an odd lift at D
+    b = 2 * beta if disc == 4 * D else beta + l * (1 - beta % 2)
+    return Form(l, b, (b * b - disc) // (4 * l))
 
 
 @lru_cache(maxsize=None)
-def _prime_power(D: int, l: int, k: int) -> Form:
+def _prime_power(D: int, disc: int, l: int, k: int) -> Form:
     # the k-th power of the prime form over l, shared by every n at this D
-    return class_group(4 * D).power(prime_form(D, l), k)
+    return class_group(disc).power(prime_form(D, l, disc), k)
 
 
 # ---------------------------------------------------------------------------
@@ -251,8 +231,11 @@ class AdelicChoice:
 
 @dataclass(frozen=True)
 class ClassImages:
+    """The choices and their forms, all of discriminant disc."""
+
     entries: tuple[tuple[AdelicChoice, Form], ...]
     obstruction: int | None
+    disc: int
 
 
 _MAX_SPLIT_PRIMES = 12
@@ -261,13 +244,18 @@ _MAX_SPLIT_PRIMES = 12
 def class_images_of_norm(D: int, n: int, *, fac: Factorization | None = None) -> ClassImages:
     """All ideals of Z[sqrt(D)] of norm |n| with their form classes.
 
+    When D = 5 mod 8 and 4 | n, a solution may be 2 alpha with alpha in the
+    maximal order Z[(1 + sqrt(D))/2] only.  There 2 is inert, so n is a norm
+    from Z[sqrt(D)] iff its odd part is a norm from the maximal order, and
+    the ideals and classes are taken there, at discriminant D instead of 4D.
     Returns an empty list with the failing prime when some completion
     admits no integral point for valuation reasons.  ``fac``, when given,
     is the factorization of |n|.
     """
     if n == 0:
         raise ValueError("n must be nonzero")
-    group = class_group(4 * D)
+    disc = D if D % 8 == 5 and n % 4 == 0 else 4 * D
+    group = class_group(disc)
     if fac is None:
         fac = factor(abs(n))
     split_primes: list[tuple[int, int, tuple[Form, ...]]] = []
@@ -277,22 +265,24 @@ def class_images_of_norm(D: int, n: int, *, fac: Factorization | None = None) ->
         st = splitting_type(D, l)
         if st == INERT:
             if e % 2:
-                return ClassImages((), l)
+                return ClassImages((), l, disc)
             forced.append((l, INERT, e // 2))
         elif st == RAMIFIED:
             forced.append((l, RAMIFIED, e))
-            base = group.compose(base, _prime_power(D, l, e))
+            base = group.compose(base, _prime_power(D, disc, l, e))
         else:
             if l == 2:
                 # the order is not maximal at 2 when D is odd
                 if e == 1:
-                    return ClassImages((), 2)
+                    return ClassImages((), 2, disc)
                 raise NotImplementedError(
                     "split conductor prime 2 with 4 | n is outside the"
                     " supported families"
                 )
             # j of the e factors on the chosen-root side contribute l^(2j - e)
-            split_primes.append((l, e, tuple(_prime_power(D, l, 2 * j - e) for j in range(e + 1))))
+            split_primes.append(
+                (l, e, tuple(_prime_power(D, disc, l, 2 * j - e) for j in range(e + 1)))
+            )
     if len(split_primes) > _MAX_SPLIT_PRIMES:
         raise ValueError(f"more than {_MAX_SPLIT_PRIMES} split primes in n")
     entries: list[tuple[AdelicChoice, Form]] = []
@@ -308,7 +298,7 @@ def class_images_of_norm(D: int, n: int, *, fac: Factorization | None = None) ->
             rec(i + 1, acc_split + ((l, e, j),), group.compose(acc_form, contrib))
 
     rec(0, (), base)
-    return ClassImages(tuple(entries), None)
+    return ClassImages(tuple(entries), None, disc)
 
 
 # ---------------------------------------------------------------------------
@@ -457,10 +447,10 @@ def local_obstruction_anywhere(D: int, n: int, *, fac: Factorization | None = No
 
 def _some_choice_passes(D: int, n: int, twist: TwistPoint, fac: Factorization) -> bool:
     # the joint condition on a locally solvable n
-    group = class_group(4 * D)
     images = class_images_of_norm(D, n, fac=fac)
     if images.obstruction is not None:
         return False
+    group = class_group(images.disc)
     return any(
         group.is_principal(form) and twist_symbol(D, twist, choice, n, fac=fac) == 1
         for choice, form in images.entries

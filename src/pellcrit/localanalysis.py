@@ -53,16 +53,14 @@ class Place:
     """A place of E = Q(sqrt(D)).
 
     Split places carry the chosen square root of D mod l^prec, so the two
-    conjugate places are distinguishable; real places carry the embedding
-    sign of sqrt(D).
+    conjugate places are distinguishable.
     """
 
-    l: object  # prime or symbols.REAL
+    l: int
     kind: str
     D: int
     root: int | None = None
     prec: int = 0
-    sign: int = 0
 
 
 def places_over(D: int, l: int, prec: int = 24) -> tuple[Place, ...]:
@@ -438,34 +436,14 @@ def hilbert_ev(alpha, beta, place: Place) -> int:
     xb, yb = _as_pair(beta)
     if (xa, ya) == (0, 0) or (xb, yb) == (0, 0):
         raise ValueError("Hilbert symbol arguments must be nonzero")
-    D = place.D
-    if place.kind == "real":
-        sa = _real_sign(xa, ya, D, place.sign)
-        sb = _real_sign(xb, yb, D, place.sign)
-        return -1 if (sa < 0 and sb < 0) else 1
     if place.kind == SPLIT:
         v1, u1 = _embed_val_unit(xa, ya, place)
         v2, u2 = _embed_val_unit(xb, yb, place)
         return hilbert_q_parts(place.l, v1, u1, v2, u2)
     if place.l == 2:
-        ctx = two_adic_context(D)
+        ctx = two_adic_context(place.D)
         return ctx.pair(ctx.from_sqrt_basis(xa, ya), ctx.from_sqrt_basis(xb, yb))
     return _tame_symbol(xa, ya, xb, yb, place)
-
-
-def _real_sign(x: Fraction, y: Fraction, D: int, sign: int) -> int:
-    # sign of x + sign * y * sqrt(D), exactly
-    if y == 0:
-        return 1 if x > 0 else -1
-    ysq = y * y * D
-    xy = x * x
-    if sign * y > 0:
-        if x >= 0:
-            return 1
-        return 1 if ysq > xy else -1
-    if x <= 0:
-        return -1
-    return 1 if xy > ysq else -1
 
 
 def _odd_val_unit(ctx_D: int, x: Fraction, y: Fraction, place: Place):
@@ -568,7 +546,7 @@ def twist_residue_square(D: int, twist: TwistPoint, place: Place) -> bool:
     unramified); the unit part of the element is tested.
     """
     l = place.l
-    if place.kind == "real" or l == 2 or l == twist.ell:
+    if l == 2 or l == twist.ell:
         raise ValueError("place must be prime to 2 and the twist prime")
     x0, y0 = twist.element()
     if place.kind == SPLIT:

@@ -207,7 +207,9 @@ def test_criterion_9_joint_condition_equals_oracle():
         and quadring.classify_order(D).family == "2d"
         and artin.thm24_applicable(D // 2)
     ] + [1394]
-    for D in family_b:
+    # 1405 and 1717 are pq = 5 mod 8 whose solutions with 4 | n may lie in
+    # the maximal order only
+    for D in family_b + [1405, 1717]:
         for n in range(-500, 501):
             if n == 0:
                 continue
@@ -217,9 +219,9 @@ def test_criterion_9_joint_condition_equals_oracle():
                 mismatches += 1
     _report(
         9,
-        "joint Artin condition equals oracle (D=221 and family-B D)",
+        "joint Artin condition equals oracle (D=221, family-B D, D=1405, 1717)",
         mismatches == 0,
-        f"(D=221 |n|<=2000 plus {len(family_b)} family-B D, |n|<=500)",
+        f"(D=221 |n|<=2000 plus {len(family_b)} family-B D and D=1405, 1717, |n|<=500)",
     )
 
 

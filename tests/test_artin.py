@@ -20,19 +20,18 @@ from pellcrit.quadring import INERT, SPLIT, splitting_type
 
 
 class _ReferenceClasses:
-    """Brute-force wide class group of discriminant 4D, a test reference.
+    """Brute-force wide class group of discriminant disc, a test reference.
 
-    Enumerates every reduced form (every b <= sqrt(4D) and every divisor a
-    of (4D - b^2)/4), then merges forms along reduction steps and under
-    (a, b, c) ~ (-a, b, -c) with a union-find.
+    disc is 4D, or D = 1 mod 4.  Enumerates every reduced form (every
+    b <= sqrt(disc) of disc's parity, so odd b at D = 1 mod 4, and every
+    divisor a of (disc - b^2)/4), then merges forms along reduction steps
+    and under (a, b, c) ~ (-a, b, -c) with a union-find.
     """
 
     def __init__(self, disc):
         s = math.isqrt(disc)
         forms = []
-        for b in range(1, s + 1):
-            if (disc - b * b) % 4:
-                continue
+        for b in range(2 - disc % 2, s + 1, 2):
             M = (disc - b * b) // 4
             divisors = {u for t in range(1, math.isqrt(M) + 1) if M % t == 0 for u in (t, M // t)}
             for u in sorted(divisors):
@@ -78,6 +77,12 @@ def test_class_group_orders():
         artin.class_group(100)  # square
     with pytest.raises(ValueError):
         artin.class_group(-884)
+    with pytest.raises(ValueError):
+        artin.class_group(886)  # 2 mod 4
+    # the principal form is (1, b, (b^2 - disc)/4), b the largest b <= sqrt(disc)
+    # of disc's parity
+    assert artin.class_group(884).principal == artin.Form(1, 28, -25)
+    assert artin.class_group(221).principal == artin.Form(1, 13, -13)
 
 
 def test_group_laws():
@@ -109,10 +114,21 @@ def test_is_principal_matches_reference():
             assert g.is_principal(f) == (ref.class_id(f) == ref.principal_id), (D, f)
         checked += len(ref.forms)
     assert checked == 39688
+    # every reduced form of every non-square discriminant 1 mod 4 below 2000
+    checked = 0
+    for disc in range(5, 2001, 4):
+        if math.isqrt(disc) ** 2 == disc:
+            continue
+        g = artin.class_group(disc)
+        ref = _ReferenceClasses(disc)
+        for f in ref.forms:
+            assert g.is_principal(f) == (ref.class_id(f) == ref.principal_id), (disc, f)
+        checked += len(ref.forms)
+    assert checked == 17728
 
 
 def test_power_equals_repeated_compose():
-    for disc in (136, 584, 1160, 4 * 2379, 4 * 7453):
+    for disc in (136, 584, 1160, 4 * 2379, 4 * 7453, 221, 1105, 1405, 1717, 7453):
         g = artin.class_group(disc)
         ref = _ReferenceClasses(disc)
         for f in ref.reps():
@@ -122,6 +138,43 @@ def test_power_equals_repeated_compose():
                 inv = g.power(f, -k)
                 assert g.is_principal(g.compose(inv, acc)), (disc, f, k)
                 acc = g.compose(acc, f)
+
+
+def _ideal_product(f1, f2, disc):
+    # a form for the product of the ideals [|a|, (-b + sqrt(disc))/2] of f1
+    # and f2, which lies in the wide class of their composition.  Elements
+    # (x + y sqrt(disc))/2 are integer pairs (x, y); the product lattice is
+    # brought to the basis (X, 0), (z, g), which is g times the ideal
+    # [X/(2g), (z/g + sqrt(disc))/2]
+    gens = [((x1 * x2 + y1 * y2 * disc) // 2, (x1 * y2 + x2 * y1) // 2)
+            for x1, y1 in ((2 * abs(f1.a), 0), (-f1.b, 1))
+            for x2, y2 in ((2 * abs(f2.a), 0), (-f2.b, 1))]
+    X, (z, g) = 0, (0, 0)
+    for x, y in gens:
+        while y:
+            q = g // y
+            (z, g), (x, y) = (x, y), (z - q * x, g - q * y)
+        X = math.gcd(X, x)
+    a, b = X // (2 * abs(g)), -z // g
+    return artin.Form(a, b, (b * b - disc) // (4 * a))
+
+
+def test_compose_with_common_factor_matches_ideal_product():
+    # every pair of reduced forms whose leading coefficients share a factor,
+    # at 4D and at D, against the product of their ideals
+    pairs = 0
+    for D in (205, 221, 1105, 1405, 1717, 7453):
+        for disc in (4 * D, D):
+            g = artin.class_group(disc)
+            ref = _ReferenceClasses(disc)
+            for f1, f2 in itertools.product(ref.forms, repeat=2):
+                if math.gcd(f1.a, f2.a) == 1:
+                    continue
+                got = g.compose(f1, f2)
+                assert got.disc == disc and artin.reduce_form(got) == got, (f1, f2)
+                assert ref.class_id(got) == ref.class_id(_ideal_product(f1, f2, disc)), (f1, f2)
+                pairs += 1
+    assert pairs == 27440
 
 
 def test_compose_rejects_other_discriminant():
@@ -155,6 +208,16 @@ def test_prime_form_discriminants():
             continue
         f = artin.prime_form(D, l)
         assert f.disc == 4 * D and abs(f.a) == l
+    # at discriminant D the split prime form names the same place,
+    # sqrt(D) = places_over(D, l)[0].root mod l, as at 4D
+    for D, l in [(221, 13), (221, 17), (221, 7), (221, 11), (1405, 281), (1405, 3), (1717, 17)]:
+        f4, f1 = artin.prime_form(D, l), artin.prime_form(D, l, D)
+        assert f1.disc == D and f1.a == l and f1.b % 2 == 1
+        if quadring.splitting_type(D, l) == "split":
+            root = places_over(D, l)[0].root
+            assert (f4.b // 2 - root) % l == 0 and (f1.b - root) % l == 0, (D, l)
+    with pytest.raises(ValueError):
+        artin.prime_form(34, 3, 34)  # 34 is not 1 mod 4
 
 
 def test_class_images_examples():
@@ -165,8 +228,11 @@ def test_class_images_examples():
     ci = artin.class_images_of_norm(221, 5)
     assert len(ci.entries) == 2
     assert all(not g.is_principal(f) for _, f in ci.entries)
+    assert ci.disc == 884
+    # 221 = 5 mod 8 and 4 | n: the classes are taken in the maximal order
     ci = artin.class_images_of_norm(221, 4)
-    assert len(ci.entries) == 1 and g.is_principal(ci.entries[0][1])
+    assert ci.disc == 221 and len(ci.entries) == 1
+    assert artin.class_group(ci.disc).is_principal(ci.entries[0][1])
     ci = artin.class_images_of_norm(221, 3)  # 3 inert, odd exponent
     assert ci.obstruction == 3 and not ci.entries
 
@@ -418,12 +484,8 @@ def test_joint_decide_split_at_two():
     assert v.status == "solvable" and v.witness == (35, 2)
 
 
-# Known defect: for D = pq = 5 mod 8 with cor14_applicable and a locally
-# solvable n = 0 mod 4, the criterion says unsolvable where the oracle has a
-# witness, so joint_artin_decide raises ArithmeticError.  A fix must flip
-# these to passing (strict xfail fails on an unexpected pass).
-@pytest.mark.xfail(raises=ArithmeticError, strict=True,
-                   reason="artin's 2-adic handling when 4 | n contradicts the oracle")
+# D = pq = 5 mod 8 with cor14_applicable and 4 | n: a solution may be 2 alpha
+# with alpha in the maximal order only, which classes of discriminant 4D miss
 @pytest.mark.parametrize(
     "D, n", [(1691629, -276), (1098421, -784), (1857781, 560), (1169237, -212)]
 )
