@@ -22,7 +22,7 @@ import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 
-from .intcore import _SMALL_PRIMES, factor, is_prime
+from .intcore import _sieve, factor
 from .symbols import quartic_2_of_d, jacobi
 from .quadring import find_twist_point
 from .localanalysis import character_table
@@ -35,12 +35,6 @@ EXIT_INCONSISTENT = 3
 
 def _emit(record: dict, out=None) -> None:
     print(json.dumps(record), file=out or sys.stdout)
-
-
-def _primes_upto(m: int) -> list[int]:
-    if m <= _SMALL_PRIMES[-1]:
-        return [p for p in _SMALL_PRIMES if p <= m]
-    return [p for p in range(2, m + 1) if is_prime(p)]
 
 
 def cmd_decide(args) -> int:
@@ -148,7 +142,7 @@ def _scan_221_one(n: int) -> dict:
 
 def _scan_instances(family: str, maxval: int):
     if family == "pq":
-        ps = [p for p in _primes_upto(maxval) if p % 4 == 1]
+        ps = [p for p in _sieve(maxval) if p % 4 == 1]
         work = []
         for i, p in enumerate(ps):
             for q in ps[i + 1 :]:
@@ -156,7 +150,7 @@ def _scan_instances(family: str, maxval: int):
                     work.append((p, q))
         return _scan_pq_one, work
     if family == "2p":
-        return _scan_2p_one, [p for p in _primes_upto(maxval) if p != 2]
+        return _scan_2p_one, [p for p in _sieve(maxval) if p != 2]
     if family == "221":
         work = []
         for n in range(1, maxval + 1):

@@ -229,11 +229,8 @@ def sqrt_mod_prime_power(a: int, p: int, k: int) -> list[int]:
     if a == 0:
         step = p ** ((k + 1) // 2)
         return list(range(0, pk, step))
-    v = 0
-    aa = a
-    while aa % p == 0:
-        aa //= p
-        v += 1
+    v = valuation(a, p)
+    aa = a // p**v
     if v % 2 == 1:
         return []
     if v == 0:
@@ -320,6 +317,31 @@ def two_adic_layer(D: int, n: int) -> int | None:
 def two_adic_solvable(D: int, n: int) -> bool:
     """True iff x^2 - D y^2 = n has a solution in Z_2 x Z_2 (D, n nonzero)."""
     return two_adic_layer(D, n) is not None
+
+
+def local_solvable(D: int, n: int, l: int) -> bool:
+    """True iff x^2 - D y^2 = n has a solution in Z_l x Z_l."""
+    if n == 0:
+        raise ValueError("n must be nonzero")
+    if not is_prime(l):
+        raise ValueError(f"{l} is not prime")
+    if l == 2:
+        return two_adic_solvable(D, n)
+    h = (l - 1) // 2
+    if D % l:
+        # Euler's criterion for the unit D, then the parity of v_l(n)
+        return pow(D, h, l) == 1 or valuation(n, l) % 2 == 0
+    nv = valuation(n, l)
+    if D % (l * l) == 0:
+        # x must be divisible by l; descend to the reduced equation
+        if nv == 0:
+            return pow(n, h, l) == 1
+        if nv == 1:
+            return False
+        return local_solvable(D // (l * l), n // (l * l), l)
+    # l exactly divides D: n = l^(2k) m with m a unit or l times a unit
+    m = n // l ** (nv - nv % 2)
+    return pow(-(m // l) * (D // l) if nv % 2 else m, h, l) == 1
 
 
 def crt(residues: list[tuple[int, int]]) -> tuple[int, int]:

@@ -1,9 +1,16 @@
 """Local computations at the completions of E = Q(sqrt(D)).
 
-Z_l-solvability of x^2 - D y^2 = n, square classes of 2-adic numbers,
-quadratic Hilbert symbols over the completions E_v (including the wild
-quadratic extensions of Q_2), the norm-class character table of the
+Z_l-points of x^2 - D y^2 = n (the solvability test is
+intcore.local_solvable, re-exported here), square classes of 2-adic
+numbers, quadratic Hilbert symbols over the completions E_v (including the
+wild quadratic extensions of Q_2), the norm-class character table of the
 auxiliary quadratic extension, and residue-field splitting tests.
+
+Every symbol is computed on integers.  At a split or odd place an element
+is reduced to its valuation and an integer that names the residue
+character of its unit part, and the Q_l formula hilbert_q_parts pairs two
+of them; at an inert odd place the sign drops, as -1 is a square in
+F_{l^2}.
 
 The 2-adic symbol engine works on the finite group E_v*/(E_v*)^2 of 16
 square classes: a unit is a square iff it is one modulo pi^(2e+1), and
@@ -21,22 +28,19 @@ root for x.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 from .intcore import (
-    is_prime,
     lift_unit_sqrt,
+    local_solvable,
     sqrt_mod,
     two_adic_layer,
-    two_adic_solvable,
     valuation,
 )
 from .symbols import hilbert_q_parts, jacobi
 from .quadring import (
     FAMILY_2D,
     INERT,
-    RAMIFIED,
     SPLIT,
     TwistPoint,
     classify_order,
@@ -98,10 +102,9 @@ def square_class_2(u) -> tuple[int, int]:
     The representative is one of 1, -1, 5, -5 (units mod squares); together
     with the parity bit this names the square class among {±1, ±2, ±5, ±10}.
     """
-    f = Fraction(u)
-    if f == 0:
+    if u == 0:
         raise ValueError("square class of 0 undefined")
-    t = f.numerator * f.denominator
+    t = u.numerator * u.denominator
     v = valuation(t, 2)
     rep = {1: 1, 3: -5, 5: 5, 7: -1}[(t >> v) % 8]
     return (v & 1, rep)
@@ -119,37 +122,7 @@ def norm_class_2(u) -> int | None:
 
 
 # ---------------------------------------------------------------------------
-# local solvability and local points
-
-
-def local_solvable(D: int, n: int, l: int) -> bool:
-    """True iff x^2 - D y^2 = n has a solution in Z_l x Z_l."""
-    if n == 0:
-        raise ValueError("n must be nonzero")
-    if not is_prime(l):
-        raise ValueError(f"{l} is not prime")
-    if l == 2:
-        return two_adic_solvable(D, n)
-    dv = valuation(D, l)
-    if dv >= 2:
-        # x must be divisible by l; descend to the reduced equation
-        nv = valuation(n, l)
-        if nv == 0:
-            return jacobi(n, l) == 1
-        if nv == 1:
-            return False
-        return local_solvable(D // (l * l), n // (l * l), l)
-    if dv == 0:
-        if jacobi(D, l) == 1:
-            return True
-        return valuation(n, l) % 2 == 0
-    # l exactly divides D
-    m = n
-    while m % (l * l) == 0:
-        m //= l * l
-    if m % l == 0:
-        return jacobi(-(m // l) * (D // l), l) == 1
-    return jacobi(m, l) == 1
+# local points
 
 
 @dataclass(frozen=True)
@@ -411,20 +384,36 @@ def two_adic_context(D: int) -> TwoAdicQuad:
 # Hilbert symbols over E_v
 
 
-def _embed_val_unit(x: Fraction, y: Fraction, place: Place) -> tuple[int, int]:
-    # valuation and unit part mod small power for x + y * root in Q_l; while
-    # the root's precision does not fix them, lift the same root further
-    l, prec, root = place.l, place.prec, place.root
-    x, y = _integral_pair(x, y)
-    while True:
-        t = (x + y * root) % l**prec
-        v = valuation(t, l) if t else prec
-        if v <= prec - 4:
-            return v, t // l**v
-        prec = 2 * v + 8
-        root = lift_unit_sqrt(place.D, l, prec)
-        if (root - place.root) % l**place.prec:
-            root = l**prec - root
+def _val_unit(x: int, y: int, place: Place) -> tuple[int, int]:
+    """(v, c) for x + y sqrt(D), integers, at a split or odd place.
+
+    v is the valuation.  At odd l, jacobi(c, l) is the quadratic residue
+    character of the unit part; at a split place over 2, c is the unit
+    part itself mod 2^k, k >= 4.
+    """
+    l, D = place.l, place.D
+    if place.kind == SPLIT:
+        # embed by the place's root; while the root's precision does not
+        # fix the valuation and unit, lift the same root further
+        prec, root = place.prec, place.root
+        while True:
+            t = (x + y * root) % l**prec
+            v = valuation(t, l) if t else prec
+            if v <= prec - 4:
+                return v, t // l**v
+            prec = 2 * v + 8
+            root = lift_unit_sqrt(D, l, prec)
+            if (root - place.root) % l**place.prec:
+                root = l**prec - root
+    nrm = x * x - D * y * y
+    v = valuation(nrm, l)
+    if place.kind == INERT:
+        # v(norm) = 2v, and a unit of F_{l^2} is a square iff its norm is
+        return v // 2, nrm // l**v
+    # ramified, pi = sqrt(D): the residue of x / D^k (v = 2k) or y / D^k
+    # (v = 2k + 1), whose character is that of (x or y) / l^k times (D/l)^k
+    k = v // 2
+    return v, (y if v & 1 else x) // l**k * pow(D // l, k, l)
 
 
 def hilbert_ev(alpha, beta, place: Place) -> int:
@@ -432,66 +421,20 @@ def hilbert_ev(alpha, beta, place: Place) -> int:
 
     Elements are rationals or coordinate pairs (x, y) meaning x + y sqrt(D).
     """
-    xa, ya = _as_pair(alpha)
-    xb, yb = _as_pair(beta)
-    if (xa, ya) == (0, 0) or (xb, yb) == (0, 0):
+    a = _integral_pair(*_as_pair(alpha))
+    b = _integral_pair(*_as_pair(beta))
+    if a == (0, 0) or b == (0, 0):
         raise ValueError("Hilbert symbol arguments must be nonzero")
-    if place.kind == SPLIT:
-        v1, u1 = _embed_val_unit(xa, ya, place)
-        v2, u2 = _embed_val_unit(xb, yb, place)
-        return hilbert_q_parts(place.l, v1, u1, v2, u2)
-    if place.l == 2:
+    l = place.l
+    if l == 2 and place.kind != SPLIT:
         ctx = two_adic_context(place.D)
-        return ctx.pair(ctx.from_sqrt_basis(xa, ya), ctx.from_sqrt_basis(xb, yb))
-    return _tame_symbol(xa, ya, xb, yb, place)
-
-
-def _odd_val_unit(ctx_D: int, x: Fraction, y: Fraction, place: Place):
-    """(valuation, unit coords) of x + y sqrt(D) at a nonsplit odd place."""
-    l = place.l
-    D = ctx_D
-    nrm = x * x - D * y * y
-    vn = valuation(nrm.numerator, l) - valuation(nrm.denominator, l)
+        return ctx.pair(ctx.from_sqrt_basis(*a), ctx.from_sqrt_basis(*b))
+    v1, c1 = _val_unit(*a, place)
+    v2, c2 = _val_unit(*b, place)
     if place.kind == INERT:
-        if vn % 2:
-            raise ArithmeticError(f"odd norm valuation at the inert place {l}, D={D}")
-        v = vn // 2
-        scale = Fraction(1, l**v)
-        return v, (x * scale, y * scale)
-    # ramified: v(x + y sqrt(D)) = v_l(norm); divide out sqrt(D)^v
-    v = vn
-    k = v // 2
-    x, y = x / Fraction(l**k), y / Fraction(l**k)
-    if v % 2 == 1:
-        # (x + y sqrt(D)) / sqrt(D) = y + (x / D) sqrt(D)
-        x, y = y, x / Fraction(D)
-    return v, (x, y)
-
-
-def _tame_symbol(xa, ya, xb, yb, place: Place) -> int:
-    l = place.l
-    D = place.D
-    v1, u1 = _odd_val_unit(D, xa, ya, place)
-    v2, u2 = _odd_val_unit(D, xb, yb, place)
-    s = 1
-    if (v1 & 1) and (v2 & 1):
-        if place.kind == RAMIFIED and ((l - 1) // 2) & 1:
-            s = -s
-        # inert residue field has -1 a square; no sign there
-    if v2 & 1:
-        s *= _unit_char(u1, place)
-    if v1 & 1:
-        s *= _unit_char(u2, place)
-    return s
-
-
-def _unit_char(u, place: Place) -> int:
-    # quadratic character of the residue of a unit at a nonsplit odd place;
-    # for the inert residue field F_{l^2}, through the norm to F_l
-    l = place.l
-    ux, uy = u
-    r = ux * ux - place.D * uy * uy if place.kind == INERT else ux
-    return jacobi(r.numerator * pow(r.denominator, -1, l) % l, l)
+        # the tame symbol with no sign: -1 is a square in F_{l^2}
+        return jacobi(c1, l) ** (v2 & 1) * jacobi(c2, l) ** (v1 & 1)
+    return hilbert_q_parts(l, v1, c1, v2, c2)
 
 
 # ---------------------------------------------------------------------------
@@ -548,8 +491,4 @@ def twist_residue_square(D: int, twist: TwistPoint, place: Place) -> bool:
     l = place.l
     if l == 2 or l == twist.ell:
         raise ValueError("place must be prime to 2 and the twist prime")
-    x0, y0 = twist.element()
-    if place.kind == SPLIT:
-        _, u = _embed_val_unit(x0, y0, place)
-        return jacobi(u % l, l) == 1
-    return _unit_char(_odd_val_unit(D, x0, y0, place)[1], place) == 1
+    return jacobi(_val_unit(*twist.element(), place)[1], l) == 1

@@ -1,4 +1,4 @@
-"""Ground-truth Pell oracle: continued fractions and a complete solver.
+"""Ground-truth Pell oracle: continued-fraction expansions and a complete solver.
 
 ``solve`` decides x^2 - D y^2 = n over Z for any positive non-square D and
 nonzero n.  ``minimal_solutions`` finds every solution class by one of two
@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .intcore import factor, is_square, isqrt, sqrt_mod_factored, two_adic_solvable
+from .intcore import factor, is_square, isqrt, local_solvable, sqrt_mod_factored, two_adic_solvable
 from .verdict import Verdict
 
 # Largest orbit bound that is scanned; above it the PQa threads are cheaper.
@@ -196,22 +196,11 @@ def minimal_solutions(D: int, n: int) -> list[tuple[int, int]]:
 
 def _local_obstruction(D: int, n: int) -> int | None:
     # only labels the reason of an unsolvable verdict, never decides it, so
-    # the oracle shares the local layer's 2-adic test
+    # the oracle shares the local layer's test
     for l, dl in factor(D).factors:
-        if l == 2 or dl != 1:
-            continue
-        m = n
-        while m % (l * l) == 0:
-            m //= l * l
-        if m % l == 0:
-            u = (-(m // l) * (D // l)) % l
-        else:
-            u = m % l
-        if pow(u, (l - 1) // 2, l) == l - 1:
+        if l != 2 and dl == 1 and not local_solvable(D, n, l):
             return l
-    if not two_adic_solvable(D, n):
-        return 2
-    return None
+    return None if two_adic_solvable(D, n) else 2
 
 
 def solve(D: int, n: int) -> Verdict:

@@ -7,8 +7,6 @@ quadratic Hilbert symbol (a, b)_l for l a prime or the real place.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .intcore import Factorization, factor, is_prime, two_squares_prime, valuation
 
 # Distinguished token for the archimedean place (never a pseudo-prime).
@@ -85,10 +83,9 @@ def burde_product(p: int, q: int) -> int:
 
 def _to_int_pair(a) -> int:
     # replace a rational by an integer in the same square class
-    f = Fraction(a)
-    if f == 0:
+    if a == 0:
         raise ValueError("Hilbert symbol arguments must be nonzero")
-    return f.numerator * f.denominator
+    return a.numerator * a.denominator
 
 
 def hilbert_q(a, b, l) -> int:

@@ -342,6 +342,86 @@ def test_hilbert_ev_tame_examples():
     assert la.hilbert_ev((0, 1), 3, p13) == jacobi(3, 13)
     # 13 = unit * uniformizer^2, so its symbol against units is trivial
     assert la.hilbert_ev(13, 2, p13) == 1
+    # at D = 6 the unit part of 3 = sqrt(6)^2 / 2 is 1/2, not 1, so by the
+    # projection formula the symbol is (N sqrt(6), 3)_3 = (-6, 3)_3 = -1
+    r3 = la.places_over(6, 3)[0]
+    assert r3.kind == "ramified"
+    assert la.hilbert_ev((0, 1), 3, r3) == -1
+    assert la.hilbert_ev(3, (0, 1), r3) == -1
+
+
+def _odd_nonsplit_places(d_max, primes):
+    # the one place over l of E = Q(sqrt D) when it is a field, with l^2 not
+    # dividing D so that sqrt(D) is a uniformizer at the ramified places
+    for D in range(2, d_max):
+        if math.isqrt(D) ** 2 == D:
+            continue
+        for l in primes:
+            if D % (l * l) and quadring.splitting_type(D, l) != "split":
+                yield D, l, la.places_over(D, l)[0]
+
+
+def test_hilbert_ev_projection_formula_odd_places():
+    # (alpha, b)_{E_v} = (N alpha, b)_{Q_l} for b in Q_l (Serre, Local
+    # Fields, ch. XIV), at every inert and ramified odd place
+    rng = random.Random(9)
+    for D, l, place in _odd_nonsplit_places(400, (3, 5, 7, 11, 13)):
+        for _ in range(8):
+            x = rng.randint(-60, 60) * l ** rng.randint(0, 3)
+            y = rng.randint(-60, 60) * l ** rng.randint(0, 3)
+            if x == y == 0:
+                continue
+            nrm = x * x - D * y * y
+            for b in (l, -l, l * l, l**3, 2 * l, rng.choice((1, -1)) * rng.randint(1, 10**4)):
+                assert la.hilbert_ev((x, y), b, place) == hilbert_q(nrm, b, l), (D, l, x, y, b)
+
+
+def _qd_pow(D, u, k):
+    if k < 0:
+        nrm = u[0] * u[0] - D * u[1] * u[1]
+        u, k = (u[0] / nrm, -u[1] / nrm), -k
+    out = (Fraction(1), Fraction(0))
+    for _ in range(k):
+        out = _mul_sqrt(D, out, u)
+    return out
+
+
+def _reference_tame_symbol(D, l, kind, a, b):
+    """(a, b)_v at a nonsplit odd place, from the tame symbol in Q(sqrt D).
+
+    w = (-1)^(v1 v2) a^v2 / b^v1 is a unit; its residue character is that
+    of w mod pi, read from the norm of w in the inert residue field F_{l^2}
+    and from the rational part of w when sqrt(D) is the uniformizer.
+    """
+    def val(u):
+        nrm = u[0] * u[0] - D * u[1] * u[1]
+        v = valuation(nrm.numerator, l) - valuation(nrm.denominator, l)
+        return v // 2 if kind == "inert" else v
+
+    v1, v2 = val(a), val(b)
+    w = _mul_sqrt(D, _qd_pow(D, a, v2), _qd_pow(D, b, -v1))
+    if v1 * v2 % 2:
+        w = (-w[0], -w[1])
+    r = w[0] * w[0] - D * w[1] * w[1] if kind == "inert" else w[0]
+    return jacobi(r.numerator * pow(r.denominator, -1, l), l)
+
+
+def test_hilbert_ev_matches_exact_tame_reference():
+    # two general elements, with l and 2 in some denominators
+    rng = random.Random(10)
+
+    def element(l):
+        while True:
+            u = tuple(Fraction(rng.randint(-40, 40) * l ** rng.randint(0, 2),
+                               rng.choice((1, 1, 1, 2, l, 3 * l))) for _ in "xy")
+            if u != (0, 0):
+                return u
+
+    for D, l, place in _odd_nonsplit_places(200, (3, 5, 7)):
+        for _ in range(12):
+            a, b = element(l), element(l)
+            assert la.hilbert_ev(a, b, place) == _reference_tame_symbol(D, l, place.kind, a, b), (
+                D, l, a, b)
 
 
 def test_hilbert_ev_bimultiplicative_2adic():
