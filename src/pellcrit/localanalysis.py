@@ -68,7 +68,13 @@ class Place:
 
 
 def places_over(D: int, l: int, prec: int = 24) -> tuple[Place, ...]:
-    """The places of E over the rational prime l."""
+    """The places of E over the rational prime l.
+
+    An odd l with l^2 | D raises ValueError: the symbols take sqrt(D) as a
+    uniformizer at every odd l | D, which it is not when l^2 | D.
+    """
+    if l != 2 and D % (l * l) == 0:
+        raise ValueError(f"no place over {l} for D = {D}: {l}^2 divides D")
     st = splitting_type(D, l)
     if st == SPLIT:
         r = lift_unit_sqrt(D, l, prec)

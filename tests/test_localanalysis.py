@@ -70,16 +70,22 @@ def _check_local2(D, n):
     assert two_adic_solvable(D, n) == want, (D, n)
     assert la.local_solvable(D, n, 2) == want, (D, n)
     # the oracle labels an unsolvable verdict by the first odd prime l || D
-    # that obstructs, then by 2
+    # that obstructs, then by 2, then by the first odd prime of n prime to D
     odd = [
         l for l, e in factor(D).factors
         if l != 2 and e == 1 and not la.local_solvable(D, n, l)
+    ]
+    of_n = [
+        l for l in factor(n).primes()
+        if l != 2 and D % l and not la.local_solvable(D, n, l)
     ]
     reason = pellsolver.solve(D, n).reason
     if odd:
         assert reason == f"local-obstruction:{odd[0]}", (D, n, reason)
     elif not want:
         assert reason == "local-obstruction:2", (D, n, reason)
+    elif of_n:
+        assert reason == f"local-obstruction:{of_n[0]}", (D, n, reason)
     else:
         assert reason is None or not reason.startswith("local-obstruction"), (D, n)
 
@@ -348,6 +354,15 @@ def test_hilbert_ev_tame_examples():
     assert r3.kind == "ramified"
     assert la.hilbert_ev((0, 1), 3, r3) == -1
     assert la.hilbert_ev(3, (0, 1), r3) == -1
+
+
+def test_places_over_refuses_odd_square_factor():
+    # sqrt(D) is no uniformizer over l when l^2 | D, so no place is built
+    for D, l in ((18, 3), (45, 3), (50, 5), (63, 3), (75, 5), (99, 3)):
+        with pytest.raises(ValueError):
+            la.places_over(D, l)
+    assert la.places_over(45, 5)[0].kind == "ramified"
+    assert [pl.kind for pl in la.places_over(8, 2)] == ["ramified"]
 
 
 def _odd_nonsplit_places(d_max, primes):

@@ -4,6 +4,8 @@ import random
 import pytest
 
 from pellcrit import pellsolver
+from pellcrit.intcore import factor, isqrt
+from pellcrit.pellsolver import _floor_quad, cf_fundamental
 
 
 def test_cf_fundamental_examples():
@@ -29,6 +31,14 @@ def test_cf_invariants_to_2000():
         assert body == tuple(reversed(body))
         assert cf.period[-1] == 2 * cf.a0
         assert all(q != 0 for _, q in cf.pq_states)
+        assert cf.qs == tuple(q for _, q in cf.pq_states[1:])
+        # h_k^2 - D k_k^2 = (-1)^(k+1) Q_(k+1) over two periods
+        L = len(cf.period)
+        h_prev, h, k_prev, k = 1, cf.a0, 0, 1
+        for i in range(2 * L):
+            assert h * h - D * k * k == (-1) ** (i + 1) * cf.qs[i % L], (D, i)
+            a = cf.period[i % L]
+            h_prev, h, k_prev, k = h, a * h + h_prev, k, a * k + k_prev
 
 
 def test_solve_examples():
@@ -43,6 +53,11 @@ def test_solve_examples():
     assert v.status == "unsolvable"
     v = pellsolver.solve(15, -1)
     assert v.status == "unsolvable" and v.reason.startswith("local-obstruction")
+    # obstructed at a prime of n prime to D: 3 is inert in Q(sqrt 2), v3 = 1
+    v = pellsolver.solve(2, -39)
+    assert v.status == "unsolvable" and v.reason == "local-obstruction:3"
+    v = pellsolver.solve(331, -247)
+    assert v.status == "unsolvable" and v.reason == "local-obstruction:13"
     with pytest.raises(ValueError):
         pellsolver.solve(221, 0)
     with pytest.raises(ValueError):
@@ -114,19 +129,148 @@ def test_scan_limit_boundary(monkeypatch):
         for n in range(-60, 61):
             if n and (bound := pellsolver.orbit_y_bound(D, n)) in at:
                 at[bound].append((D, n))
-    assert all(len(pairs) >= 5 for pairs in at.values())
-    pqa_calls = []
-    lmm_all = pellsolver._lmm_all
-    monkeypatch.setattr(
-        pellsolver, "_lmm_all", lambda D, n: pqa_calls.append((D, n)) or lmm_all(D, n)
-    )
+    # beyond the limit both n^2 < D and n^2 >= D occur
+    assert len(at[limit]) >= 5
+    assert sum(n * n < D for D, n in at[limit + 1]) >= 5
+    assert sum(n * n >= D for D, n in at[limit + 1]) >= 5
+    calls = []
+    for route in ("_convergent_all", "_lmm_all"):
+        monkeypatch.setattr(
+            pellsolver, route,
+            lambda D, n, route=route, f=getattr(pellsolver, route): calls.append(route) or f(D, n),
+        )
     for bound, pairs in at.items():
         for D, n in pairs:
-            pqa_calls.clear()
+            calls.clear()
             assert pellsolver.minimal_solutions(D, n) == _orbit_scan(D, n), (D, n)
-            # the scan route up to the limit, PQa threads beyond it
-            assert bool(pqa_calls) == (bound > limit), (D, n, bound)
-    assert any(_orbit_scan(D, n) for D, n in at[limit + 1])
+            # the scan up to the limit, then convergents for n^2 < D, else PQa
+            if bound <= limit:
+                want = []
+            else:
+                want = ["_convergent_all" if n * n < D else "_lmm_all"]
+            assert calls == want, (D, n, bound)
+    assert any(_orbit_scan(D, n) for D, n in at[limit + 1] if n * n < D)
+    assert any(_orbit_scan(D, n) for D, n in at[limit + 1] if n * n >= D)
+
+
+# the full-cycle thread, verbatim as before the early stop
+def _reference_pqa_solutions(D: int, m: int, z: int) -> list[tuple[int, int]]:
+    """Solutions of x^2 - D y^2 = m on the CF thread of (z + sqrt(D))/|m|."""
+    s = isqrt(D)
+    am = abs(m)
+    _, fund = cf_fundamental(D)
+    sols: list[tuple[int, int]] = []
+    P, Q = z, am
+    g_prev, g = -z, am
+    b_prev, b = 1, 0
+    seen: set[tuple[int, int]] = set()
+    i = 0
+    while (P, Q) not in seen:
+        seen.add((P, Q))
+        a = _floor_quad(P, Q, s)
+        P_next = a * Q - P
+        Q_next = (D - P_next * P_next) // Q
+        g_prev, g = g, a * g + g_prev
+        b_prev, b = b, a * b + b_prev
+        # G_i^2 - D B_i^2 = (-1)^(i+1) Q0 Q_(i+1)
+        if Q_next in (1, -1):
+            val = am * Q_next if (i + 1) % 2 == 0 else -am * Q_next
+            if val == m:
+                sols.append((g, b))
+            elif val == -m and fund.unit_norm == -1:
+                sols.append((g * fund.x1 + D * b * fund.y1, g * fund.y1 + b * fund.x1))
+        P, Q = P_next, Q_next
+        i += 1
+        if i > 10_000_000:
+            raise ArithmeticError(f"CF thread failed to cycle for D={D}, m={m}")
+    return sols
+
+
+def _roots(D, m, mfac):
+    # the square roots z of D mod |m| that start the PQa threads, as in _lmm_all
+    return [z - abs(m) if 2 * z > abs(m) else z for z in pellsolver.sqrt_mod_factored(D, mfac)]
+
+
+def _threads(D, n):
+    # (f, m, z) for every PQa thread of (D, n)
+    for f, mfac in pellsolver._square_divisors(n):
+        m = n // (f * f)
+        for z in _roots(D, m, mfac):
+            yield f, m, z
+
+
+def _reference_route(D, n):
+    # the full-cycle PQa route, complete for every n
+    reps = {
+        pellsolver._descend(D, f * x, f * y)
+        for f, m, z in _threads(D, n)
+        for x, y in _reference_pqa_solutions(D, m, z)
+    }
+    return sorted(reps, key=lambda t: (t[1], t[0]))
+
+
+def test_convergent_route_small_n():
+    # every n^2 < D with D < 1000, through the convergent route itself:
+    # against the orbit scan where its bound is small, else full PQa cycles
+    scanned = cycled = solvable = 0
+    for D in range(2, 1000):
+        s = math.isqrt(D)
+        if s * s == D:
+            continue
+        for n in range(-s, s + 1):
+            if n == 0 or n * n >= D:
+                continue
+            got = sorted(
+                {pellsolver._descend(D, x, y) for x, y in pellsolver._convergent_all(D, n)},
+                key=lambda t: (t[1], t[0]),
+            )
+            if pellsolver.orbit_y_bound(D, n) <= 2000:
+                want = _orbit_scan(D, n)
+                scanned += 1
+            else:
+                want = _reference_route(D, n)
+                cycled += 1
+            assert got == want, (D, n)
+            solvable += bool(want)
+    assert scanned > 25_000 and cycled > 10_000 and solvable > 8_000
+
+
+def test_pqa_threads_match_full_cycles():
+    # thread by thread: stopping at the first reduced state off the principal
+    # cycle loses no solution, since (s, 1) is the only reduced state with
+    # Q = +-1; each thread returns the full-cycle list itself.  The threads
+    # of every 0 < |n| <= 200 are those of m = n / f^2 with f = 1.
+    threads = 0
+    for m in range(-200, 201):
+        if m == 0:
+            continue
+        mfac = factor(abs(m)).factors
+        for D in range(2, 600):
+            if math.isqrt(D) ** 2 == D:
+                continue
+            for z in _roots(D, m, mfac):
+                want = _reference_pqa_solutions(D, m, z)
+                assert pellsolver._pqa_solutions(D, m, z) == want, (D, m, z)
+                threads += 1
+    assert threads > 200_000
+
+
+def test_pqa_thread_stops_off_the_principal_cycle(monkeypatch):
+    # x^2 - 2575 y^2 = -67 is locally solvable but not solvable: both threads
+    # reach a reduced state off the principal cycle (period 40) within a step
+    D, n = 2575, -67
+    cf, _ = pellsolver.cf_fundamental(D)
+    assert len(cf.period) == 40
+    assert pellsolver.orbit_y_bound(D, n) > pellsolver._ORBIT_SCAN_LIMIT and n * n >= D
+    assert len(list(_threads(D, n))) == 2
+    calls = []
+    floor_quad = pellsolver._floor_quad
+    monkeypatch.setattr(
+        pellsolver, "_floor_quad", lambda P, Q, s: calls.append(1) or floor_quad(P, Q, s)
+    )
+    v = pellsolver.solve(D, n)
+    assert v.status == "unsolvable" and v.reason == "class-search-exhausted"
+    assert 0 < len(calls) < len(cf.period)
 
 
 def test_many_split_primes():
