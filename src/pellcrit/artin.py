@@ -48,7 +48,7 @@ from . import pellsolver
 # indefinite binary quadratic forms
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Form:
     a: int
     b: int
@@ -91,7 +91,10 @@ def reduce_form(f: Form) -> Form:
     disc = f.disc
     if disc <= 0 or is_square(disc):
         raise ValueError("discriminant must be positive and non-square")
-    s = isqrt(disc)
+    return _reduce(f, isqrt(disc), disc)
+
+
+def _reduce(f: Form, s: int, disc: int) -> Form:
     for _ in range(10000):
         if _is_reduced(f, s, disc):
             return f
@@ -126,7 +129,7 @@ class ClassGroup:
         if disc <= 0 or disc % 4 > 1 or is_square(disc):
             raise ValueError("discriminant must be positive, non-square and 0 or 1 mod 4")
         self.disc = disc
-        s = isqrt(disc)
+        self._s = s = isqrt(disc)
         b = s - (s - disc) % 2  # the largest b <= sqrt(disc) with b = disc mod 2
         self.principal = Form(1, b, (b * b - disc) // 4)
         self._principal_forms = frozenset(
@@ -139,21 +142,14 @@ class ClassGroup:
         return reduce_form(f) in self._principal_forms
 
     def compose(self, f1: Form, f2: Form) -> Form:
-        disc = self.disc
-        if f1.disc != disc or f2.disc != disc:
-            raise ValueError(f"forms {f1}, {f2} do not both have discriminant {disc}")
-        a1, a2, b2, c2 = f1.a, f2.a, f2.b, f2.c
-        s = (f1.b + b2) // 2
-        # y1 a2 = d mod a1 with d = gcd(a1, a2), then x2 s - y2 d = d1 = gcd(s, d)
-        d = math.gcd(a1, a2)
-        y1 = pow(a2 // d, -1, abs(a1) // d)
-        d1 = math.gcd(s, d)
-        x2 = pow(s // d1, -1, d // d1)
-        y2 = (x2 * s - d1) // d
-        v1, v2 = a1 // d1, a2 // d1
-        r = (y1 * y2 * (b2 - s) - x2 * c2) % v1
-        a3, b3 = v1 * v2, b2 + 2 * v2 * r
-        return reduce_form(Form(a3, b3, (b3 * b3 - disc) // (4 * a3)))
+        if f1.disc != self.disc or f2.disc != self.disc:
+            raise ValueError(f"forms {f1}, {f2} do not both have discriminant {self.disc}")
+        if f1 is self.principal:
+            # Gauss-Shanks with a1 = 1 gives (a2, b2, c2) back before it
+            # reduces; power and class_images_of_norm start from this form,
+            # so these pairs stay out of the memo
+            return _reduce(f2, self._s, self.disc)
+        return _compose(f1, f2)
 
     def power(self, f: Form, k: int) -> Form:
         if k < 0:
@@ -166,6 +162,25 @@ class ClassGroup:
             if k:
                 f = self.compose(f, f)
         return out
+
+
+# bounded: keyed by pairs of forms, which grow with the primes of n
+@lru_cache(maxsize=4096)
+def _compose(f1: Form, f2: Form) -> Form:
+    # the reduced Gauss-Shanks composition of two forms of one discriminant
+    disc = f1.disc
+    a1, a2, b2, c2 = f1.a, f2.a, f2.b, f2.c
+    s = (f1.b + b2) // 2
+    # y1 a2 = d mod a1 with d = gcd(a1, a2), then x2 s - y2 d = d1 = gcd(s, d)
+    d = math.gcd(a1, a2)
+    y1 = pow(a2 // d, -1, abs(a1) // d)
+    d1 = math.gcd(s, d)
+    x2 = pow(s // d1, -1, d // d1)
+    y2 = (x2 * s - d1) // d
+    v1, v2 = a1 // d1, a2 // d1
+    r = (y1 * y2 * (b2 - s) - x2 * c2) % v1
+    a3, b3 = v1 * v2, b2 + 2 * v2 * r
+    return reduce_form(Form(a3, b3, (b3 * b3 - disc) // (4 * a3)))
 
 
 @lru_cache(maxsize=None)

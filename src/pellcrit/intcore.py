@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 isqrt = math.isqrt
 
@@ -46,10 +47,27 @@ def _sieve(limit: int) -> list[int]:
 _SMALL_PRIMES = _sieve(2000)
 _SMALL_SET = set(_SMALL_PRIMES)
 
-# Strong-pseudoprime witnesses: proven complete below this bound.
-_MR_LIMIT = 3_317_044_064_679_887_385_961_981
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-# Beyond the proven bound, a fixed wider base set keeps results reproducible.
+# Graded strong-pseudoprime witnesses (Jaeschke 1993; OEIS A014233): psi_k,
+# the least strong pseudoprime to the first k prime bases, is the bound below
+# which those k bases decide primality.  A row is dropped when psi_k equals
+# psi_(k-1): fewer bases cover the same bound (psi_7 = psi_8,
+# psi_9 = psi_10 = psi_11).
+_MR_WITNESSES = tuple(
+    (psi, tuple(_SMALL_PRIMES[:k]))
+    for psi, k in (
+        (2_047, 1),
+        (1_373_653, 2),
+        (25_326_001, 3),
+        (3_215_031_751, 4),
+        (2_152_302_898_747, 5),
+        (3_474_749_660_383, 6),
+        (341_550_071_728_321, 7),
+        (3_825_123_056_546_413_051, 9),
+        (318_665_857_834_031_151_167_461, 12),
+        (3_317_044_064_679_887_385_961_981, 13),
+    )
+)
+# Beyond psi_13, a fixed wider base set keeps results reproducible.
 _MR_EXTRA = tuple(p for p in _SMALL_PRIMES[:50])
 
 
@@ -84,11 +102,15 @@ def is_prime(n: int) -> bool:
     for p in _SMALL_PRIMES[:40]:
         if n % p == 0:
             return False
-    bases = _MR_WITNESSES if n < _MR_LIMIT else _MR_EXTRA
+    for psi, bases in _MR_WITNESSES:
+        if n < psi:
+            break
+    else:
+        bases = _MR_EXTRA
     return all(_strong_probable_prime(n, b) for b in bases)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Factorization:
     """Signed prime-power decomposition sign * prod p_i^e_i, primes increasing."""
 
@@ -162,8 +184,11 @@ def _factor_into(n: int, out: dict[int, int]) -> None:
     _factor_into(n // d, out)
 
 
+# bounded: the key is n itself, so an unbounded memo would grow with every
+# new n of a long scan
+@lru_cache(maxsize=4096)
 def factor(n: int) -> Factorization:
-    """Full factorization of a nonzero integer."""
+    """Full factorization of a nonzero integer (memoized; the result is frozen)."""
     if n == 0:
         raise ValueError("cannot factor 0")
     sign = 1 if n > 0 else -1

@@ -260,22 +260,16 @@ def minimal_solutions(D: int, n: int) -> list[tuple[int, int]]:
     return sorted(reps, key=lambda t: (t[1], t[0]))
 
 
-@lru_cache(maxsize=None)
-def _odd_simple_primes(D: int) -> tuple[int, ...]:
-    # the odd primes exactly dividing D
-    return tuple(l for l, e in factor(D).factors if l != 2 and e == 1)
-
-
 def _local_obstruction(D: int, n: int) -> int | None:
     # only labels the reason of an unsolvable verdict, never decides it, so
-    # the oracle shares the local layer's test: the odd primes exactly
-    # dividing D, then 2, then the odd primes of n prime to D
-    for l in _odd_simple_primes(D):
-        if not local_solvable(D, n, l):
+    # the oracle shares the local layer's test: the odd primes of D, then 2,
+    # then the odd primes of n prime to D
+    for l in factor(D).primes():
+        if l != 2 and not local_solvable(D, n, l):
             return l
     if not two_adic_solvable(D, n):
         return 2
-    for l in factor(n).primes():
+    for l in factor(abs(n)).primes():
         if l != 2 and D % l and not local_solvable(D, n, l):
             return l
     return None

@@ -459,6 +459,64 @@ def test_warm_decision_reads_per_prime_caches(monkeypatch):
     assert calls == {"prime_form": 0, "places_over": 0, "find_local_point": 0}
 
 
+def test_repeated_decision_composes_and_factors_nothing_new():
+    # both memos hold everything a decided (D, n) needs
+    D, n = 1394, -370  # 2 ramified, 5 and 37 split: every branch composes
+    artin.joint_artin_decide(D, n)
+    comp, fac = artin._compose.cache_info(), factor.cache_info()
+    artin.joint_artin_decide(D, n)
+    assert artin._compose.cache_info().misses == comp.misses
+    assert artin._compose.cache_info().hits > comp.hits
+    assert factor.cache_info().misses == fac.misses
+    assert factor.cache_info().hits > fac.hits
+
+
+def _random_forms(disc, count, rng):
+    # primitive forms (a, b, (b^2 - disc) / 4a) from random b and divisors a
+    forms = set()
+    while len(forms) < count:
+        b = 2 * rng.randrange(-2 * math.isqrt(disc), 2 * math.isqrt(disc)) + disc % 2
+        N = (b * b - disc) // 4
+        if N == 0:
+            continue
+        a = rng.choice((-1, 1))
+        for p, e in factor(N).factors:
+            a *= p ** rng.randint(0, e)
+        if math.gcd(math.gcd(a, b), N // a) == 1:
+            forms.add(artin.Form(a, b, N // a))
+    return list(forms)
+
+
+@pytest.mark.parametrize("disc", [4 * 1394, 4 * 10007, 221])
+def test_compose_memo_matches_raw_composition(disc):
+    rng = random.Random(disc)
+    group = artin.class_group(disc)
+    forms = _random_forms(disc, 40, rng)
+    raw = artin._compose.__wrapped__
+    for _ in range(300):
+        f1, f2 = rng.choice(forms), rng.choice(forms)
+        want = raw(f1, f2)
+        assert want.disc == disc
+        # the first call may fill the memo, the second reads it
+        assert group.compose(f1, f2) == want and group.compose(f1, f2) == want, (f1, f2)
+    for f in forms:
+        # the principal form on the left is reduced directly, outside the memo
+        assert group.compose(group.principal, f) == raw(group.principal, f), f
+
+
+def test_compose_memo_is_bounded():
+    maxsize = artin._compose.cache_info().maxsize
+    assert maxsize is not None
+    disc = 4 * 10007
+    group = artin.class_group(disc)
+    forms = _random_forms(disc, math.isqrt(maxsize) + 10, random.Random(3))
+    for f1 in forms:
+        for f2 in forms:
+            group.compose(f1, f2)
+    assert len(forms) ** 2 > maxsize
+    assert artin._compose.cache_info().currsize <= maxsize
+
+
 def test_joint_decide_sweeps():
     for D in (34, 146, 221):
         for n in range(-250, 251):

@@ -139,3 +139,72 @@ def test_lift_unit_sqrt_pins_one_root():
                     assert r % p == intcore.sqrt_mod(a, p), (a, p, k)
     with pytest.raises(ValueError):
         intcore.lift_unit_sqrt(9, 3, 4)
+
+
+# psi_k (Jaeschke 1993; OEIS A014233), the least strong pseudoprime to the
+# first k prime bases, for each row of the witness table, with the largest
+# prime below it
+_PSI = (
+    (2_047, 2_039),
+    (1_373_653, 1_373_639),
+    (25_326_001, 25_325_981),
+    (3_215_031_751, 3_215_031_749),
+    (2_152_302_898_747, 2_152_302_898_729),
+    (3_474_749_660_383, 3_474_749_660_329),
+    (341_550_071_728_321, 341_550_071_728_289),
+    (3_825_123_056_546_413_051, 3_825_123_056_546_412_979),
+    (318_665_857_834_031_151_167_461, 318_665_857_834_031_151_167_441),
+    (3_317_044_064_679_887_385_961_981, 3_317_044_064_679_887_385_961_813),
+)
+
+
+@pytest.mark.parametrize("row", range(len(_PSI)))
+def test_is_prime_witness_boundary(row):
+    psi, below = _PSI[row]
+    bound, bases = intcore._MR_WITNESSES[row]
+    assert bound == psi
+    # psi passes its own row's bases, so only the next row can reject it
+    assert all(intcore._strong_probable_prime(psi, b) for b in bases)
+    assert not intcore.is_prime(psi)
+    assert intcore.is_prime(below)
+
+
+def test_psi12_is_composite():
+    # a strong pseudoprime to the bases 2..37
+    psi12 = 318_665_857_834_031_151_167_461
+    assert not intcore.is_prime(psi12)
+    assert intcore.factor(psi12).factors == ((399_165_290_221, 1), (798_330_580_441, 1))
+
+
+def test_factor_memo_is_bounded():
+    maxsize = intcore.factor.cache_info().maxsize
+    assert maxsize is not None
+    for n in range(10**6, 10**6 + maxsize + 100):
+        intcore.factor(n)
+    assert intcore.factor.cache_info().currsize <= maxsize
+
+
+def test_factor_memo_matches_unmemoized():
+    raw = intcore.factor.__wrapped__
+    large = [1_000_003, 999_999_937, 2**31 - 1, 2**61 - 1]
+    ns = [n for n in range(-3000, 3001) if n]
+    ns += large + [-p for p in large] + [p * q for p in large[:3] for q in large]
+    for n in ns:
+        want = raw(n)
+        # the first call may fill the memo, the second reads it
+        assert intcore.factor(n) == want and intcore.factor(n) == want, n
+
+
+def test_against_sympy_around_witness_bounds():
+    sympy = pytest.importorskip("sympy")
+    for psi, _ in _PSI:
+        for n in range(psi - 200, psi + 201):
+            assert intcore.is_prime(n) == sympy.isprime(n), n
+        for n in range(psi - 2, psi + 3):
+            fac = intcore.factor.__wrapped__(n)
+            assert fac.sign == 1 and dict(fac.factors) == sympy.factorint(n), n
+    rng = random.Random(12)
+    for _ in range(300):
+        n = rng.randrange(2, 10**12)
+        assert intcore.is_prime(n) == sympy.isprime(n), n
+        assert dict(intcore.factor.__wrapped__(n).factors) == sympy.factorint(n), n

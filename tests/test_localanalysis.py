@@ -69,12 +69,9 @@ def _check_local2(D, n):
     want = _z2_solvable_brute(D, n)
     assert two_adic_solvable(D, n) == want, (D, n)
     assert la.local_solvable(D, n, 2) == want, (D, n)
-    # the oracle labels an unsolvable verdict by the first odd prime l || D
+    # the oracle labels an unsolvable verdict by the first odd prime of D
     # that obstructs, then by 2, then by the first odd prime of n prime to D
-    odd = [
-        l for l, e in factor(D).factors
-        if l != 2 and e == 1 and not la.local_solvable(D, n, l)
-    ]
+    odd = [l for l in factor(D).primes() if l != 2 and not la.local_solvable(D, n, l)]
     of_n = [
         l for l in factor(n).primes()
         if l != 2 and D % l and not la.local_solvable(D, n, l)

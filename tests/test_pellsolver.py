@@ -58,6 +58,11 @@ def test_solve_examples():
     assert v.status == "unsolvable" and v.reason == "local-obstruction:3"
     v = pellsolver.solve(331, -247)
     assert v.status == "unsolvable" and v.reason == "local-obstruction:13"
+    # obstructed at an odd l with l^2 | D: 7 and 2 are not squares mod 5, 3
+    v = pellsolver.solve(50, 7)
+    assert v.status == "unsolvable" and v.reason == "local-obstruction:5"
+    v = pellsolver.solve(63, 2)
+    assert v.status == "unsolvable" and v.reason == "local-obstruction:3"
     with pytest.raises(ValueError):
         pellsolver.solve(221, 0)
     with pytest.raises(ValueError):
@@ -256,8 +261,9 @@ def test_pqa_threads_match_full_cycles():
 
 
 def test_pqa_thread_stops_off_the_principal_cycle(monkeypatch):
-    # x^2 - 2575 y^2 = -67 is locally solvable but not solvable: both threads
-    # reach a reduced state off the principal cycle (period 40) within a step
+    # x^2 - 2575 y^2 = -67 is not solvable (-67 is no square mod 5, and
+    # 5^2 | D): both threads reach a reduced state off the principal cycle
+    # (period 40) within a step
     D, n = 2575, -67
     cf, _ = pellsolver.cf_fundamental(D)
     assert len(cf.period) == 40
@@ -269,7 +275,7 @@ def test_pqa_thread_stops_off_the_principal_cycle(monkeypatch):
         pellsolver, "_floor_quad", lambda P, Q, s: calls.append(1) or floor_quad(P, Q, s)
     )
     v = pellsolver.solve(D, n)
-    assert v.status == "unsolvable" and v.reason == "class-search-exhausted"
+    assert v.status == "unsolvable" and v.reason == "local-obstruction:5"
     assert 0 < len(calls) < len(cf.period)
 
 
