@@ -18,7 +18,9 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .intcore import Factorization, factor, isqrt, is_square, sqrt_mod, valuation
+from .intcore import (
+    Factorization, factor, isqrt, is_square, local_obstruction_anywhere, sqrt_mod, valuation
+)
 from .symbols import jacobi, quartic_residue, burde_product
 from .verdict import Verdict
 from .quadring import (
@@ -37,7 +39,6 @@ from .localanalysis import (
     Place,
     find_local_point,
     hilbert_ev,
-    local_solvable,
     places_over,
     twist_residue_square,
 )
@@ -246,7 +247,7 @@ class AdelicChoice:
 
 @dataclass(frozen=True)
 class ClassImages:
-    """The choices and their forms, all of discriminant disc."""
+    """The choices and their reduced forms, all of discriminant disc."""
 
     entries: tuple[tuple[AdelicChoice, Form], ...]
     obstruction: int | None
@@ -304,9 +305,8 @@ def class_images_of_norm(D: int, n: int, *, fac: Factorization | None = None) ->
 
     def rec(i: int, acc_split: tuple, acc_form: Form) -> None:
         if i == len(split_primes):
-            entries.append(
-                (AdelicChoice(acc_split, tuple(forced)), reduce_form(acc_form))
-            )
+            # the principal form and every compose result are already reduced
+            entries.append((AdelicChoice(acc_split, tuple(forced)), acc_form))
             return
         l, e, powers = split_primes[i]
         for j, contrib in enumerate(powers):
@@ -437,7 +437,6 @@ class _DContext:
     """
 
     applicable: bool
-    primes: tuple[int, ...]
     place2: Place  # the place over 2 that carries n: the only one, or the second
 
 
@@ -447,17 +446,7 @@ def _d_context(D: int) -> _DContext:
     applicable = (info.family == FAMILY_PQ and cor14_applicable(*info.primes)) or (
         info.family == FAMILY_2D and thm24_applicable(D // 2)
     )
-    return _DContext(applicable, factor(D).primes(), places_over(D, 2)[-1])
-
-
-def local_obstruction_anywhere(D: int, n: int, *, fac: Factorization | None = None) -> int | None:
-    """The first prime l with no Z_l-point, or None; ``fac`` factors |n|."""
-    if fac is None:
-        fac = factor(abs(n))
-    for l in sorted({2, *_d_context(D).primes, *fac.primes()}):
-        if not local_solvable(D, n, l):
-            return l
-    return None
+    return _DContext(applicable, places_over(D, 2)[-1])
 
 
 def _some_choice_passes(D: int, n: int, twist: TwistPoint, fac: Factorization) -> bool:
@@ -488,27 +477,17 @@ def joint_artin_decide(D: int, n: int) -> Verdict:
     """
     if n == 0:
         raise ValueError("n must be nonzero")
-    if not _d_context(D).applicable:
-        v = pellsolver.solve(D, n)
-        return Verdict(v.status, v.witness, provenance="oracle", reason=v.reason)
-    fac = factor(abs(n))
-    l = local_obstruction_anywhere(D, n, fac=fac)
-    if l is not None:
-        return Verdict(
-            "unsolvable", None, provenance="artin", reason=f"local-obstruction:{l}"
-        )
-    try:
-        holds = _some_choice_passes(D, n, canonical_twist(D), fac)
-    except NotImplementedError:
-        # conductor prime split in the order and 4 | n: outside the model
-        v = pellsolver.solve(D, n)
-        return Verdict(v.status, v.witness, provenance="oracle", reason=v.reason)
-    oracle = pellsolver.solve(D, n)
-    if holds != oracle.solvable:
-        raise ArithmeticError(
-            f"criterion contradicts oracle at D={D}, n={n}: "
-            f"artin={holds}, oracle={oracle.status}"
-        )
-    if holds:
-        return Verdict("solvable", oracle.witness, provenance="artin")
-    return Verdict("unsolvable", None, provenance="artin", reason="artin-condition-fails")
+    if _d_context(D).applicable:
+        fac = factor(abs(n))
+        l = local_obstruction_anywhere(D, n, fac=fac)
+        if l is not None:
+            return Verdict(
+                "unsolvable", None, provenance="artin", reason=f"local-obstruction:{l}"
+            )
+        try:
+            holds = _some_choice_passes(D, n, canonical_twist(D), fac)
+        except NotImplementedError:
+            pass  # conductor prime split in the order and 4 | n: outside the model
+        else:
+            return pellsolver.confirm(D, n, holds, "artin", "artin-condition-fails")
+    return pellsolver.solve(D, n)

@@ -23,7 +23,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 
 from .intcore import _sieve, factor
-from .symbols import quartic_2_of_d, jacobi
+from .symbols import quartic_2_of_d
 from .quadring import find_twist_point
 from .localanalysis import character_table
 from . import artin, criteria, pellsolver
@@ -87,16 +87,19 @@ def cmd_classify_2p(args) -> int:
 # -- scan workers (top level so process pools can pickle them)
 
 
+def _oracle_target(D: int, targets: tuple[int, ...], confirmed: int | None) -> int | None:
+    # the first target the oracle solves; the criteria have already had the
+    # oracle confirm their own target, so it is not asked again
+    for t in targets:
+        if t == confirmed or pellsolver.solve(D, t).solvable:
+            return t
+    return None
+
+
 def _scan_pq_one(pair: tuple[int, int]) -> dict:
     p, q = pair
-    D = p * q
     target, verdict = criteria.classify_pq(p, q)
-    oracle_target = None
-    for t in (-1, p, q):
-        # classify_pq has already had the oracle confirm its target
-        if t == target or pellsolver.solve(D, t).solvable:
-            oracle_target = t
-            break
+    oracle_target = _oracle_target(p * q, (-1, p, q), target)
     return {
         "family": "pq",
         "p": p,
@@ -110,12 +113,7 @@ def _scan_pq_one(pair: tuple[int, int]) -> dict:
 
 def _scan_2p_one(p: int) -> dict:
     target, verdict = criteria.classify_2p(p)
-    oracle_target = None
-    for t in (-1, 2, -2):
-        # classify_2p has already had the oracle confirm its target
-        if t == target or pellsolver.solve(2 * p, t).solvable:
-            oracle_target = t
-            break
+    oracle_target = _oracle_target(2 * p, (-1, 2, -2), target)
     return {
         "family": "2p",
         "p": p,
@@ -146,7 +144,7 @@ def _scan_instances(family: str, maxval: int):
         work = []
         for i, p in enumerate(ps):
             for q in ps[i + 1 :]:
-                if jacobi(q, p) == 1 and artin.cor14_applicable(p, q):
+                if artin.cor14_applicable(p, q):
                     work.append((p, q))
         return _scan_pq_one, work
     if family == "2p":

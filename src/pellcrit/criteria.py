@@ -29,15 +29,6 @@ def _oracle_target(D: int, targets: list[int]) -> tuple[int | None, Verdict]:
     raise ArithmeticError(f"trichotomy violated for D={D}: {solvable}")
 
 
-def _confirmed(D: int, n: int, provenance: str) -> Verdict:
-    # the criterion says solvable; the oracle must agree and give the witness
-    v = pellsolver.solve(D, n)
-    if not v.solvable:
-        raise ArithmeticError(f"criterion {provenance} says x^2 - {D} y^2 = {n}"
-                              " is solvable, the oracle disagrees")
-    return Verdict("solvable", v.witness, provenance=provenance)
-
-
 def classify_pq(p: int, q: int) -> tuple[int | None, Verdict]:
     """The solvable target among x^2 - pq y^2 = -1, p, q.
 
@@ -51,13 +42,13 @@ def classify_pq(p: int, q: int) -> tuple[int | None, Verdict]:
         # -1 is locally impossible; the symbols here say nothing more
         return _oracle_target(D, [p, q])
     if jacobi(p, q) == -1:
-        return -1, _confirmed(D, -1, "nonresidue-pair")
+        return -1, pellsolver.confirm(D, -1, True, "nonresidue-pair")
     rp, rq = quartic_residue(q, p), quartic_residue(p, q)
     if rp * rq == -1:
         target = p if rp == 1 else q
-        return target, _confirmed(D, target, "quartic-trichotomy")
+        return target, pellsolver.confirm(D, target, True, "quartic-trichotomy")
     if rp == -1 and rq == -1:
-        return -1, _confirmed(D, -1, "quartic-both-negative")
+        return -1, pellsolver.confirm(D, -1, True, "quartic-both-negative")
     return _oracle_target(D, [-1, p, q])
 
 
@@ -80,7 +71,7 @@ def classify_2p(p: int) -> tuple[int | None, Verdict]:
         target, prov = 2, "quartic-2p"
     else:
         return _oracle_target(D, [-1, 2, -2])
-    return target, _confirmed(D, target, prov)
+    return target, pellsolver.confirm(D, target, True, prov)
 
 
 @dataclass(frozen=True)
@@ -171,7 +162,7 @@ def decide_221(n: int) -> Verdict:
         cond2 = lhs == rhs
     if not cond2:
         return Verdict("unsolvable", None, "221-closed-form", reason="twist-condition")
-    return _confirmed(221, n, "221-closed-form")
+    return pellsolver.confirm(221, n, True, "221-closed-form")
 
 
 def known_obstructions(d: int, n: int) -> Verdict | None:

@@ -369,6 +369,26 @@ def local_solvable(D: int, n: int, l: int) -> bool:
     return pow(-(m // l) * (D // l) if nv % 2 else m, h, l) == 1
 
 
+def local_obstruction_anywhere(D: int, n: int, *, fac: Factorization | None = None) -> int | None:
+    """The first prime l with no Z_l-point of x^2 - D y^2 = n, or None.
+
+    The odd primes of D come first, then 2, then the odd primes of n prime
+    to D, so each prime of 2Dn is tested once.  ``fac``, when given, is the
+    factorization of |n|.
+    """
+    for l in factor(D).primes():
+        if l != 2 and not local_solvable(D, n, l):
+            return l
+    if not local_solvable(D, n, 2):
+        return 2
+    if fac is None:
+        fac = factor(abs(n))
+    for l in fac.primes():
+        if l != 2 and D % l and not local_solvable(D, n, l):
+            return l
+    return None
+
+
 def crt(residues: list[tuple[int, int]]) -> tuple[int, int]:
     """Combine (residue, modulus) pairs with pairwise coprime moduli."""
     x, m = 0, 1
@@ -400,20 +420,32 @@ def sqrt_mod_factored(a: int, factors) -> list[int]:
     return sorted(roots)
 
 
+def cornacchia(d: int, m: int) -> list[tuple[int, int]]:
+    """Every primitive a^2 + d b^2 = m with a, b >= 0, for d >= 1 and m >= 2.
+
+    Cornacchia's descent: Euclid's algorithm on (m, t), for each square root
+    t of -d mod m, stops at the first remainder a with a^2 < m, and a
+    primitive solution is (a, b) when (m - a^2) / d is a square b^2.  Every
+    primitive solution arises from some root, for d = 1 as one of (a, b) and
+    (b, a); the list follows the order of the roots.
+    """
+    out: list[tuple[int, int]] = []
+    for t in sqrt_mod_factored(-d, factor(m).factors):
+        r0, r1 = m, t
+        while r1 * r1 > m:
+            r0, r1 = r1, r0 % r1
+        rem = m - r1 * r1
+        if rem % d == 0 and is_square(rem // d):
+            rep = (r1, isqrt(rem // d))
+            if math.gcd(*rep) == 1 and rep not in out:
+                out.append(rep)
+    return out
+
+
 def two_squares_prime(p: int) -> tuple[int, int]:
     """Write a prime p = 1 mod 4 as a^2 + b^2 with a odd > 0, b even > 0."""
     if p % 4 != 1 or not is_prime(p):
         raise ValueError(f"{p} is not a prime = 1 mod 4")
-    r = sqrt_mod(p - 1, p)
-    if r is None:
-        raise ArithmeticError(f"-1 has no square root mod the prime {p} = 1 mod 4")
-    a0, a1 = p, r
-    while a1 * a1 > p:
-        a0, a1 = a1, a0 % a1
-    a = a1
-    b = isqrt(p - a * a)
-    if a * a + b * b != p:
-        raise ArithmeticError(f"Euclid's descent failed to write {p} as a sum of two squares")
-    if a % 2 == 0:
-        a, b = b, a
-    return a, b
+    for a, b in cornacchia(1, p):
+        return (a, b) if a % 2 else (b, a)
+    raise ArithmeticError(f"Euclid's descent failed to write {p} as a sum of two squares")

@@ -43,7 +43,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .intcore import factor, is_square, isqrt, local_solvable, sqrt_mod_factored, two_adic_solvable
+from .intcore import factor, is_square, isqrt, local_obstruction_anywhere, sqrt_mod_factored
 from .verdict import Verdict
 
 # Largest orbit bound that is scanned; above it the other two routes are cheaper.
@@ -260,21 +260,6 @@ def minimal_solutions(D: int, n: int) -> list[tuple[int, int]]:
     return sorted(reps, key=lambda t: (t[1], t[0]))
 
 
-def _local_obstruction(D: int, n: int) -> int | None:
-    # only labels the reason of an unsolvable verdict, never decides it, so
-    # the oracle shares the local layer's test: the odd primes of D, then 2,
-    # then the odd primes of n prime to D
-    for l in factor(D).primes():
-        if l != 2 and not local_solvable(D, n, l):
-            return l
-    if not two_adic_solvable(D, n):
-        return 2
-    for l in factor(abs(n)).primes():
-        if l != 2 and D % l and not local_solvable(D, n, l):
-            return l
-    return None
-
-
 def solve(D: int, n: int) -> Verdict:
     """Complete decision of x^2 - D y^2 = n over Z, with a minimal witness."""
     reps = minimal_solutions(D, n)
@@ -283,11 +268,23 @@ def solve(D: int, n: int) -> Verdict:
         if x * x - D * y * y != n:
             raise ArithmeticError(f"oracle witness {(x, y)} fails for D={D}, n={n}")
         return Verdict("solvable", (x, y), provenance="oracle")
-    l = _local_obstruction(D, n)
-    if l is not None:
-        return Verdict(
-            "unsolvable", None, provenance="oracle", reason=f"local-obstruction:{l}"
+    l = local_obstruction_anywhere(D, n)
+    reason = "class-search-exhausted" if l is None else f"local-obstruction:{l}"
+    return Verdict("unsolvable", None, provenance="oracle", reason=reason)
+
+
+def confirm(D: int, n: int, holds: bool, provenance: str, reason: str | None = None) -> Verdict:
+    """A criterion's verdict on x^2 - D y^2 = n, once the oracle agrees.
+
+    ``holds`` says whether the criterion finds the equation solvable, and
+    ``reason`` is the code it gives when not.  Runs ``solve`` once: the
+    verdict carries the oracle's minimal witness, and a disagreement raises
+    ArithmeticError.
+    """
+    oracle = solve(D, n)
+    if oracle.solvable != holds:
+        raise ArithmeticError(
+            f"criterion {provenance} contradicts the oracle at D={D}, n={n}: "
+            f"criterion {'solvable' if holds else 'unsolvable'}, oracle {oracle.status}"
         )
-    return Verdict(
-        "unsolvable", None, provenance="oracle", reason="class-search-exhausted"
-    )
+    return Verdict(oracle.status, oracle.witness, provenance, None if holds else reason)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .intcore import factor, isqrt, is_square, sqrt_mod_factored, two_squares_prime
+from .intcore import cornacchia, factor, isqrt, is_square
 from .pellsolver import minimal_solutions
 
 SPLIT = "split"
@@ -74,39 +74,12 @@ def splitting_type(D: int, l: int) -> str:
 def two_squares_all(m: int) -> list[tuple[int, int]]:
     """All primitive m = r^2 + s^2 up to order and sign, as r >= s > 0 pairs.
 
-    Assembled from Gaussian prime splittings; empty when m has a prime
-    factor = 3 mod 4 or is divisible by 4.  For m = 2 the pair is (1, 1).
+    Empty when m has a prime factor = 3 mod 4 or is divisible by 4.  For
+    m = 2 the pair is (1, 1).
     """
     if m < 2:
         raise ValueError("m must be >= 2")
-    fac = factor(m)
-    if fac.exponent(2) > 1:
-        return []
-    reps = [(1, 0)]
-    if fac.exponent(2) == 1:
-        reps = [(1, 1)]  # multiply by 1 + i
-    for p, e in fac.factors:
-        if p == 2:
-            continue
-        if p % 4 == 3:
-            return []
-        a, b = two_squares_prime(p)
-        pe_plus = (a, b)
-        for _ in range(e - 1):
-            pe_plus = (pe_plus[0] * a - pe_plus[1] * b, pe_plus[0] * b + pe_plus[1] * a)
-        pe_minus = (pe_plus[0], -pe_plus[1])
-        reps = [
-            (x * u - y * v, x * v + y * u)
-            for x, y in reps
-            for u, v in (pe_plus, pe_minus)
-        ]
-    out = set()
-    for x, y in reps:
-        r, s = sorted((abs(x), abs(y)), reverse=True)
-        if r * r + s * s != m or math.gcd(r, s) != 1:
-            raise ArithmeticError(f"Gaussian product ({r}, {s}) is no primitive representation of {m}")
-        out.add((r, s))
-    return sorted(out)
+    return sorted({(max(a, b), min(a, b)) for a, b in cornacchia(1, m)})
 
 
 def repr_x2_plus_2y2(m: int) -> tuple[int, int] | None:
@@ -115,27 +88,8 @@ def repr_x2_plus_2y2(m: int) -> tuple[int, int] | None:
         raise ValueError("m must be >= 1")
     if m == 1:
         return (1, 0)
-    if m == 2:
-        return (0, 1)
-    fac = factor(m)
-    if fac.exponent(2) > 1:
-        return None
-    for p in fac.primes():
-        if p != 2 and p % 8 not in (1, 3):
-            return None
-    # Cornacchia with -2: run Euclid from each square root of -2 mod m
-    for t in sqrt_mod_factored(-2, fac.factors):
-        r0, r1 = m, t
-        while r1 * r1 > m:
-            r0, r1 = r1, r0 % r1
-        if r1 == 0:
-            continue
-        rem = m - r1 * r1
-        if rem % 2 == 0 and is_square(rem // 2):
-            a, b = r1, isqrt(rem // 2)
-            if math.gcd(a, b) == 1:
-                return (a, b)
-    return None
+    reps = cornacchia(2, m)
+    return reps[0] if reps else None
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from pellcrit import artin, cli, pellsolver, quadring
+from pellcrit import artin, cli, intcore, pellsolver, quadring
 from pellcrit.intcore import factor, is_prime, is_square, valuation
 from pellcrit.localanalysis import (
     find_local_point,
@@ -17,6 +17,7 @@ from pellcrit.localanalysis import (
     twist_residue_square,
 )
 from pellcrit.quadring import INERT, SPLIT, splitting_type
+from pellcrit.verdict import Verdict
 
 
 class _ReferenceClasses:
@@ -374,6 +375,26 @@ def test_twist_symbol_matches_reference():
                     assert got == _reference_twist_symbol(D, twist, choice, n), (D, twist, n)
 
 
+def test_class_images_forms_are_reduced():
+    # class_images_of_norm does not reduce its leaf forms again: each is the
+    # principal form or a compose result, and both are already reduced
+    ds = [D for D in range(2, 1500) if not is_square(D) and artin._d_context(D).applicable]
+    assert len(ds) == 26
+    entries = 0
+    for D in ds:
+        for n in range(-300, 301):
+            if n == 0 or artin.local_obstruction_anywhere(D, n) is not None:
+                continue
+            try:
+                images = artin.class_images_of_norm(D, n)
+            except NotImplementedError:  # 2 split in Q(sqrt D) and 4 | n
+                continue
+            for _, form in images.entries:
+                assert form == artin.reduce_form(form), (D, n, form)
+                entries += 1
+    assert entries > 7000
+
+
 def test_two_adic_factor_is_finer_than_square_class():
     # n = 1 and n = 9 share a Q_2 square class but not a class modulo squares
     # of local norms, and their 2-adic factors differ; keying the cache on
@@ -389,6 +410,41 @@ def test_two_adic_factor_is_finer_than_square_class():
     tw34 = artin.canonical_twist(34)
     assert _reference_twist_symbol(34, tw34, trivial, 1) == 1
     assert _reference_twist_symbol(34, tw34, trivial, 9) == -1
+
+
+def test_local_obstruction_labels_match_the_oracle():
+    # the criterion and the oracle share one local scan, so a locally
+    # obstructed pair names the same prime in both verdicts.  The grid is
+    # the 2d-family D = 2d <= 1000 with thm24_applicable(d), plus 1394
+    ds = [
+        D for D in range(2, 1001, 2)
+        if not is_square(D) and quadring.classify_order(D).family == "2d"
+        and artin.thm24_applicable(D // 2)
+    ] + [1394]
+    assert len(ds) == 12
+    obstructed = 0
+    for D in ds:
+        for n in range(-500, 501):
+            if n == 0 or artin.local_obstruction_anywhere(D, n) is None:
+                continue
+            v = artin.joint_artin_decide(D, n)
+            assert v.reason == pellsolver.solve(D, n).reason, (D, n, v.reason)
+            obstructed += 1
+    assert obstructed > 9000
+
+
+def test_joint_decide_raises_when_the_oracle_lies(monkeypatch, capsys):
+    # 34, 2 is solvable; 34, -8 is locally solvable but fails the condition
+    assert artin.joint_artin_decide(34, -8).reason == "artin-condition-fails"
+    monkeypatch.setattr(pellsolver, "solve", lambda D, n: Verdict("unsolvable", None, "oracle"))
+    with pytest.raises(ArithmeticError):
+        artin.joint_artin_decide(34, 2)
+    assert cli.main(["decide", "34", "2"]) == cli.EXIT_INCONSISTENT
+    out, err = capsys.readouterr()
+    assert out == "" and len(err.splitlines()) == 1 and "Traceback" not in err
+    monkeypatch.setattr(pellsolver, "solve", lambda D, n: Verdict("solvable", (1, 1), "oracle"))
+    with pytest.raises(ArithmeticError):
+        artin.joint_artin_decide(34, -8)
 
 
 def test_joint_decide_anchors():
@@ -412,17 +468,19 @@ def test_joint_decide_is_one_pass(monkeypatch):
     assert len(artin.class_images_of_norm(D, n).entries[0][0].split) == 2
     calls = {"factor": [], "classify_order": [], "local_solvable": []}
 
-    def counting(name):
-        orig = getattr(artin, name)
+    def counting(module, name):
+        orig = getattr(module, name)
 
         def wrapped(*args, **kwargs):
             calls[name].append(args)
             return orig(*args, **kwargs)
 
-        monkeypatch.setattr(artin, name, wrapped)
+        monkeypatch.setattr(module, name, wrapped)
 
-    for name in calls:
-        counting(name)
+    counting(artin, "factor")
+    counting(artin, "classify_order")
+    # the local-obstruction scan lives in intcore
+    counting(intcore, "local_solvable")
     v = artin.joint_artin_decide(D, n)
     x, y = v.witness
     assert v.provenance == "artin" and x * x - D * y * y == n
@@ -600,9 +658,10 @@ def test_split_prime_cap_boundary(capsys):
     v = artin.joint_artin_decide(34, n12)
     x, y = v.witness
     assert v.provenance == "artin" and x * x - 34 * y * y == n12
-    # n12 * 131 is obstructed at 2, so the local test would return before
-    # the cap; n12 * 137 is locally solvable and has 13 split primes
-    assert artin.local_obstruction_anywhere(34, n12 * split[12]) == 2
+    # n12 * 131 is obstructed (at 17, the odd prime of D the scan tests
+    # first), so the local test would return before the cap; n12 * 137 is
+    # locally solvable and has 13 split primes
+    assert artin.local_obstruction_anywhere(34, n12 * split[12]) == 17
     n13 = n12 * split[13]
     assert artin.local_obstruction_anywhere(34, n13) is None
     with pytest.raises(ValueError, match="split primes"):

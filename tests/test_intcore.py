@@ -111,6 +111,24 @@ def test_two_squares_prime():
         assert a * a + b * b == p and a % 2 == 1 and b % 2 == 0 and a > 0 and b > 0
 
 
+def test_cornacchia_exhaustive():
+    # every primitive a^2 + d b^2 = m, a, b >= 0, against a search over b;
+    # for d = 1 up to the order of a and b
+    def key(d, rep):
+        return tuple(sorted(rep)) if d == 1 else rep
+
+    for d in range(1, 8):
+        for m in range(2, 3000):
+            want = set()
+            for b in range(math.isqrt(m // d) + 1):
+                a2 = m - d * b * b
+                a = math.isqrt(a2)
+                if a * a == a2 and math.gcd(a, b) == 1:
+                    want.add(key(d, (a, b)))
+            got = [key(d, rep) for rep in intcore.cornacchia(d, m)]
+            assert len(got) == len(set(got)) and set(got) == want, (d, m)
+
+
 def test_crt():
     x, m = intcore.crt([(2, 3), (3, 5), (2, 7)])
     assert m == 105 and x % 3 == 2 and x % 5 == 3 and x % 7 == 2
