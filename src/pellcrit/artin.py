@@ -15,7 +15,7 @@ is equivalent to some single adelic choice passing both conditions at once.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 
 from .intcore import (
@@ -49,15 +49,14 @@ from . import pellsolver
 # indefinite binary quadratic forms
 
 
-@dataclass(frozen=True, slots=True)
-class Form:
-    a: int
-    b: int
-    c: int
+class Form(namedtuple("Form", "a b c")):
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if math.gcd(math.gcd(self.a, self.b), self.c) != 1:
+    def __new__(cls, a: int, b: int, c: int):
+        self = super().__new__(cls, a, b, c)
+        if math.gcd(math.gcd(a, b), c) != 1:
             raise ValueError(f"form {self} is imprimitive")
+        return self
 
     @property
     def disc(self) -> int:
@@ -226,8 +225,7 @@ def _prime_power(D: int, disc: int, l: int, k: int) -> Form:
 # adelic choices and their ideal classes
 
 
-@dataclass(frozen=True)
-class AdelicChoice:
+class AdelicChoice(namedtuple("AdelicChoice", "split forced")):
     """Exponent data of one ideal of norm |n|.
 
     ``split`` holds (l, e, j): j of the e prime factors over l lie on the
@@ -235,6 +233,7 @@ class AdelicChoice:
     primes, where nothing is free.
     """
 
+    __slots__ = ()
     split: tuple[tuple[int, int, int], ...]
     forced: tuple[tuple[int, str, int], ...]
 
@@ -245,10 +244,10 @@ class AdelicChoice:
         return 0
 
 
-@dataclass(frozen=True)
-class ClassImages:
+class ClassImages(namedtuple("ClassImages", "entries obstruction disc")):
     """The choices and their reduced forms, all of discriminant disc."""
 
+    __slots__ = ()
     entries: tuple[tuple[AdelicChoice, Form], ...]
     obstruction: int | None
     disc: int
@@ -427,8 +426,7 @@ def canonical_twist(D: int) -> TwistPoint:
     raise ValueError(f"D={D} is outside both families")
 
 
-@dataclass(frozen=True)
-class _DContext:
+class _DContext(namedtuple("_DContext", "applicable place2")):
     """What every decision at one D reuses.
 
     The twist point, class group and 2-adic engine stay in their own
@@ -436,6 +434,7 @@ class _DContext:
     ramified, and its place costs no square-root lift.
     """
 
+    __slots__ = ()
     applicable: bool
     place2: Place  # the place over 2 that carries n: the only one, or the second
 

@@ -16,11 +16,9 @@ disagreeing with the oracle anywhere is a finding, never swallowed).
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 
 from .intcore import _sieve, factor
 from .symbols import quartic_2_of_d
@@ -38,7 +36,7 @@ def _emit(record: dict, out=None) -> None:
 
 
 def cmd_decide(args) -> int:
-    t0 = time.time()
+    t0 = time.perf_counter()
     verdict = artin.joint_artin_decide(args.D, args.n)
     oracle = pellsolver.solve(args.D, args.n)
     record = {
@@ -48,7 +46,7 @@ def cmd_decide(args) -> int:
         "witness": list(verdict.witness) if verdict.witness else None,
         "provenance": verdict.provenance,
         "oracle_status": oracle.status,
-        "timings": round(1000 * (time.time() - t0), 3),
+        "timings": round(1000 * (time.perf_counter() - t0), 3),
     }
     _emit(record)
     if verdict.status != oracle.status:
@@ -161,6 +159,9 @@ def _scan_instances(family: str, maxval: int):
 def cmd_scan(args) -> int:
     worker, instances = _scan_instances(args.family, args.max)
     if args.jobs > 1:
+        # the pool pulls in multiprocessing, so only a parallel scan imports it
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             records = list(pool.map(worker, instances, chunksize=16))
     else:
@@ -215,6 +216,8 @@ def cmd_table(args) -> int:
         with open(args.out, "w") as fh:
             json.dump(records, fh, indent=1)
     else:
+        import csv
+
         with open(args.out, "w", newline="") as fh:
             if records:
                 writer = csv.DictWriter(fh, fieldnames=list(records[0].keys()))

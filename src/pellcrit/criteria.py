@@ -8,7 +8,7 @@ symbols leave open falls back to the Pell oracle, flagged as such.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .intcore import factor, is_prime, sqrt_mod
 from .symbols import jacobi, quartic_2_of_d, quartic_residue
@@ -74,11 +74,13 @@ def classify_2p(p: int) -> tuple[int | None, Verdict]:
     return target, pellsolver.confirm(D, target, True, prov)
 
 
-@dataclass(frozen=True)
-class Decomposition221:
+class Decomposition221(
+    namedtuple("Decomposition221", "sign_exp exp2 exp13 exp17 rest set1 set2 set3 n1")
+):
     """n = (-1)^sign_exp 2^exp2 13^exp13 17^exp17 * prod p_i^e_i with the
     residue-symbol subsets of the remaining primes."""
 
+    __slots__ = ()
     sign_exp: int
     exp2: int
     exp13: int

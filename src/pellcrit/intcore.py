@@ -9,7 +9,7 @@ for primality stay at desk scale).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 
 isqrt = math.isqrt
@@ -110,22 +110,21 @@ def is_prime(n: int) -> bool:
     return all(_strong_probable_prime(n, b) for b in bases)
 
 
-@dataclass(frozen=True, slots=True)
-class Factorization:
+class Factorization(namedtuple("Factorization", "sign factors")):
     """Signed prime-power decomposition sign * prod p_i^e_i, primes increasing."""
 
-    sign: int
-    factors: tuple[tuple[int, int], ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.sign not in (1, -1):
+    def __new__(cls, sign: int, factors: tuple[tuple[int, int], ...]):
+        if sign not in (1, -1):
             raise ValueError("sign must be +1 or -1")
-        primes = [p for p, _ in self.factors]
+        primes = [p for p, _ in factors]
         if primes != sorted(primes) or len(set(primes)) != len(primes):
             raise ValueError("primes must be strictly increasing")
-        for p, e in self.factors:
+        for p, e in factors:
             if e < 1 or not is_prime(p):
                 raise ValueError(f"bad factor {p}^{e}")
+        return super().__new__(cls, sign, factors)
 
     def value(self) -> int:
         v = self.sign

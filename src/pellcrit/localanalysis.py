@@ -27,7 +27,7 @@ root for x.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 
 from .intcore import (
@@ -52,19 +52,19 @@ from .quadring import (
 # places
 
 
-@dataclass(frozen=True)
-class Place:
+class Place(namedtuple("Place", "l kind D root prec", defaults=(None, 0))):
     """A place of E = Q(sqrt(D)).
 
     Split places carry the chosen square root of D mod l^prec, so the two
     conjugate places are distinguishable.
     """
 
+    __slots__ = ()
     l: int
     kind: str
     D: int
-    root: int | None = None
-    prec: int = 0
+    root: int | None
+    prec: int
 
 
 def places_over(D: int, l: int, prec: int = 24) -> tuple[Place, ...]:
@@ -131,10 +131,10 @@ def norm_class_2(u) -> int | None:
 # local points
 
 
-@dataclass(frozen=True)
-class LocalPoint:
+class LocalPoint(namedtuple("LocalPoint", "l precision x y")):
     """Residues (x, y) mod l^precision with x^2 - D y^2 = n, Hensel-liftable."""
 
+    __slots__ = ()
     l: int
     precision: int
     x: int
@@ -447,10 +447,10 @@ def hilbert_ev(alpha, beta, place: Place) -> int:
 # the norm-class character of the auxiliary extension
 
 
-@dataclass(frozen=True)
-class CharacterTable:
+class CharacterTable(namedtuple("CharacterTable", "chi_1 chi_neg1 chi_2 chi_neg2")):
     """Values of the norm-class character at 1, -1, 2, -2 over the place at 2."""
 
+    __slots__ = ()
     chi_1: int
     chi_neg1: int
     chi_2: int

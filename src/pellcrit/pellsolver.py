@@ -40,7 +40,7 @@ every solution class, so returned witnesses are genuine minima.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 
 from .intcore import factor, is_square, isqrt, local_obstruction_anywhere, sqrt_mod_factored
@@ -50,8 +50,7 @@ from .verdict import Verdict
 _ORBIT_SCAN_LIMIT = 96
 
 
-@dataclass(frozen=True)
-class CFExpansion:
+class CFExpansion(namedtuple("CFExpansion", "a0 period pq_states qs")):
     """Periodic continued fraction of sqrt(D): a0 then a repeating block.
 
     ``pq_states`` are the states (P_k, Q_k) of (P_k + sqrt(D)) / Q_k for
@@ -60,14 +59,15 @@ class CFExpansion:
     h_k^2 - D k_k^2 = (-1)^(k+1) Q_(k+1) of the convergent h_k / k_k.
     """
 
+    __slots__ = ()
     a0: int
     period: tuple[int, ...]
     pq_states: tuple[tuple[int, int], ...]
     qs: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class PellFundamental:
+class PellFundamental(namedtuple("PellFundamental", "x1 y1 unit_norm")):
+    __slots__ = ()
     x1: int
     y1: int
     unit_norm: int

@@ -9,7 +9,7 @@ quadratic extension used by the two-character solvability criteria.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .intcore import cornacchia, factor, isqrt, is_square
 from .pellsolver import minimal_solutions
@@ -23,10 +23,10 @@ FAMILY_2D = "2d"
 FAMILY_OTHER = "other"
 
 
-@dataclass(frozen=True)
-class QuadOrderInfo:
+class QuadOrderInfo(namedtuple("QuadOrderInfo", "D discriminant family primes")):
     """Shape of the order Z[sqrt(D)] relevant to the criteria."""
 
+    __slots__ = ()
     D: int
     discriminant: int
     family: str
@@ -92,25 +92,21 @@ def repr_x2_plus_2y2(m: int) -> tuple[int, int] | None:
     return reps[0] if reps else None
 
 
-@dataclass(frozen=True)
-class TwistPoint:
+class TwistPoint(namedtuple("TwistPoint", "x0 y0 z0 ell D")):
     """Solution (x0, y0, z0) of x0^2 - D y0^2 = ell z0^2, x0 > 0, gcd(x0, y0) = 1.
 
     The element x0 - y0 sqrt(D) is totally positive and generates the
     quadratic extension whose Artin character supplements the class group.
     """
 
-    x0: int
-    y0: int
-    z0: int
-    ell: int
-    D: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.x0 * self.x0 - self.D * self.y0 * self.y0 != self.ell * self.z0 * self.z0:
+    def __new__(cls, x0: int, y0: int, z0: int, ell: int, D: int):
+        if x0 * x0 - D * y0 * y0 != ell * z0 * z0:
             raise ValueError("not a twist point")
-        if self.x0 <= 0 or math.gcd(self.x0, self.y0) != 1:
+        if x0 <= 0 or math.gcd(x0, y0) != 1:
             raise ValueError("twist point must have x0 > 0, gcd(x0, y0) = 1")
+        return super().__new__(cls, x0, y0, z0, ell, D)
 
     def element(self) -> tuple[int, int]:
         """Coordinates of x0 - y0 sqrt(D)."""

@@ -2,14 +2,13 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 SOLVABLE = "solvable"
 UNSOLVABLE = "unsolvable"
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(namedtuple("Verdict", "status witness provenance reason")):
     """Outcome of a solvability decision.
 
     ``witness`` is present exactly when status is "solvable" and then
@@ -17,16 +16,15 @@ class Verdict:
     unsolvable verdicts; ``provenance`` names the criterion that fired.
     """
 
-    status: str
-    witness: tuple[int, int] | None
-    provenance: str
-    reason: str | None = None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.status not in (SOLVABLE, UNSOLVABLE):
-            raise ValueError(f"bad status {self.status!r}")
-        if (self.witness is not None) != (self.status == SOLVABLE):
+    def __new__(cls, status: str, witness: tuple[int, int] | None, provenance: str,
+                reason: str | None = None):
+        if status not in (SOLVABLE, UNSOLVABLE):
+            raise ValueError(f"bad status {status!r}")
+        if (witness is not None) != (status == SOLVABLE):
             raise ValueError("witness present iff solvable")
+        return super().__new__(cls, status, witness, provenance, reason)
 
     @property
     def solvable(self) -> bool:

@@ -116,6 +116,23 @@ def test_scan_jobs_identical_records():
     assert a == b
 
 
+def test_cli_import_skips_the_pool_and_dataclasses():
+    # start-up: only a parallel scan imports the pool, only a csv table imports csv,
+    # and the records are tuple subclasses; modules the site hooks preload do not count
+    code = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import pellcrit.cli\n"
+        "heavy = {'dataclasses', 'inspect', 'concurrent.futures', 'multiprocessing', 'csv'}\n"
+        "print(sorted(heavy & (set(sys.modules) - before)))\n"
+    )
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "[]"
+
+
 def test_verify_lemmas():
     res = run_cli("verify-lemmas", "--family", "2d", "--max", "120")
     assert res.returncode == 0
