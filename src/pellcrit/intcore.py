@@ -201,7 +201,8 @@ def factor(n: int) -> Factorization:
             n //= p
     if n > 1:
         _factor_into(n, out)
-    return Factorization(sign, tuple(sorted(out.items())))
+    # every prime was proven above; _make skips the constructor's re-check
+    return Factorization._make((sign, tuple(sorted(out.items()))))
 
 
 def sqrt_mod(a: int, p: int) -> int | None:
@@ -388,33 +389,29 @@ def local_obstruction_anywhere(D: int, n: int, *, fac: Factorization | None = No
     return None
 
 
-def crt(residues: list[tuple[int, int]]) -> tuple[int, int]:
-    """Combine (residue, modulus) pairs with pairwise coprime moduli."""
-    x, m = 0, 1
-    for r, mod in residues:
-        g = math.gcd(m, mod)
-        if g != 1:
-            raise ValueError("moduli must be coprime")
-        x = (x * mod * pow(mod, -1, m) + r * m * pow(m, -1, mod)) % (m * mod)
-        m *= mod
-    return x, m
+# bounded: the key holds the residue a mod p^e, which ranges as widely as n
+@lru_cache(maxsize=4096)
+def _prime_power_roots(a: int, p: int, e: int) -> tuple[int, ...]:
+    return tuple(sqrt_mod_prime_power(a, p, e))
 
 
 def sqrt_mod_factored(a: int, factors) -> list[int]:
     """All x in [0, m) with x^2 = a mod m, for m = prod p^e given as (p, e) pairs.
 
-    The roots mod each p^e are combined through the CRT idempotents of m;
-    the list is empty when some p^e admits no root, and [0] when m = 1.
+    The roots mod each p^e (memoized) are combined through the CRT
+    idempotents of m; the list is empty when some p^e admits no root, and
+    [0] when m = 1.
     """
-    mods = [p**e for p, e in factors]
-    m = math.prod(mods)
+    m = math.prod(p**e for p, e in factors)
     roots = [0]
-    for i, (p, e) in enumerate(factors):
-        rs = sqrt_mod_prime_power(a, p, e)
+    for p, e in factors:
+        q = p**e
+        rs = _prime_power_roots(a % q, p, e)
         if not rs:
             return []
-        # idempotent: 1 mod p^e, 0 mod every other prime power of m
-        idem, _ = crt([(int(j == i), q) for j, q in enumerate(mods)])
+        # idempotent: 1 mod q, 0 mod every other prime power of m
+        c = m // q
+        idem = c * pow(c, -1, q)
         roots = [(r + s * idem) % m for r in roots for s in rs]
     return sorted(roots)
 

@@ -21,21 +21,31 @@ class has a representative with |y| <= B.  The routes, in dispatch order:
   thread meets Q = +-1.  A thread is periodic from its first reduced state
   (0 < P <= s, s - P < Q <= s + P, s = isqrt(D)) on, and (s, 1) is the
   only reduced state with Q = +-1, so a thread whose first reduced state
-  is not on the principal cycle of sqrt(D) stops there; the others walk
-  the principal cycle once.  The cost grows with the number of threads,
-  2^w(n) for n with w(n) split primes.
+  is not on the principal cycle of sqrt(D) stops there.  A thread that
+  enters the principal cycle at ``pq_states[k]`` has exactly one more
+  solution, at the next visit of (s, 1) = ``pq_states[L]``; it gets there
+  by the convergent recurrence alone, reading the partial quotients
+  ``period[k-1 : L-1]`` (for k = L, the whole period rotated) off the
+  cached expansion, with no further floor or state.  The cost grows with
+  the number of threads, 2^w(n) for n with w(n) split primes.
 
-The limit sits at the measured crossover: for |n| <= 500 the scan costs
-about 0.2 us per y and PQa a flat 20-35 us per (D, n), so the two break
-even near B = 96, where PQa is faster on about half the pairs; it is
-faster on 90% of the pairs with B in [192, 256) and on every pair above
-B = 512.  Re-measured over D <= 3000 (Python 3.11, one core of a
-2-vCPU VM, deciles 10/50/90%): for n^2 < D the convergent route costs
+The limit is set by the pairs that reach the oracle.  Measured over
+D < 1500, |n| <= 500, n^2 >= D (Python 3.11, one core of a 2-vCPU VM,
+warm caches, min of 3 runs), the scan costs about 0.25 us per y and PQa
+about 13 us per (D, n) at any B, so PQa is faster on 56% of the pairs
+with B in [32, 64) and on 83% of those with B in [64, 96) (13.2 against
+19.8 us).  The limit stays at 96 because a joint decision sends only
+locally solvable pairs to the oracle, and those carry the most threads:
+on the 186 such pairs of the ``joint_2d`` benchmark grid with B in
+(64, 96], PQa costs 41-45 us against 21-33 us for the scan, and a limit
+of 64 gave that workload a slightly worse p99 in paired runs.  Over
+D <= 3000 (deciles 10/50/90%): for n^2 < D the convergent route costs
 3.8/4.4/7.1 us where B <= 96, against 1.0/2.5/10.4 us for the scan, so
-the scan stays first, and 4.2/5.6/11.5 us where B > 96; PQa with the
-early stop costs 6.2/18.2/55.2 us per pair with n^2 >= D and B > 96,
-against 6.1/24.5/79.1 us walking every cycle.  All three routes find
-every solution class, so returned witnesses are genuine minima.
+the scan stays first, and 4.2/5.6/11.5 us where B > 96; PQa costs
+7.1/14.6/43.7 us per pair with n^2 >= D, |n| <= 500 and B > 96, against
+9.1/23.4/90.7 us when a thread on the principal cycle walked it state by
+state.  All three routes find every solution class, so returned witnesses
+are genuine minima.
 """
 
 from __future__ import annotations
@@ -46,7 +56,7 @@ from functools import lru_cache
 from .intcore import factor, is_square, isqrt, local_obstruction_anywhere, sqrt_mod_factored
 from .verdict import Verdict
 
-# Largest orbit bound that is scanned; above it the other two routes are cheaper.
+# Largest orbit bound that is scanned; the module docstring gives the measurements.
 _ORBIT_SCAN_LIMIT = 96
 
 
@@ -120,19 +130,15 @@ def orbit_y_bound(D: int, n: int) -> int:
 
 
 def _descend(D: int, x: int, y: int) -> tuple[int, int]:
-    # slide along the unit orbit while |y| strictly decreases
+    # slide along the unit orbit while |y| strictly decreases; with x, y >= 0
+    # the step by eps never shrinks y, so only the step by 1/eps is tried
     xp, yp = plus_unit(D)
     x, y = abs(x), abs(y)
     while True:
-        cands = [
-            (x * xp - D * y * yp, x * yp - y * xp),
-            (x * xp + D * y * yp, x * yp + y * xp),
-        ]
-        best = min(cands, key=lambda t: abs(t[1]))
-        if abs(best[1]) < y:
-            x, y = abs(best[0]), abs(best[1])
-        else:
+        x2, y2 = abs(x * xp - D * y * yp), abs(x * yp - y * xp)
+        if y2 >= y:
             return x, y
+        x, y = x2, y2
 
 
 def _floor_quad(P: int, Q: int, s: int) -> int:
@@ -148,18 +154,18 @@ def _pqa_solutions(D: int, m: int, z: int) -> list[tuple[int, int]]:
     am = abs(m)
     cf, fund = cf_fundamental(D)
     sols: list[tuple[int, int]] = []
+
+    def hit(val: int, g: int, b: int) -> None:
+        if val == m:
+            sols.append((g, b))
+        elif val == -m and fund.unit_norm == -1:
+            sols.append((g * fund.x1 + D * b * fund.y1, g * fund.y1 + b * fund.x1))
+
     P, Q = z, am
     g_prev, g = -z, am
     b_prev, b = 1, 0
     i = 0
-    end = None  # the index at which the thread has walked the principal cycle
-    while end is None or i < end:
-        if end is None and 0 < P <= s and s - P < Q <= s + P:
-            # the first reduced state: the thread is periodic from here on,
-            # and (s, 1) is the only reduced state with Q = +-1
-            if (P, Q) not in cf.pq_states:
-                break
-            end = i + len(cf.period)
+    while not (0 < P <= s and s - P < Q <= s + P):
         a = _floor_quad(P, Q, s)
         P_next = a * Q - P
         Q_next = (D - P_next * P_next) // Q
@@ -167,15 +173,23 @@ def _pqa_solutions(D: int, m: int, z: int) -> list[tuple[int, int]]:
         b_prev, b = b, a * b + b_prev
         # G_i^2 - D B_i^2 = (-1)^(i+1) Q0 Q_(i+1)
         if Q_next in (1, -1):
-            val = am * Q_next if (i + 1) % 2 == 0 else -am * Q_next
-            if val == m:
-                sols.append((g, b))
-            elif val == -m and fund.unit_norm == -1:
-                sols.append((g * fund.x1 + D * b * fund.y1, g * fund.y1 + b * fund.x1))
+            hit(am * Q_next if (i + 1) % 2 == 0 else -am * Q_next, g, b)
         P, Q = P_next, Q_next
         i += 1
         if i > 10_000_000:
             raise ArithmeticError(f"CF thread failed to cycle for D={D}, m={m}")
+    # the first reduced state: off the principal cycle no Q = +-1 follows;
+    # on it, the one remaining hit is at (s, 1) = pq_states[L]
+    try:
+        cur = cf.pq_states.index((P, Q))
+    except ValueError:
+        return sols
+    period = cf.period
+    run = period[cur - 1 : -1] if cur < len(period) else period[-1:] + period[:-1]
+    for a in run:
+        g_prev, g = g, a * g + g_prev
+        b_prev, b = b, a * b + b_prev
+    hit(am if (i + len(run)) % 2 == 0 else -am, g, b)
     return sols
 
 

@@ -129,13 +129,6 @@ def test_cornacchia_exhaustive():
             assert len(got) == len(set(got)) and set(got) == want, (d, m)
 
 
-def test_crt():
-    x, m = intcore.crt([(2, 3), (3, 5), (2, 7)])
-    assert m == 105 and x % 3 == 2 and x % 5 == 3 and x % 7 == 2
-    with pytest.raises(ValueError):
-        intcore.crt([(0, 4), (1, 6)])
-
-
 def test_lift_unit_sqrt_pins_one_root():
     # odd p: the root congruent to sqrt_mod's normalized root mod p;
     # p = 2: the root below 2^(k-1) that is 1 mod 4 (the bit-by-bit lift from 1)
@@ -211,6 +204,32 @@ def test_factor_memo_matches_unmemoized():
         want = raw(n)
         # the first call may fill the memo, the second reads it
         assert intcore.factor(n) == want and intcore.factor(n) == want, n
+
+
+def test_factor_proves_each_prime_once(monkeypatch):
+    # factor builds its result without the constructor's re-check, which
+    # still refuses a composite (see test_records)
+    calls = []
+    is_prime = intcore.is_prime
+    monkeypatch.setattr(intcore, "is_prime", lambda n: calls.append(n) or is_prime(n))
+    fac = intcore.factor.__wrapped__(199999)
+    assert fac.factors == ((199999, 1),)
+    assert calls.count(199999) == 1
+
+
+def test_prime_power_roots_memo():
+    # the per-prime-power memo is bounded, keyed by the residue, and the
+    # public lists are fresh copies
+    memo = intcore._prime_power_roots
+    assert memo.cache_info().maxsize is not None
+    roots = intcore.sqrt_mod_prime_power(2, 7, 3)
+    roots.append(-1)
+    assert intcore.sqrt_mod_prime_power(2, 7, 3) == intcore.sqrt_mod_prime_power(2 + 343, 7, 3)
+    assert -1 not in intcore.sqrt_mod_factored(2, ((7, 3),))
+    assert intcore.sqrt_mod_factored(2, ((7, 3),)) == intcore.sqrt_mod_factored(2 - 343, ((7, 3),))
+    for m in range(10**5, 10**5 + memo.cache_info().maxsize + 100):
+        intcore.sqrt_mod_factored(1, intcore.factor(m).factors)
+    assert memo.cache_info().currsize <= memo.cache_info().maxsize
 
 
 def test_against_sympy_around_witness_bounds():

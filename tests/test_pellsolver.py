@@ -308,3 +308,128 @@ def test_unit_orbit_closure():
         xp, yp = pellsolver.plus_unit(D)
         xx, yy = x * xp + D * y * yp, x * yp + y * xp
         assert xx * xx - D * yy * yy == n
+
+
+def _first_reduced(D, m, z):
+    # the first reduced state of the thread of (z + sqrt(D)) / |m|, and its index
+    s, P, Q, i = isqrt(D), z, abs(m), 0
+    while not (0 < P <= s and s - P < Q <= s + P):
+        a = _floor_quad(P, Q, s)
+        P = a * Q - P
+        Q = (D - P * P) // Q
+        i += 1
+    return (P, Q), i
+
+
+def test_pqa_threads_match_full_cycles_on_long_periods():
+    # thread by thread at D of 10^5..10^6 with periods in the hundreds, where
+    # a thread on the principal cycle jumps along the cached period to (s, 1);
+    # 136889 has an odd period, so its threads of m < 0 also meet
+    # -m through the norm -1 unit
+    periods = {106979: 290, 114955: 154, 120937: 123, 136889: 401}
+    on_cycle = entered_at_s1 = odd_negative = 0
+    for D, L in periods.items():
+        cf, fund = cf_fundamental(D)
+        assert len(cf.period) == L and (fund.unit_norm == -1) == (L % 2 == 1)
+        for m in range(-60, 61):
+            if m == 0:
+                continue
+            for z in _roots(D, m, factor(abs(m)).factors):
+                want = _reference_pqa_solutions(D, m, z)
+                assert pellsolver._pqa_solutions(D, m, z) == want, (D, m, z)
+                state, _ = _first_reduced(D, m, z)
+                if state in cf.pq_states:
+                    on_cycle += 1
+                    entered_at_s1 += cf.pq_states.index(state) == L
+                odd_negative += bool(want) and m < 0 and L % 2 == 1
+    assert on_cycle > 100 and entered_at_s1 >= 2 and odd_negative > 10
+    # a thread whose first reduced state is (s, 1) itself: one hit on entering
+    # and one more a whole rotated period later
+    D, m, z = 106979, -50, 23
+    cf, _ = cf_fundamental(D)
+    assert _first_reduced(D, m, z)[0] == cf.pq_states[-1] == (isqrt(D), 1)
+    sols = pellsolver._pqa_solutions(D, m, z)
+    assert len(sols) == 2 and all(x * x - D * y * y == m for x, y in sols)
+
+
+def test_pqa_thread_takes_no_floor_on_the_principal_cycle(monkeypatch):
+    # once a thread reaches its first reduced state on the principal cycle,
+    # the rest of the way to (s, 1) is read off the cached period: every floor
+    # taken is of a state before the cycle
+    D, m, z = 136889, -59, 3
+    cf, _ = cf_fundamental(D)
+    state, steps = _first_reduced(D, m, z)
+    assert 0 < cf.pq_states.index(state) < len(cf.period) == 401
+    s = isqrt(D)
+    seen = []
+    floor_quad = pellsolver._floor_quad
+    monkeypatch.setattr(
+        pellsolver, "_floor_quad", lambda P, Q, s: seen.append((P, Q)) or floor_quad(P, Q, s)
+    )
+    sols = pellsolver._pqa_solutions(D, m, z)
+    assert sols == _reference_pqa_solutions(D, m, z) and len(sols) == 1
+    assert len(seen) == steps < 10
+    assert not any(0 < P <= s and s - P < Q <= s + P for P, Q in seen)
+
+
+def test_descend_takes_the_inverse_unit_only():
+    # the former two-candidate descent, stepping by eps and 1/eps and keeping
+    # the smaller |y|, on a grid of points (x, y) and their images under eps
+    def two_candidates(D, x, y):
+        xp, yp = pellsolver.plus_unit(D)
+        x, y = abs(x), abs(y)
+        while True:
+            cands = [
+                (x * xp - D * y * yp, x * yp - y * xp),
+                (x * xp + D * y * yp, x * yp + y * xp),
+            ]
+            best = min(cands, key=lambda t: abs(t[1]))
+            if abs(best[1]) < y:
+                x, y = abs(best[0]), abs(best[1])
+            else:
+                return x, y
+
+    checked = 0
+    for D in range(2, 120):
+        if math.isqrt(D) ** 2 == D:
+            continue
+        xp, yp = pellsolver.plus_unit(D)
+        for y in range(0, 25):
+            for x in range(0, 25):
+                # a point and its image under eps
+                for _ in range(2):
+                    assert pellsolver._descend(D, x, y) == two_candidates(D, x, y), (D, x, y)
+                    checked += 1
+                    x, y = x * xp + D * y * yp, x * yp + y * xp
+    assert checked > 100_000
+
+
+def test_pqa_route_solvability_against_sympy():
+    # a third reference: sympy's diop_DN on seeded pairs of the PQa route
+    # (orbit bound above the scan limit, n^2 >= D), half of them drawn as
+    # x^2 - D y^2 near a solution so that solvable n are well represented
+    sympy = pytest.importorskip("sympy")
+    from sympy.solvers.diophantine.diophantine import diop_DN
+
+    rng = random.Random(14)
+    pairs = []
+    while len(pairs) < 50:
+        D = rng.randint(2, 600)
+        if math.isqrt(D) ** 2 == D:
+            continue
+        if len(pairs) % 2 == 0:
+            y = rng.randint(1, 12)
+            n = (math.isqrt(D * y * y) + rng.randint(-30, 30)) ** 2 - D * y * y
+        else:
+            n = rng.choice([-1, 1]) * rng.randint(1, 1000)
+        if n == 0 or abs(n) > 1000 or n * n < D:
+            continue
+        if pellsolver.orbit_y_bound(D, n) <= pellsolver._ORBIT_SCAN_LIMIT:
+            continue
+        pairs.append((D, n))
+    solvable = 0
+    for D, n in pairs:
+        got = bool(pellsolver.minimal_solutions(D, n))
+        assert got == bool(diop_DN(D, n)), (D, n, sympy.__version__)
+        solvable += got
+    assert solvable >= 15
