@@ -351,7 +351,7 @@ def local_solvable(D: int, n: int, l: int) -> bool:
     if not is_prime(l):
         raise ValueError(f"{l} is not prime")
     if l == 2:
-        return two_adic_solvable(D, n)
+        return two_adic_layer(D, n) is not None
     h = (l - 1) // 2
     if D % l:
         # Euler's criterion for the unit D, then the parity of v_l(n)
@@ -369,21 +369,27 @@ def local_solvable(D: int, n: int, l: int) -> bool:
     return pow(-(m // l) * (D // l) if nv % 2 else m, h, l) == 1
 
 
+# bounded, like the factor memo it reads: D ranges as widely as the callers' input
+@lru_cache(maxsize=4096)
+def _odd_primes(D: int) -> tuple[int, ...]:
+    return tuple(p for p, _ in factor(D).factors if p != 2)
+
+
 def local_obstruction_anywhere(D: int, n: int, *, fac: Factorization | None = None) -> int | None:
     """The first prime l with no Z_l-point of x^2 - D y^2 = n, or None.
 
-    The odd primes of D come first, then 2, then the odd primes of n prime
-    to D, so each prime of 2Dn is tested once.  ``fac``, when given, is the
-    factorization of |n|.
+    The odd primes of D (memoized per D) come first, then 2, then the odd
+    primes of n prime to D, so each prime of 2Dn is tested once.  ``fac``,
+    when given, is the factorization of |n|.
     """
-    for l in factor(D).primes():
-        if l != 2 and not local_solvable(D, n, l):
+    for l in _odd_primes(D):
+        if not local_solvable(D, n, l):
             return l
     if not local_solvable(D, n, 2):
         return 2
     if fac is None:
         fac = factor(abs(n))
-    for l in fac.primes():
+    for l, _ in fac.factors:
         if l != 2 and D % l and not local_solvable(D, n, l):
             return l
     return None

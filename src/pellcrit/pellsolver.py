@@ -6,8 +6,13 @@ complete routes.  The orbit bound B = ``orbit_y_bound(D, n)`` is an integer
 >= sqrt(|n| eps / D), eps the norm-plus-one fundamental unit, so that every
 class has a representative with |y| <= B.  The routes, in dispatch order:
 
-* B <= ``_ORBIT_SCAN_LIMIT``: scan 0 <= y <= B for n + D y^2 a square, in
-  exact integer arithmetic, at a cost proportional to B;
+* B <= ``_ORBIT_SCAN_LIMIT``: scan for n + D y^2 a square, in exact
+  integer arithmetic, over y in Nagell's range only (Introduction to Number
+  Theory, Thms 108 and 108a): with (x1, y1) the +1 unit, each class has a
+  member with 0 <= y <= y1 sqrt(n / (2 (x1 + 1))) for n > 0, and with
+  sqrt(-n / D) <= y <= y1 sqrt(-n / (2 (x1 - 1))) for n < 0.  That range
+  holds under half of the B + 1 values of y, and the cost is proportional
+  to its length;
 * n^2 < D: read the classes off the cached period of sqrt(D).  Each
   primitive solution x/y of x^2 - D y^2 = m with |m| < sqrt(D) is a
   convergent h_k/k_k (Lagrange), and h_k^2 - D k_k^2 = (-1)^(k+1) Q_(k+1),
@@ -31,17 +36,21 @@ class has a representative with |y| <= B.  The routes, in dispatch order:
 
 The limit is set by the pairs that reach the oracle.  Measured over
 D < 1500, |n| <= 500, n^2 >= D (Python 3.11, one core of a 2-vCPU VM,
-warm caches, min of 3 runs), the scan costs about 0.25 us per y and PQa
-about 13 us per (D, n) at any B, so PQa is faster on 56% of the pairs
-with B in [32, 64) and on 83% of those with B in [64, 96) (13.2 against
-19.8 us).  The limit stays at 96 because a joint decision sends only
-locally solvable pairs to the oracle, and those carry the most threads:
-on the 186 such pairs of the ``joint_2d`` benchmark grid with B in
-(64, 96], PQa costs 41-45 us against 21-33 us for the scan, and a limit
-of 64 gave that workload a slightly worse p99 in paired runs.  Over
-D <= 3000 (deciles 10/50/90%): for n^2 < D the convergent route costs
-3.8/4.4/7.1 us where B <= 96, against 1.0/2.5/10.4 us for the scan, so
-the scan stays first, and 4.2/5.6/11.5 us where B > 96; PQa costs
+warm caches, min of 3 runs, 6,000 seeded scan-route pairs), the scan
+tries 44% of the B + 1 values of y on average and at most half, at about
+0.10 us per y tried plus 1.3 us (0.13 us per y over all of 0..B before it
+kept to Nagell's range); PQa costs about 6 us per (D, n) at any B.  The
+scan is faster on 98% of the pairs with B < 32, 77% of those with B in
+[32, 64) and 57% of those with B in [64, 96] (5.2 against 5.7 us).  On
+the 192 locally solvable pairs of the ``joint_2d`` benchmark grid with B in
+(64, 96], the only pairs a joint decision sends to the oracle, it costs
+4.1-7.8 us against 5.0-32.5 us for PQa and wins on 190.  For n^2 < D and
+B <= 96 (D < 3000) the scan costs 1.3/1.8/4.4 us at deciles 10/50/90%
+against 1.9/2.5/4.0 us for the convergent route, so the scan stays first.
+Above the limit the scan wins on half of the PQa-route pairs with B in
+(96, 128] and on almost none of the convergent-route pairs (6.4 against
+2.5 us), so the limit stays at 96.  Measured earlier on a slower host: the
+convergent route costs 4.2/5.6/11.5 us where B > 96, and PQa
 7.1/14.6/43.7 us per pair with n^2 >= D, |n| <= 500 and B > 96, against
 9.1/23.4/90.7 us when a thread on the principal cycle walked it state by
 state.  All three routes find every solution class, so returned witnesses
@@ -58,6 +67,9 @@ from .verdict import Verdict
 
 # Largest orbit bound that is scanned; the module docstring gives the measurements.
 _ORBIT_SCAN_LIMIT = 96
+# Steps a PQa thread may take to reach its first reduced state before it is
+# declared broken.
+_CF_THREAD_MAX_STEPS = 10_000_000
 
 
 class CFExpansion(namedtuple("CFExpansion", "a0 period pq_states qs")):
@@ -176,7 +188,7 @@ def _pqa_solutions(D: int, m: int, z: int) -> list[tuple[int, int]]:
             hit(am * Q_next if (i + 1) % 2 == 0 else -am * Q_next, g, b)
         P, Q = P_next, Q_next
         i += 1
-        if i > 10_000_000:
+        if i > _CF_THREAD_MAX_STEPS:
             raise ArithmeticError(f"CF thread failed to cycle for D={D}, m={m}")
     # the first reduced state: off the principal cycle no Q = +-1 follows;
     # on it, the one remaining hit is at (s, 1) = pq_states[L]
@@ -264,10 +276,19 @@ def minimal_solutions(D: int, n: int) -> list[tuple[int, int]]:
     ybound = orbit_y_bound(D, n)
     reps: set[tuple[int, int]] = set()
     if ybound <= _ORBIT_SCAN_LIMIT:
-        for y in range(0, ybound + 1):
+        # only Nagell's range of least y per class (Thms 108 and 108a, see
+        # the module docstring); for n < 0 it starts at the least y with
+        # D y^2 >= -n, so t is never negative
+        xp, yp = plus_unit(D)
+        if n > 0:
+            ys = range(0, isqrt(n * yp * yp // (2 * (xp + 1))) + 1)
+        else:
+            ys = range(isqrt((-n - 1) // D) + 1, isqrt(-n * yp * yp // (2 * (xp - 1))) + 1)
+        for y in ys:
             t = n + D * y * y
-            if t >= 0 and is_square(t):
-                reps.add(_descend(D, isqrt(t), y))
+            x = isqrt(t)
+            if x * x == t:
+                reps.add(_descend(D, x, y))
     else:
         for x, y in _convergent_all(D, n) if n * n < D else _lmm_all(D, n):
             reps.add(_descend(D, x, y))

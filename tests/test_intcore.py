@@ -245,3 +245,62 @@ def test_against_sympy_around_witness_bounds():
         n = rng.randrange(2, 10**12)
         assert intcore.is_prime(n) == sympy.isprime(n), n
         assert dict(intcore.factor.__wrapped__(n).factors) == sympy.factorint(n), n
+
+
+# the scan as before the per-D memo of D's odd primes, verbatim
+def _reference_local_obstruction(D, n, *, fac=None):
+    for l in intcore.factor(D).primes():
+        if l != 2 and not intcore.local_solvable(D, n, l):
+            return l
+    if not intcore.local_solvable(D, n, 2):
+        return 2
+    if fac is None:
+        fac = intcore.factor(abs(n))
+    for l in fac.primes():
+        if l != 2 and D % l and not intcore.local_solvable(D, n, l):
+            return l
+    return None
+
+
+def test_local_obstruction_matches_reference():
+    # D with l^2 | D (18, 45, 50, 63, 75, 99, ...) and n with high prime
+    # powers, where the descent in local_solvable and the parity of v_l(n)
+    # decide
+    ds = list(range(2, 160)) + [245, 363, 1125, 2450, 3969, 6125, 7 * 11**3]
+    ns = list(range(-80, 81)) + [
+        s * c * p**k
+        for p in (2, 3, 5, 7, 11)
+        for k in range(2, 10)
+        for c in (1, 3, 5, 7, 13)
+        for s in (1, -1)
+    ]
+    obstructed = 0
+    for D in ds:
+        for n in ns:
+            if n == 0:
+                continue
+            want = _reference_local_obstruction(D, n)
+            assert intcore.local_obstruction_anywhere(D, n) == want, (D, n)
+            fac = intcore.factor(abs(n))
+            assert intcore.local_obstruction_anywhere(D, n, fac=fac) == want, (D, n)
+            obstructed += want is not None
+    assert obstructed > 10_000
+
+
+def test_local_obstruction_factors_only_n_once_d_is_warm(monkeypatch):
+    # D's odd primes come from a per-D memo, so a warm scan factors |n| at
+    # most, and only once D's odd primes and 2 have passed
+    D = 45
+    intcore.local_obstruction_anywhere(D, 1)
+    calls = []
+    factor = intcore.factor
+    monkeypatch.setattr(intcore, "factor", lambda n: calls.append(n) or factor(n))
+    seen = set()
+    for n in range(-300, 301):
+        if n == 0:
+            continue
+        calls.clear()
+        l = intcore.local_obstruction_anywhere(D, n)
+        assert calls == ([] if l in (2, 3, 5) else [abs(n)]), (n, l)
+        seen.add(l)
+    assert {2, 3, 5, None} <= seen and len(seen) > 4

@@ -125,6 +125,33 @@ def test_routes_agree():
     assert solvable >= 25
 
 
+def test_scan_route_walks_nagell_range():
+    # the scan route tries only Nagell's range of least y per class
+    # (Thms 108/108a); on every scan-route pair of the grid it finds what the
+    # full scan over 0..B finds, and thousands of classes have their least y
+    # exactly at the upper end, the largest y with 2 (x1 +- 1) y^2 <= |n| y1^2
+    at_top = 0
+    for D in range(2, 400):
+        if math.isqrt(D) ** 2 == D:
+            continue
+        xp, yp = pellsolver.plus_unit(D)
+        for n in range(-200, 201):
+            if n == 0 or pellsolver.orbit_y_bound(D, n) > pellsolver._ORBIT_SCAN_LIMIT:
+                continue
+            got = pellsolver.minimal_solutions(D, n)
+            assert got == _orbit_scan(D, n), (D, n)
+            top = isqrt(abs(n) * yp * yp // (2 * (xp + 1 if n > 0 else xp - 1)))
+            at_top += any(y == top for _, y in got)
+    assert at_top == 3080
+    # (x1, y1) = (3, 2) at D = 2: for n = -196 the upper end is y = 14, and the
+    # class of (14, 14) has no smaller y; for n = -2 the lower end, the least
+    # y with 2 y^2 >= 2, holds (0, 1)
+    assert pellsolver.plus_unit(2) == (3, 2)
+    assert isqrt(196 * 2 * 2 // (2 * (3 - 1))) == 14
+    assert pellsolver.minimal_solutions(2, -196) == [(2, 10), (14, 14)]
+    assert pellsolver.minimal_solutions(2, -2) == [(0, 1)]
+
+
 def test_scan_limit_boundary(monkeypatch):
     limit = pellsolver._ORBIT_SCAN_LIMIT
     at = {limit: [], limit + 1: []}
@@ -277,6 +304,22 @@ def test_pqa_thread_stops_off_the_principal_cycle(monkeypatch):
     v = pellsolver.solve(D, n)
     assert v.status == "unsolvable" and v.reason == "local-obstruction:5"
     assert 0 < len(calls) < len(cf.period)
+
+
+def test_cf_thread_guard_at_its_edge(monkeypatch):
+    # the step guard of a PQa thread, moved down to the exact number of steps
+    # a known thread takes to its first reduced state: it passes at that
+    # count and raises one below; this thread takes 10 steps to a solution
+    D, m, z = 2, 1871, -716
+    _, steps = _first_reduced(D, m, z)
+    assert steps == 10
+    want = _reference_pqa_solutions(D, m, z)
+    assert want
+    monkeypatch.setattr(pellsolver, "_CF_THREAD_MAX_STEPS", steps)
+    assert pellsolver._pqa_solutions(D, m, z) == want
+    monkeypatch.setattr(pellsolver, "_CF_THREAD_MAX_STEPS", steps - 1)
+    with pytest.raises(ArithmeticError, match="failed to cycle"):
+        pellsolver._pqa_solutions(D, m, z)
 
 
 def test_many_split_primes():

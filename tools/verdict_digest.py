@@ -1,0 +1,75 @@
+"""Digests of the oracle's and the joint criterion's output, for comparing two trees.
+
+Run from the root of a checkout:
+
+    python3 tools/verdict_digest.py
+
+Each line is a sha256 over one grid, with every record written out in full:
+
+* ``minimal_solutions``: every solution class of x^2 - D y^2 = n, non-square
+  D < 1500, 0 < |n| <= 300;
+* ``local_obstruction_anywhere``: the first obstructing prime, or None, for
+  non-square D < 800, 0 < |n| <= 400;
+* ``solve``: the verdict (status, witness, provenance, reason) for non-square
+  D < 1000, 0 < |n| <= 200;
+* ``joint_artin_decide``: the same tuple over the 12 family-B D of the
+  ``joint_2d`` benchmark and 0 < |n| <= 500.
+
+Equal digests on two trees mean equal output on every pair.  A single grid
+can be named on the command line, as in ``python3 tools/verdict_digest.py solve``.
+"""
+
+import hashlib
+import math
+import pathlib
+import sys
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+
+from gen import JOINT_2D_D, JOINT_2D_N_MAX  # noqa: E402
+from pellcrit import artin, intcore, pellsolver  # noqa: E402
+
+
+def _pairs(d_max, n_max):
+    for D in range(2, d_max):
+        if math.isqrt(D) ** 2 == D:
+            continue
+        for n in range(-n_max, n_max + 1):
+            if n:
+                yield D, n
+
+
+def _verdict(v):
+    return (v.status, v.witness, v.provenance, v.reason)
+
+
+GRIDS = {
+    "minimal_solutions": lambda: (
+        ((D, n), pellsolver.minimal_solutions(D, n)) for D, n in _pairs(1500, 300)
+    ),
+    "local_obstruction_anywhere": lambda: (
+        ((D, n), intcore.local_obstruction_anywhere(D, n)) for D, n in _pairs(800, 400)
+    ),
+    "solve": lambda: (((D, n), _verdict(pellsolver.solve(D, n))) for D, n in _pairs(1000, 200)),
+    "joint_artin_decide": lambda: (
+        ((D, n), _verdict(artin.joint_artin_decide(D, n)))
+        for D in JOINT_2D_D
+        for n in range(-JOINT_2D_N_MAX, JOINT_2D_N_MAX + 1)
+        if n
+    ),
+}
+
+
+def main(argv):
+    for name in argv or GRIDS:
+        h = hashlib.sha256()
+        count = 0
+        for key, value in GRIDS[name]():
+            h.update(f"{key}:{value}\n".encode())
+            count += 1
+        print(f"{name}: {count} pairs, sha256 {h.hexdigest()}", flush=True)
+
+
+if __name__ == "__main__":
+    main(sys.argv[1:])
