@@ -87,9 +87,11 @@ def cmd_classify_2p(args) -> int:
 
 def _oracle_target(D: int, targets: tuple[int, ...], confirmed: int | None) -> int | None:
     # the first target the oracle solves; the criteria have already had the
-    # oracle confirm their own target, so it is not asked again
+    # oracle confirm their own target, so it is not asked again.  The others
+    # take the oracle's complete search alone: an unsolvable target's local
+    # label would only be thrown away
     for t in targets:
-        if t == confirmed or pellsolver.solve(D, t).solvable:
+        if t == confirmed or pellsolver.minimal_solutions(D, t):
             return t
     return None
 

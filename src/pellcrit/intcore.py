@@ -339,11 +339,6 @@ def two_adic_layer(D: int, n: int) -> int | None:
     return None
 
 
-def two_adic_solvable(D: int, n: int) -> bool:
-    """True iff x^2 - D y^2 = n has a solution in Z_2 x Z_2 (D, n nonzero)."""
-    return two_adic_layer(D, n) is not None
-
-
 def local_solvable(D: int, n: int, l: int) -> bool:
     """True iff x^2 - D y^2 = n has a solution in Z_l x Z_l."""
     if n == 0:

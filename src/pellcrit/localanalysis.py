@@ -116,17 +116,6 @@ def square_class_2(u) -> tuple[int, int]:
     return (v & 1, rep)
 
 
-def norm_class_2(u) -> int | None:
-    """Class of u among local norms {1, -1, 2, -2} at a ramified-at-2 field.
-
-    None when u is not in the norm group (unit part ±5 mod squares).
-    """
-    par, rep = square_class_2(u)
-    if rep in (5, -5):
-        return None
-    return rep * (2 if par else 1)
-
-
 # ---------------------------------------------------------------------------
 # local points
 

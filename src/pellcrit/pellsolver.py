@@ -1,5 +1,10 @@
 """Ground-truth Pell oracle: continued-fraction expansions and a complete solver.
 
+``cf_fundamental`` walks the continued fraction of sqrt(D) only up to the
+symmetric point of its period, where the fundamental unit already follows
+from the convergents there, and fills in the rest of the period by
+reflection; its docstring gives the two stop rules.
+
 ``solve`` decides x^2 - D y^2 = n over Z for any positive non-square D and
 nonzero n.  ``minimal_solutions`` finds every solution class by one of three
 complete routes.  The orbit bound B = ``orbit_y_bound(D, n)`` is an integer
@@ -26,13 +31,15 @@ class has a representative with |y| <= B.  The routes, in dispatch order:
   thread meets Q = +-1.  A thread is periodic from its first reduced state
   (0 < P <= s, s - P < Q <= s + P, s = isqrt(D)) on, and (s, 1) is the
   only reduced state with Q = +-1, so a thread whose first reduced state
-  is not on the principal cycle of sqrt(D) stops there.  A thread that
-  enters the principal cycle at ``pq_states[k]`` has exactly one more
-  solution, at the next visit of (s, 1) = ``pq_states[L]``; it gets there
-  by the convergent recurrence alone, reading the partial quotients
-  ``period[k-1 : L-1]`` (for k = L, the whole period rotated) off the
-  cached expansion, with no further floor or state.  The cost grows with
-  the number of threads, 2^w(n) for n with w(n) split primes.
+  is not on the principal cycle of sqrt(D) stops there; a per-D map from
+  state to index, built from ``pq_states`` on the first thread at D, tells
+  the two apart.  A thread that enters the principal cycle at
+  ``pq_states[k]`` has exactly one more solution, at the next visit of
+  (s, 1) = ``pq_states[L]``; it gets there by the convergent recurrence
+  alone, reading the partial quotients ``period[k-1 : L-1]`` (for k = L,
+  the whole period rotated) off the cached expansion, with no further
+  floor or state.  The cost grows with the number of threads, 2^w(n) for
+  n with w(n) split primes.
 
 The limit is set by the pairs that reach the oracle.  Measured over
 D < 1500, |n| <= 500, n^2 >= D (Python 3.11, one core of a 2-vCPU VM,
@@ -72,20 +79,31 @@ _ORBIT_SCAN_LIMIT = 96
 _CF_THREAD_MAX_STEPS = 10_000_000
 
 
-class CFExpansion(namedtuple("CFExpansion", "a0 period pq_states qs")):
+class CFExpansion(namedtuple("CFExpansion", "a0 period qs")):
     """Periodic continued fraction of sqrt(D): a0 then a repeating block.
 
-    ``pq_states`` are the states (P_k, Q_k) of (P_k + sqrt(D)) / Q_k for
-    k = 0..L; from k = 1 on they are the principal cycle of reduced states.
     ``qs`` holds Q_1..Q_L, so that ``qs[k]`` names the norm
     h_k^2 - D k_k^2 = (-1)^(k+1) Q_(k+1) of the convergent h_k / k_k.
+    ``pq_states`` are the states (P_k, Q_k) of (P_k + sqrt(D)) / Q_k for
+    k = 0..L; from k = 1 on they are the principal cycle of reduced states.
+    They are derived, by P_(k+1) = a_k Q_k - P_k, rather than stored: the
+    half-period walk of ``cf_fundamental`` never meets the second half of
+    them, and only a PQa thread reads them, once per D.
     """
 
     __slots__ = ()
     a0: int
     period: tuple[int, ...]
-    pq_states: tuple[tuple[int, int], ...]
     qs: tuple[int, ...]
+
+    @property
+    def pq_states(self) -> tuple[tuple[int, int], ...]:
+        P, Q = 0, 1
+        states = [(P, Q)]
+        for a, q in zip((self.a0,) + self.period, self.qs):
+            P, Q = a * Q - P, q
+            states.append((P, Q))
+        return tuple(states)
 
 
 class PellFundamental(namedtuple("PellFundamental", "x1 y1 unit_norm")):
@@ -97,7 +115,17 @@ class PellFundamental(namedtuple("PellFundamental", "x1 y1 unit_norm")):
 
 @lru_cache(maxsize=None)
 def cf_fundamental(D: int) -> tuple[CFExpansion, PellFundamental]:
-    """CF expansion of sqrt(D) and the minimal solution of x^2 - D y^2 = +-1."""
+    """CF expansion of sqrt(D) and the minimal solution of x^2 - D y^2 = +-1.
+
+    The walk stops at the symmetric point of the period, of length L.  With
+    P_(k+1) = a_k Q_k - P_k, Q_(k+1) = (D - P_(k+1)^2) / Q_k and
+    alpha_i = h_i + k_i sqrt(D) (alpha_(-1) = 1), the first m with
+    P_(m+1) = P_m gives L = 2m and eps = alpha_(m-1)^2 / Q_m, and the first
+    m with Q_(m+1) = Q_m gives L = 2m + 1 and eps = alpha_(m-1) alpha_m / Q_m.
+    The rest of the period follows by reflection: a_1..a_(L-1) is a
+    palindrome, a_L = 2 a_0 and Q_k = Q_(L-k).  The unit is still checked
+    against x^2 - D y^2 = +-1.
+    """
     if D <= 0 or is_square(D):
         raise ValueError(f"D must be a positive non-square, got {D}")
     a0 = isqrt(D)
@@ -105,24 +133,34 @@ def cf_fundamental(D: int) -> tuple[CFExpansion, PellFundamental]:
     k_prev, k = 0, 1
     P, Q, a = 0, 1, a0
     period: list[int] = []
-    states: list[tuple[int, int]] = [(0, 1)]
     qs: list[int] = []
     while True:
-        P = a * Q - P
-        Q = (D - P * P) // Q
+        P_next = a * Q - P
+        Q_next = (D - P_next * P_next) // Q
+        if P_next == P:
+            # L = 2m: a_m and Q_m are the middle terms, not repeated
+            x = (h_prev * h_prev + D * k_prev * k_prev) // Q
+            y = 2 * h_prev * k_prev // Q
+            mid, norm = -2, 1
+            break
+        if Q_next == Q:
+            # L = 2m + 1: a_m and Q_m repeat as a_(m+1) and Q_(m+1)
+            x = (h_prev * h + D * k_prev * k) // Q
+            y = (h_prev * k + h * k_prev) // Q
+            mid, norm = -1, -1
+            break
+        P, Q = P_next, Q_next
         a = (a0 + P) // Q
         period.append(a)
         qs.append(Q)
-        states.append((P, Q))
-        if Q == 1:
-            break
         h_prev, h = h, a * h + h_prev
         k_prev, k = k, a * k + k_prev
-    norm = -1 if len(period) % 2 == 1 else 1
-    if h * h - D * k * k != norm:
+    # the second half by reflection, back to a_L = 2 a0 and Q_L = Q_0 = 1
+    period += period[mid::-1] + [2 * a0]
+    qs += qs[mid::-1] + [1]
+    if x * x - D * y * y != norm:
         raise ArithmeticError(f"CF expansion of sqrt({D}) gave no unit")
-    cf = CFExpansion(a0, tuple(period), tuple(states), tuple(qs))
-    return cf, PellFundamental(h, k, norm)
+    return CFExpansion(a0, tuple(period), tuple(qs)), PellFundamental(x, y, norm)
 
 
 @lru_cache(maxsize=None)
@@ -160,6 +198,13 @@ def _floor_quad(P: int, Q: int, s: int) -> int:
     return -((P + s) // (-Q)) - 1
 
 
+@lru_cache(maxsize=None)
+def _cycle_index(D: int) -> dict[tuple[int, int], int]:
+    # index k of each state in pq_states, built on the first PQa thread at D
+    cf, _ = cf_fundamental(D)
+    return {state: k for k, state in enumerate(cf.pq_states)}
+
+
 def _pqa_solutions(D: int, m: int, z: int) -> list[tuple[int, int]]:
     """Solutions of x^2 - D y^2 = m on the CF thread of (z + sqrt(D))/|m|."""
     s = isqrt(D)
@@ -192,9 +237,8 @@ def _pqa_solutions(D: int, m: int, z: int) -> list[tuple[int, int]]:
             raise ArithmeticError(f"CF thread failed to cycle for D={D}, m={m}")
     # the first reduced state: off the principal cycle no Q = +-1 follows;
     # on it, the one remaining hit is at (s, 1) = pq_states[L]
-    try:
-        cur = cf.pq_states.index((P, Q))
-    except ValueError:
+    cur = _cycle_index(D).get((P, Q))
+    if cur is None:
         return sols
     period = cf.period
     run = period[cur - 1 : -1] if cur < len(period) else period[-1:] + period[:-1]

@@ -120,18 +120,3 @@ def hilbert_q_parts(l: int, alpha: int, u: int, beta: int, w: int) -> int:
     if alpha & 1:
         s *= jacobi(w, l)
     return s
-
-
-def hilbert_places(a, b) -> list:
-    """Places where (a, b)_l can be nontrivial: 2, odd primes of ab, REAL."""
-    a = _to_int_pair(a)
-    b = _to_int_pair(b)
-    places: list = [2]
-    seen = set()
-    for n in (a, b):
-        for p, _ in factor(n).factors:
-            if p != 2 and p not in seen:
-                seen.add(p)
-                places.append(p)
-    places.append(REAL)
-    return places

@@ -285,7 +285,15 @@ def test_twist_symbol_examples():
 def test_twist_symbol_matches_character_table():
     # when n has no odd prime factors the symbol product reduces to the
     # place over 2, which the character table encodes by norm class
-    from pellcrit.localanalysis import character_table, norm_class_2
+    from pellcrit.localanalysis import character_table, square_class_2
+
+    def norm_class_2(u):
+        # class of u among the local norms 1, -1, 2, -2 at a field ramified
+        # at 2; None when u is not a norm (unit part +-5 mod squares)
+        par, rep = square_class_2(u)
+        if rep in (5, -5):
+            return None
+        return rep * (2 if par else 1)
 
     for D in (34, 146, 466, 1394):
         tw = quadring.find_twist_point(D, 2)

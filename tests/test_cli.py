@@ -81,12 +81,14 @@ def test_scan_inconsistency_exit_code(monkeypatch, capsys):
 
 def test_scan_asks_the_oracle_ahead_of_the_target(monkeypatch, capsys):
     # the scan takes the criteria's confirmed target as solvable, but an
-    # oracle that also solves -1 must still contradict every target 2 or -2
-    solve = pellsolver.solve
+    # oracle that also solves -1 must still contradict every target 2 or -2;
+    # the scan asks the oracle's search directly, and where -1 is truly
+    # solvable the search keeps its own witness, which solve checks
+    search = pellsolver.minimal_solutions
     monkeypatch.setattr(
         pellsolver,
-        "solve",
-        lambda D, n: Verdict("solvable", (1, 1), "oracle") if n == -1 else solve(D, n),
+        "minimal_solutions",
+        lambda D, n: (search(D, n) or [(1, 1)]) if n == -1 else search(D, n),
     )
     assert cli.main(["scan", "--family", "2p", "--max", "13"]) == cli.EXIT_INCONSISTENT
     out, err = capsys.readouterr()
@@ -96,6 +98,35 @@ def test_scan_asks_the_oracle_ahead_of_the_target(monkeypatch, capsys):
     }
     assert all(rec["oracle_target"] == -1 for rec in records)
     assert len(err.splitlines()) == 3
+
+
+def test_scan_2p_walks_each_period_once_and_labels_nothing(monkeypatch, capsys):
+    # one cold walk of sqrt(2p) per record, and the oracle-target check runs
+    # the complete search without computing a local-obstruction label
+    inside, labels = [], []
+    oracle_target = cli._oracle_target
+
+    def traced_target(*args):
+        inside.append(True)
+        try:
+            return oracle_target(*args)
+        finally:
+            inside.pop()
+
+    obstruction = pellsolver.local_obstruction_anywhere
+    monkeypatch.setattr(cli, "_oracle_target", traced_target)
+    monkeypatch.setattr(
+        pellsolver,
+        "local_obstruction_anywhere",
+        lambda *args, **kwargs: labels.append(bool(inside)) or obstruction(*args, **kwargs),
+    )
+    pellsolver.cf_fundamental.cache_clear()
+    pellsolver.plus_unit.cache_clear()
+    assert cli.main(["scan", "--family", "2p", "--max", "300"]) == cli.EXIT_OK
+    records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert len(records) == 61 and all(rec["agree"] for rec in records)
+    assert pellsolver.cf_fundamental.cache_info().misses == len(records)
+    assert not any(labels)
 
 
 def test_scan_records_round_trip():

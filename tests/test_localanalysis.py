@@ -8,8 +8,13 @@ import pytest
 
 from pellcrit import localanalysis as la
 from pellcrit import pellsolver, quadring
-from pellcrit.intcore import factor, lift_unit_sqrt, two_adic_solvable, valuation
+from pellcrit.intcore import factor, lift_unit_sqrt, two_adic_layer, valuation
 from pellcrit.symbols import hilbert_q, jacobi
+
+
+def two_adic_solvable(D, n):
+    # x^2 - D y^2 = n has a point in Z_2 x Z_2 (D, n nonzero)
+    return two_adic_layer(D, n) is not None
 
 
 def test_local_solvable_examples():

@@ -2,9 +2,10 @@ import math
 import random
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from pellcrit import pellsolver
-from pellcrit.intcore import factor, isqrt
+from pellcrit.intcore import factor, is_square, isqrt
 from pellcrit.pellsolver import _floor_quad, cf_fundamental
 
 
@@ -39,6 +40,78 @@ def test_cf_invariants_to_2000():
             assert h * h - D * k * k == (-1) ** (i + 1) * cf.qs[i % L], (D, i)
             a = cf.period[i % L]
             h_prev, h, k_prev, k = h, a * h + h_prev, k, a * k + k_prev
+
+
+def _reference_cf_fundamental(D: int):
+    # the full walk over one whole period, as before the half-period walk;
+    # it returns (a0, period, pq_states, qs) and (x1, y1, unit_norm) as tuples
+    a0 = isqrt(D)
+    h_prev, h = 1, a0
+    k_prev, k = 0, 1
+    P, Q, a = 0, 1, a0
+    period: list[int] = []
+    states: list[tuple[int, int]] = [(0, 1)]
+    qs: list[int] = []
+    while True:
+        P = a * Q - P
+        Q = (D - P * P) // Q
+        a = (a0 + P) // Q
+        period.append(a)
+        qs.append(Q)
+        states.append((P, Q))
+        if Q == 1:
+            break
+        h_prev, h = h, a * h + h_prev
+        k_prev, k = k, a * k + k_prev
+    norm = -1 if len(period) % 2 == 1 else 1
+    if h * h - D * k * k != norm:
+        raise ArithmeticError(f"CF expansion of sqrt({D}) gave no unit")
+    cf = (a0, tuple(period), tuple(states), tuple(qs))
+    return cf, (h, k, norm)
+
+
+def _half_walk_matches_full_walk(D: int) -> int:
+    # the period length, once the half walk matches the full one at D
+    cf, fund = cf_fundamental.__wrapped__(D)
+    got = (cf.a0, cf.period, cf.pq_states, cf.qs), (fund.x1, fund.y1, fund.unit_norm)
+    assert got == _reference_cf_fundamental(D), D
+    return len(cf.period)
+
+
+def test_half_walk_matches_full_walk_below_20000():
+    # both stop rules: P_(m+1) = P_m for an even period, Q_(m+1) = Q_m for an odd one
+    lengths = [_half_walk_matches_full_walk(D) for D in range(2, 20_000) if not is_square(D)]
+    assert len(lengths) == 20_000 - 2 - 140
+    odd = sum(L % 2 for L in lengths)
+    assert odd > 1000 and len(lengths) - odd > 10_000
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=10**6, max_value=10**7))
+def test_half_walk_matches_full_walk_at_large_d(D):
+    assume(not is_square(D))
+    _half_walk_matches_full_walk(D)
+
+
+@pytest.mark.parametrize(
+    "D, period",
+    [
+        # period 1: the odd rule at m = 0, where Q_1 = Q_0 = 1 and eps = alpha_0
+        (2, (2,)),
+        (5, (4,)),
+        (10, (6,)),
+        (26, (10,)),
+        # period 2: the even rule at m = 1, where P_2 = P_1 and eps = alpha_0^2 / Q_1
+        (3, (1, 2)),
+        (6, (2, 4)),
+        (8, (1, 4)),
+        (11, (3, 6)),
+        (12, (2, 6)),
+    ],
+)
+def test_half_walk_on_the_shortest_periods(D, period):
+    assert cf_fundamental(D)[0].period == period
+    _half_walk_matches_full_walk(D)
 
 
 def test_solve_examples():

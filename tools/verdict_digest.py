@@ -13,7 +13,10 @@ Each line is a sha256 over one grid, with every record written out in full:
 * ``solve``: the verdict (status, witness, provenance, reason) for non-square
   D < 1000, 0 < |n| <= 200;
 * ``joint_artin_decide``: the same tuple over the 12 family-B D of the
-  ``joint_2d`` benchmark and 0 < |n| <= 500.
+  ``joint_2d`` benchmark and 0 < |n| <= 500;
+* ``cf_fundamental``: the period, ``qs`` and ``pq_states`` of sqrt(D) and the
+  unit (x1, y1, unit_norm), for non-square D < 100,000, each D walked afresh
+  past the cache so that memory stays flat.
 
 Equal digests on two trees mean equal output on every pair.  A single grid
 can be named on the command line, as in ``python3 tools/verdict_digest.py solve``.
@@ -44,6 +47,11 @@ def _verdict(v):
     return (v.status, v.witness, v.provenance, v.reason)
 
 
+def _walk(D):
+    cf, fund = pellsolver.cf_fundamental.__wrapped__(D)
+    return (cf.period, cf.qs, cf.pq_states, (fund.x1, fund.y1, fund.unit_norm))
+
+
 GRIDS = {
     "minimal_solutions": lambda: (
         ((D, n), pellsolver.minimal_solutions(D, n)) for D, n in _pairs(1500, 300)
@@ -57,6 +65,9 @@ GRIDS = {
         for D in JOINT_2D_D
         for n in range(-JOINT_2D_N_MAX, JOINT_2D_N_MAX + 1)
         if n
+    ),
+    "cf_fundamental": lambda: (
+        (D, _walk(D)) for D in range(2, 100_000) if math.isqrt(D) ** 2 != D
     ),
 }
 
