@@ -10,6 +10,12 @@ at either discriminant.  The auxiliary quadratic
 extension built from a twist point contributes a second condition, a
 product of local Hilbert symbols.  Solvability for the supported families
 is equivalent to some single adelic choice passing both conditions at once.
+
+The joint decision walks the choices (ideals of norm |n|) depth first over
+the exponents at the split primes of n and stops at the first with a
+principal class and a trivial twist symbol.  The symbol's part that depends
+on n alone is computed once, at the first principal choice; each choice
+adds a sign per split prime.
 """
 
 from __future__ import annotations
@@ -146,7 +152,7 @@ class ClassGroup:
             raise ValueError(f"forms {f1}, {f2} do not both have discriminant {self.disc}")
         if f1 is self.principal:
             # Gauss-Shanks with a1 = 1 gives (a2, b2, c2) back before it
-            # reduces; power and class_images_of_norm start from this form,
+            # reduces; power and the ramified part of n start from this form,
             # so these pairs stay out of the memo
             return _reduce(f2, self._s, self.disc)
         return _compose(f1, f2)
@@ -256,31 +262,24 @@ class ClassImages(namedtuple("ClassImages", "entries obstruction disc")):
 _MAX_SPLIT_PRIMES = 12
 
 
-def class_images_of_norm(D: int, n: int, *, fac: Factorization | None = None) -> ClassImages:
-    """All ideals of Z[sqrt(D)] of norm |n| with their form classes.
+def _ideal_data(D: int, n: int, fac: Factorization) -> tuple:
+    """(disc, obstruction, base, split, forced) of the ideals of norm |n|.
 
-    When D = 5 mod 8 and 4 | n, a solution may be 2 alpha with alpha in the
-    maximal order Z[(1 + sqrt(D))/2] only.  There 2 is inert, so n is a norm
-    from Z[sqrt(D)] iff its odd part is a norm from the maximal order, and
-    the ideals and classes are taken there, at discriminant D instead of 4D.
-    Returns an empty list with the failing prime when some completion
-    admits no integral point for valuation reasons.  ``fac``, when given,
-    is the factorization of |n|.
+    The discriminant, the prime with no integral local point or None, the
+    class of the ramified part, (l, e, powers) per split prime with powers[j]
+    the class of l^(2j - e), and the (l, kind, e) of the ramified and inert
+    primes.  ``fac`` is the factorization of |n|.
     """
-    if n == 0:
-        raise ValueError("n must be nonzero")
     disc = D if D % 8 == 5 and n % 4 == 0 else 4 * D
     group = class_group(disc)
-    if fac is None:
-        fac = factor(abs(n))
-    split_primes: list[tuple[int, int, tuple[Form, ...]]] = []
+    split: list[tuple[int, int, tuple[Form, ...]]] = []
     forced: list[tuple[int, str, int]] = []
     base = group.principal
     for l, e in fac.factors:
         st = splitting_type(D, l)
         if st == INERT:
             if e % 2:
-                return ClassImages((), l, disc)
+                return disc, l, base, (), ()
             forced.append((l, INERT, e // 2))
         elif st == RAMIFIED:
             forced.append((l, RAMIFIED, e))
@@ -289,30 +288,64 @@ def class_images_of_norm(D: int, n: int, *, fac: Factorization | None = None) ->
             if l == 2:
                 # the order is not maximal at 2 when D is odd
                 if e == 1:
-                    return ClassImages((), 2, disc)
+                    return disc, 2, base, (), ()
                 raise NotImplementedError(
                     "split conductor prime 2 with 4 | n is outside the"
                     " supported families"
                 )
             # j of the e factors on the chosen-root side contribute l^(2j - e)
-            split_primes.append(
-                (l, e, tuple(_prime_power(D, disc, l, 2 * j - e) for j in range(e + 1)))
-            )
-    if len(split_primes) > _MAX_SPLIT_PRIMES:
+            split.append((l, e, tuple(_prime_power(D, disc, l, 2 * j - e) for j in range(e + 1))))
+    if len(split) > _MAX_SPLIT_PRIMES:
         raise ValueError(f"more than {_MAX_SPLIT_PRIMES} split primes in n")
-    entries: list[tuple[AdelicChoice, Form]] = []
+    return disc, None, base, tuple(split), tuple(forced)
 
-    def rec(i: int, acc_split: tuple, acc_form: Form) -> None:
-        if i == len(split_primes):
-            # the principal form and every compose result are already reduced
-            entries.append((AdelicChoice(acc_split, tuple(forced)), acc_form))
+
+def _choices(principal: Form, split: tuple, base: Form):
+    """Depth first over the split exponents: (chosen split, reduced form).
+
+    All forms are reduced and of one discriminant, so they compose by
+    ``_compose``.  A principal accumulator takes each contribution as it is,
+    as ``ClassGroup.compose`` does.  A principal contribution is composed
+    all the same: the result lies on the accumulator's cycle but need not
+    equal it, and the class images keep that exact form.
+    """
+
+    def walk(i: int, chosen: tuple, acc: Form):
+        if i == len(split):
+            yield chosen, acc
             return
-        l, e, powers = split_primes[i]
+        l, e, powers = split[i]
         for j, contrib in enumerate(powers):
-            rec(i + 1, acc_split + ((l, e, j),), group.compose(acc_form, contrib))
+            yield from walk(
+                i + 1, chosen + ((l, e, j),), contrib if acc is principal else _compose(acc, contrib)
+            )
 
-    rec(0, (), base)
-    return ClassImages(tuple(entries), None, disc)
+    return walk(0, (), base)
+
+
+def class_images_of_norm(D: int, n: int, *, fac: Factorization | None = None) -> ClassImages:
+    """All ideals of Z[sqrt(D)] of norm |n| with their form classes.
+
+    When D = 5 mod 8 and 4 | n, a solution may be 2 alpha with alpha in the
+    maximal order Z[(1 + sqrt(D))/2] only.  There 2 is inert, so n is a norm
+    from Z[sqrt(D)] iff its odd part is a norm from the maximal order, and
+    the ideals and classes are taken there, at discriminant D instead of 4D.
+    When some completion admits no integral point for valuation reasons,
+    returns no entries and that prime as ``obstruction``.  ``fac``, when
+    given, is the factorization of |n|.
+    """
+    if n == 0:
+        raise ValueError("n must be nonzero")
+    disc, obstruction, base, split, forced = _ideal_data(
+        D, n, factor(abs(n)) if fac is None else fac
+    )
+    if obstruction is not None:
+        return ClassImages((), obstruction, disc)
+    entries = tuple(
+        (AdelicChoice(chosen, forced), form)
+        for chosen, form in _choices(class_group(disc).principal, split, base)
+    )
+    return ClassImages(entries, None, disc)
 
 
 # ---------------------------------------------------------------------------
@@ -330,8 +363,19 @@ def twist_symbol(
     because the twist element is totally positive.  ``fac``, when given,
     is the factorization of |n|.
     """
-    if fac is None:
-        fac = factor(abs(n))
+    sym, signs = _twist_parts(D, twist, n, factor(abs(n)) if fac is None else fac)
+    for l, by_parity in signs.items():
+        sym *= by_parity[choice.j_at(l) % 2]
+    return sym
+
+
+def _twist_parts(D: int, twist: TwistPoint, n: int, fac: Factorization) -> tuple:
+    """(sym, signs): the twist symbol's part shared by every choice at (D, n).
+
+    sym is the product at the places over 2 and the twist prime and at the
+    inert and ramified primes; signs[l] is the factor at the split prime l
+    of a choice with j even, and with j odd.
+    """
     ell = twist.ell
     v = valuation(n, 2)
     sym = _two_adic_factor(D, twist, ((n >> v) % 16) << (v % 4))
@@ -345,21 +389,20 @@ def twist_symbol(
     # of z0 add nothing of their own: split and ramified places need an odd
     # exponent in n, and no inert prime divides z0, as it would divide both
     # x0 and y0
+    signs: dict[int, tuple[int, int]] = {}
     for l, e in fac.factors:
         if l in (2, ell):
             continue
         st = splitting_type(D, l)
-        signs = _residue_signs(D, twist, l)
+        res = _residue_signs(D, twist, l)
         if st == SPLIT:
-            j = choice.j_at(l)
-            if j % 2:
-                sym *= signs[0]
-            if (e - j) % 2:
-                sym *= signs[1]
+            # j of the e factors of n at l lie over the first place, e - j
+            # over the second; each place counts when its share is odd
+            signs[l] = (res[1], res[0]) if e % 2 else (1, res[0] * res[1])
         elif (e // 2 if st == INERT else e) % 2:
             # the one place over l takes e/2 of n when inert, e when ramified
-            sym *= signs[0]
-    return sym
+            sym *= res[0]
+    return sym, signs
 
 
 @lru_cache(maxsize=None)
@@ -449,15 +492,23 @@ def _d_context(D: int) -> _DContext:
 
 
 def _some_choice_passes(D: int, n: int, twist: TwistPoint, fac: Factorization) -> bool:
-    # the joint condition on a locally solvable n
-    images = class_images_of_norm(D, n, fac=fac)
-    if images.obstruction is not None:
+    # the joint condition on a locally solvable n: walk the choices and stop
+    # at the first with a principal class and a trivial twist symbol
+    disc, obstruction, base, split, _ = _ideal_data(D, n, fac)
+    if obstruction is not None:
         return False
-    group = class_group(images.disc)
-    return any(
-        group.is_principal(form) and twist_symbol(D, twist, choice, n, fac=fac) == 1
-        for choice, form in images.entries
-    )
+    group = class_group(disc)
+    parts = None
+    for chosen, form in _choices(group.principal, split, base):
+        if form in group._principal_forms:
+            if parts is None:
+                parts = _twist_parts(D, twist, n, fac)
+            sym, signs = parts
+            for l, _, j in chosen:
+                sym *= signs[l][j % 2]
+            if sym == 1:
+                return True
+    return False
 
 
 def artin_condition(D: int, n: int, twist: TwistPoint | None = None) -> bool:

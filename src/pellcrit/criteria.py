@@ -19,11 +19,13 @@ from . import pellsolver
 
 
 def _oracle_target(D: int, targets: list[int]) -> tuple[int | None, Verdict]:
-    hits = [(t, pellsolver.solve(D, t)) for t in targets]
-    solvable = [(t, v) for t, v in hits if v.solvable]
+    # the oracle's complete search on each target, which checks its least
+    # solution; an unsolvable target's local label would only be dropped
+    hits = [(t, pellsolver.minimal_solutions(D, t)) for t in targets]
+    solvable = [(t, reps) for t, reps in hits if reps]
     if len(solvable) == 1:
-        t, v = solvable[0]
-        return t, Verdict("solvable", v.witness, provenance="oracle")
+        t, reps = solvable[0]
+        return t, Verdict("solvable", reps[0], provenance="oracle")
     if not solvable:
         return None, Verdict("unsolvable", None, "oracle", reason="no-target-solvable")
     raise ArithmeticError(f"trichotomy violated for D={D}: {solvable}")

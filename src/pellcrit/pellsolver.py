@@ -312,7 +312,11 @@ def _convergent_all(D: int, n: int) -> list[tuple[int, int]]:
 
 
 def minimal_solutions(D: int, n: int) -> list[tuple[int, int]]:
-    """Orbit-minimal representatives (x, y >= 0) of every solution class."""
+    """Orbit-minimal representatives (x, y >= 0) of every solution class.
+
+    Sorted by (y, x); the first, the witness, is checked against the
+    equation, and ArithmeticError raised if it fails.
+    """
     if D <= 0 or is_square(D):
         raise ValueError(f"D must be a positive non-square, got {D}")
     if n == 0:
@@ -336,17 +340,19 @@ def minimal_solutions(D: int, n: int) -> list[tuple[int, int]]:
     else:
         for x, y in _convergent_all(D, n) if n * n < D else _lmm_all(D, n):
             reps.add(_descend(D, x, y))
-    return sorted(reps, key=lambda t: (t[1], t[0]))
+    out = sorted(reps, key=lambda t: (t[1], t[0]))
+    if out:
+        x, y = out[0]
+        if x * x - D * y * y != n:
+            raise ArithmeticError(f"oracle witness {(x, y)} fails for D={D}, n={n}")
+    return out
 
 
 def solve(D: int, n: int) -> Verdict:
     """Complete decision of x^2 - D y^2 = n over Z, with a minimal witness."""
     reps = minimal_solutions(D, n)
     if reps:
-        x, y = reps[0]
-        if x * x - D * y * y != n:
-            raise ArithmeticError(f"oracle witness {(x, y)} fails for D={D}, n={n}")
-        return Verdict("solvable", (x, y), provenance="oracle")
+        return Verdict("solvable", reps[0], provenance="oracle")
     l = local_obstruction_anywhere(D, n)
     reason = "class-search-exhausted" if l is None else f"local-obstruction:{l}"
     return Verdict("unsolvable", None, provenance="oracle", reason=reason)

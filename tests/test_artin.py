@@ -403,6 +403,76 @@ def test_class_images_forms_are_reduced():
     assert entries > 7000
 
 
+def _reference_some_choice_passes(D, n, twist, fac):
+    # the joint condition as it was before the walk: every choice is built
+    # first, and then tested in order
+    images = artin.class_images_of_norm(D, n, fac=fac)
+    if images.obstruction is not None:
+        return False
+    group = artin.class_group(images.disc)
+    return any(
+        group.is_principal(form) and artin.twist_symbol(D, twist, choice, n, fac=fac) == 1
+        for choice, form in images.entries
+    )
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (NotImplementedError, ValueError) as exc:
+        return type(exc)
+
+
+def test_walk_matches_reference_some_choice_passes():
+    # every 0 < |n| <= 300 at every applicable D < 1500, locally obstructed
+    # or not: the same answer, or the same exception, as the full build
+    ds = [D for D in range(2, 1500) if not is_square(D) and artin._d_context(D).applicable]
+    assert len(ds) == 26
+    seen = {True: 0, False: 0, NotImplementedError: 0, "disc D": 0}
+    for D in ds:
+        twist = artin.canonical_twist(D)
+        for n in range(-300, 301):
+            if n == 0:
+                continue
+            fac = factor(abs(n))
+            got = _outcome(artin._some_choice_passes, D, n, twist, fac)
+            assert got == _outcome(_reference_some_choice_passes, D, n, twist, fac), (D, n)
+            if got in seen:
+                seen[got] += 1
+            if got is True and D % 8 == 5 and n % 4 == 0:
+                seen["disc D"] += 1
+    assert all(seen.values()), seen
+
+
+@pytest.mark.parametrize("D, n, visited", [(221, 1505, 3), (34, -705, 3), (1394, 455, 2)])
+def test_walk_stops_at_the_first_passing_choice(monkeypatch, D, n, visited):
+    # three or more split primes, and a choice early in the walk passes: the
+    # walk stops there, and the per-n twist parts are computed once
+    fac = factor(abs(n))
+    entries = artin.class_images_of_norm(D, n, fac=fac).entries
+    assert len(entries[0][0].split) >= 3 and len(entries) > visited
+    leaves, parts = [], []
+    choices, twist_parts = artin._choices, artin._twist_parts
+
+    def counting_choices(*args):
+        for leaf in choices(*args):
+            leaves.append(leaf)
+            yield leaf
+
+    def counting_parts(*args):
+        parts.append(args)
+        return twist_parts(*args)
+
+    monkeypatch.setattr(artin, "_choices", counting_choices)
+    monkeypatch.setattr(artin, "_twist_parts", counting_parts)
+    assert artin._some_choice_passes(D, n, artin.canonical_twist(D), fac)
+    assert len(leaves) == visited and len(parts) == 1
+    assert [(c.split, f) for c, f in entries[:visited]] == leaves
+    v = artin.joint_artin_decide(D, n)
+    x, y = v.witness
+    assert v.provenance == "artin" and x * x - D * y * y == n
+
+
 def test_two_adic_factor_is_finer_than_square_class():
     # n = 1 and n = 9 share a Q_2 square class but not a class modulo squares
     # of local norms, and their 2-adic factors differ; keying the cache on

@@ -155,6 +155,33 @@ def test_criteria_raise_when_oracle_disagrees(monkeypatch):
             call(*args)
 
 
+def test_oracle_fallback_labels_nothing_and_checks_its_witness(monkeypatch):
+    # where the symbols leave the target open (p = 113 = 1 mod 16 with
+    # (2/p)_4 = +1; p or q = 3 mod 4), the oracle's search decides each
+    # target and no local-obstruction label is computed for the others
+    assert 113 % 16 == 1 and quartic_residue(2, 113) == 1
+    labels = []
+    obstruction = pellsolver.local_obstruction_anywhere
+    monkeypatch.setattr(
+        pellsolver,
+        "local_obstruction_anywhere",
+        lambda *args, **kwargs: labels.append(args) or obstruction(*args, **kwargs),
+    )
+    assert criteria.classify_2p(113) == (-1, Verdict("solvable", (15, 1), "oracle"))
+    assert criteria.classify_pq(3, 7) == (7, Verdict("solvable", (14, 3), "oracle"))
+    assert criteria.classify_pq(3, 5) == (
+        None, Verdict("unsolvable", None, "oracle", "no-target-solvable")
+    )
+    assert labels == []
+    # the search checks the witness it returns, as solve relies on
+    descend = pellsolver._descend
+    monkeypatch.setattr(pellsolver, "_descend", lambda D, x, y: descend(D, x + 1, y))
+    with pytest.raises(ArithmeticError, match="oracle witness"):
+        criteria.classify_2p(113)
+    with pytest.raises(ArithmeticError, match="oracle witness"):
+        pellsolver.solve(226, -1)
+
+
 def test_classify_2p_raises_under_optimize():
     code = (
         "from pellcrit import criteria, pellsolver\n"

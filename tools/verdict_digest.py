@@ -14,6 +14,9 @@ Each line is a sha256 over one grid, with every record written out in full:
   D < 1000, 0 < |n| <= 200;
 * ``joint_artin_decide``: the same tuple over the 12 family-B D of the
   ``joint_2d`` benchmark and 0 < |n| <= 500;
+* ``joint_families``: the same tuple over every D < 3000 where the joint
+  criterion applies (``_d_context(D).applicable``: the pq family with its
+  odd twist prime and the 2d family) and 0 < |n| <= 300;
 * ``cf_fundamental``: the period, ``qs`` and ``pq_states`` of sqrt(D) and the
   unit (x1, y1, unit_norm), for non-square D < 100,000, each D walked afresh
   past the cache so that memory stays flat.
@@ -64,6 +67,13 @@ GRIDS = {
         ((D, n), _verdict(artin.joint_artin_decide(D, n)))
         for D in JOINT_2D_D
         for n in range(-JOINT_2D_N_MAX, JOINT_2D_N_MAX + 1)
+        if n
+    ),
+    "joint_families": lambda: (
+        ((D, n), _verdict(artin.joint_artin_decide(D, n)))
+        for D in range(2, 3000)
+        if math.isqrt(D) ** 2 != D and artin._d_context(D).applicable
+        for n in range(-300, 301)
         if n
     ),
     "cf_fundamental": lambda: (
