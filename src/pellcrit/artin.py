@@ -531,9 +531,7 @@ def joint_artin_decide(D: int, n: int) -> Verdict:
         fac = factor(abs(n))
         l = local_obstruction_anywhere(D, n, fac=fac)
         if l is not None:
-            return Verdict(
-                "unsolvable", None, provenance="artin", reason=f"local-obstruction:{l}"
-            )
+            return Verdict("unsolvable", None, "artin", f"local-obstruction:{l}")
         try:
             holds = _some_choice_passes(D, n, canonical_twist(D), fac)
         except NotImplementedError:

@@ -37,7 +37,7 @@ def classify_pq(p: int, q: int) -> tuple[int | None, Verdict]:
     Quartic-symbol dispatch where the criteria apply; otherwise the oracle
     resolves the classification and the verdict says so.
     """
-    if p == q or not (is_prime(p) and is_prime(q)):
+    if p == q or min(p, q) < 2 or not (is_prime(p) and is_prime(q)):
         raise ValueError("p, q must be distinct primes")
     D = p * q
     if p % 4 == 3 or q % 4 == 3:
@@ -56,7 +56,7 @@ def classify_pq(p: int, q: int) -> tuple[int | None, Verdict]:
 
 def classify_2p(p: int) -> tuple[int | None, Verdict]:
     """The solvable target among x^2 - 2p y^2 = -1, 2, -2 for an odd prime."""
-    if p == 2 or not is_prime(p):
+    if p < 3 or not is_prime(p):
         raise ValueError("p must be an odd prime")
     D = 2 * p
     r8 = p % 8

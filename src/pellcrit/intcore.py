@@ -304,14 +304,6 @@ def lift_unit_sqrt(a: int, p: int, k: int) -> int | None:
     return r
 
 
-def _square_in_coset(c: int, k: int) -> bool:
-    # whether c + 2^k Z_2 holds a square of Z_2, i.e. c is a square mod 2^k
-    if c % (1 << k) == 0:
-        return True
-    v = valuation(c, 2)
-    return v % 2 == 0 and (c >> v) % (1 << min(3, k - v)) == 1
-
-
 def two_adic_layer(D: int, n: int) -> int | None:
     """A t such that x^2 - D y^2 = n has a Z_2 solution with v2(y) = t.
 
@@ -329,12 +321,20 @@ def two_adic_layer(D: int, n: int) -> int | None:
     if D == 0 or n == 0:
         raise ValueError("D and n must be nonzero")
     a = valuation(D, 2)
-    d = D >> a
+    return _two_adic_layer(a, D >> a, n)
+
+
+def _two_adic_layer(a: int, d: int, n: int) -> int | None:
+    # two_adic_layer's closed form for D = 2^a d, d odd
     s = valuation(n, 2)
     if s % 2 == 0 and (n >> s) % 8 == 1:
         return max(0, (s + 4 - a) // 2)
     for m in range(a, s + 3, 2):
-        if _square_in_coset(n + (d << m), m + 3):
+        c = n + (d << m)
+        if c % (8 << m) == 0:
+            return (m - a) // 2
+        v = valuation(c, 2)
+        if v % 2 == 0 and (c >> v) % (1 << min(3, m + 3 - v)) == 1:
             return (m - a) // 2
     return None
 
@@ -345,47 +345,49 @@ def local_solvable(D: int, n: int, l: int) -> bool:
         raise ValueError("n must be nonzero")
     if not is_prime(l):
         raise ValueError(f"{l} is not prime")
-    if l == 2:
-        return two_adic_layer(D, n) is not None
-    h = (l - 1) // 2
-    if D % l:
-        # Euler's criterion for the unit D, then the parity of v_l(n)
-        return pow(D, h, l) == 1 or valuation(n, l) % 2 == 0
-    nv = valuation(n, l)
-    if D % (l * l) == 0:
-        # x must be divisible by l; descend to the reduced equation
-        if nv == 0:
-            return pow(n, h, l) == 1
-        if nv == 1:
+    return two_adic_layer(D, n) is not None if l == 2 else _odd_solvable(D, n, l, valuation(n, l))
+
+
+def _odd_solvable(D: int, n: int, l: int, e: int) -> bool:
+    # local_solvable at an odd prime l, given e = v_l(n)
+    while D % l == 0:
+        if e == 0 or D % (l * l):
+            # n is a unit, or l exactly divides D: n = l^(2k) m, m a unit or l times a unit
+            m = n // l ** (e - e % 2)
+            return pow(-(m // l) * (D // l) if e % 2 else m, l >> 1, l) == 1
+        if e == 1:
             return False
-        return local_solvable(D // (l * l), n // (l * l), l)
-    # l exactly divides D: n = l^(2k) m with m a unit or l times a unit
-    m = n // l ** (nv - nv % 2)
-    return pow(-(m // l) * (D // l) if nv % 2 else m, h, l) == 1
+        # x must be divisible by l; descend to the reduced equation
+        D, n, e = D // (l * l), n // (l * l), e - 2
+    # Euler's criterion for the unit D, then the parity of v_l(n)
+    return e % 2 == 0 or pow(D, l >> 1, l) == 1
 
 
-# bounded, like the factor memo it reads: D ranges as widely as the callers' input
+# D's odd primes, v2(D) and odd part of D; bounded, like the factor memo it reads
 @lru_cache(maxsize=4096)
-def _odd_primes(D: int) -> tuple[int, ...]:
-    return tuple(p for p, _ in factor(D).factors if p != 2)
+def _d_parts(D: int) -> tuple[tuple[int, ...], int, int]:
+    odd = tuple(p for p, _ in factor(D).factors if p != 2)
+    return odd, valuation(D, 2), D >> valuation(D, 2)
 
 
 def local_obstruction_anywhere(D: int, n: int, *, fac: Factorization | None = None) -> int | None:
     """The first prime l with no Z_l-point of x^2 - D y^2 = n, or None.
 
-    The odd primes of D (memoized per D) come first, then 2, then the odd
-    primes of n prime to D, so each prime of 2Dn is tested once.  ``fac``,
-    when given, is the factorization of |n|.
+    D's odd primes, then 2, then the odd primes of n prime to D, so each
+    prime of 2Dn is tested once; D's primes, v2(D) and odd part are memoized
+    per D.  ``fac`` is the factorization of |n| (else made once 2 passes); it
+    gives each v_l(n), and no prime is proven again: it proved them when built.
     """
-    for l in _odd_primes(D):
-        if not local_solvable(D, n, l):
+    odd, a, d = _d_parts(D)
+    for l in odd:
+        if not _odd_solvable(D, n, l, valuation(n, l) if n % l == 0 else 0):
             return l
-    if not local_solvable(D, n, 2):
+    if _two_adic_layer(a, d, n) is None:
         return 2
     if fac is None:
         fac = factor(abs(n))
-    for l, _ in fac.factors:
-        if l != 2 and D % l and not local_solvable(D, n, l):
+    for l, e in fac.factors:
+        if l != 2 and D % l and not _odd_solvable(D, n, l, e):
             return l
     return None
 

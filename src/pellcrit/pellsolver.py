@@ -352,10 +352,10 @@ def solve(D: int, n: int) -> Verdict:
     """Complete decision of x^2 - D y^2 = n over Z, with a minimal witness."""
     reps = minimal_solutions(D, n)
     if reps:
-        return Verdict("solvable", reps[0], provenance="oracle")
+        return Verdict("solvable", reps[0], "oracle")
     l = local_obstruction_anywhere(D, n)
     reason = "class-search-exhausted" if l is None else f"local-obstruction:{l}"
-    return Verdict("unsolvable", None, provenance="oracle", reason=reason)
+    return Verdict("unsolvable", None, "oracle", reason)
 
 
 def confirm(D: int, n: int, holds: bool, provenance: str, reason: str | None = None) -> Verdict:

@@ -24,7 +24,7 @@ class Verdict(namedtuple("Verdict", "status witness provenance reason")):
             raise ValueError(f"bad status {status!r}")
         if (witness is not None) != (status == SOLVABLE):
             raise ValueError("witness present iff solvable")
-        return super().__new__(cls, status, witness, provenance, reason)
+        return tuple.__new__(cls, (status, witness, provenance, reason))
 
     @property
     def solvable(self) -> bool:

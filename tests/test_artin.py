@@ -544,7 +544,7 @@ def test_joint_decide_is_one_pass(monkeypatch):
     D, n = 1394, -370  # 370 = 2 * 5 * 37, with 5 and 37 split
     artin.joint_artin_decide(D, n)
     assert len(artin.class_images_of_norm(D, n).entries[0][0].split) == 2
-    calls = {"factor": [], "classify_order": [], "local_solvable": []}
+    calls = {"factor": [], "classify_order": [], "_odd_solvable": [], "_two_adic_layer": []}
 
     def counting(module, name):
         orig = getattr(module, name)
@@ -557,14 +557,20 @@ def test_joint_decide_is_one_pass(monkeypatch):
 
     counting(artin, "factor")
     counting(artin, "classify_order")
-    # the local-obstruction scan lives in intcore
-    counting(intcore, "local_solvable")
+    # the local-obstruction scan lives in intcore: one test per odd prime
+    # (D, n, l, v_l(n)), and the 2-adic closed form on (v2(D), D / 2^v2(D), n)
+    counting(intcore, "_odd_solvable")
+    counting(intcore, "_two_adic_layer")
     v = artin.joint_artin_decide(D, n)
     x, y = v.witness
     assert v.provenance == "artin" and x * x - D * y * y == n
     assert calls["factor"] == [(370,)]
     assert calls["classify_order"] == []
-    assert sorted(calls["local_solvable"]) == [(D, n, l) for l in (2, 5, 17, 37, 41)]
+    assert calls["_two_adic_layer"] == [(1, D // 2, n)]
+    # 17 and 41 divide D but not n; 5 and 37 divide n once
+    assert sorted(calls["_odd_solvable"]) == [
+        (D, n, 5, 1), (D, n, 17, 0), (D, n, 37, 1), (D, n, 41, 0)
+    ]
 
 
 def test_warm_decision_reads_per_prime_caches(monkeypatch):

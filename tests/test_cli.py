@@ -70,6 +70,18 @@ def test_usage_error_exit_code():
         assert "Traceback" not in res.stderr, args
 
 
+def test_classify_rejects_p_below_2(capsys):
+    # each command names its own condition, not is_prime's domain
+    for args, message in (
+        (["classify-2p", "0"], "p must be an odd prime"),
+        (["classify-2p", "-7"], "p must be an odd prime"),
+        (["classify-pq", "0", "5"], "p, q must be distinct primes"),
+        (["classify-pq", "5", "-13"], "p, q must be distinct primes"),
+    ):
+        assert cli.main(args) == 2, args
+        assert capsys.readouterr().err == f"pellcrit: error: {message}\n", args
+
+
 def test_scan_inconsistency_exit_code(monkeypatch, capsys):
     # an oracle that finds nothing contradicts every criterion that says solvable
     monkeypatch.setattr(pellsolver, "solve", lambda D, n: Verdict("unsolvable", None, "oracle"))

@@ -1,3 +1,4 @@
+import collections
 import math
 import random
 
@@ -304,3 +305,56 @@ def test_local_obstruction_factors_only_n_once_d_is_warm(monkeypatch):
         assert calls == ([] if l in (2, 3, 5) else [abs(n)]), (n, l)
         seen.add(l)
     assert {2, 3, 5, None} <= seen and len(seen) > 4
+
+
+def test_local_solvable_rejects_its_edge():
+    with pytest.raises(ValueError, match="nonzero"):
+        intcore.local_solvable(34, 0, 17)
+    for l in (1, 4, 9):
+        with pytest.raises(ValueError, match="not prime"):
+            intcore.local_solvable(34, -1, l)
+
+
+def _solutions_mod(D, n, l, k):
+    # the number of (x, y) mod l^k with x^2 - D y^2 = n mod l^k
+    mod = l**k
+    squares = collections.Counter(x * x % mod for x in range(mod))
+    return sum(squares[(n + D * y * y) % mod] for y in range(mod))
+
+
+def test_local_solvable_descent_matches_brute_force():
+    # l^2 | D, where x must be divisible by l once l | n; with
+    # k = v_l(Dn) + 3 a solution mod l^k exists iff a Z_l-point does
+    cases = [(3, dv, e, u, w) for dv in (2, 3) for e in range(4) for u in (1, 2) for w in (1, -1)]
+    cases += [(5, 2, e, u, w) for e in range(4) for u in (1, 2) for w in (1, 2)]
+    seen = set()
+    for l, dv, e, u, w in cases:
+        D, n = l**dv * u, l**e * w
+        want = _solutions_mod(D, n, l, dv + e + 3) > 0
+        assert intcore.local_solvable(D, n, l) == want, (D, n, l)
+        seen.add((e, want))
+    # v_l(n) = 1 is never solvable here; every other v_l(n) goes both ways
+    assert seen == {(e, want) for e in range(4) for want in (True, False)} - {(1, True)}
+
+
+def test_warm_scan_reads_its_factorization(monkeypatch):
+    # given fac, the scan proves no prime and takes every v_l(n) of n's own
+    # primes from fac: valuation runs at an odd prime only where it divides
+    # both D and n (v2 belongs to the 2-adic closed form)
+    cases = [(D, n) for D in (45, 630, 1394, 7 * 11**3) for n in range(-200, 201) if n]
+    facs = {n: intcore.factor(abs(n)) for _, n in cases}
+    odd = {D: [p for p in intcore.factor(D).primes() if p != 2] for D, _ in cases}
+    for D, n in cases:
+        intcore.local_obstruction_anywhere(D, n, fac=facs[n])
+    primes, valuations = [], []
+    is_prime, valuation = intcore.is_prime, intcore.valuation
+    monkeypatch.setattr(intcore, "is_prime", lambda m: primes.append(m) or is_prime(m))
+    monkeypatch.setattr(
+        intcore, "valuation", lambda m, p: valuations.append((m, p)) or valuation(m, p)
+    )
+    for D, n in cases:
+        valuations.clear()
+        l = intcore.local_obstruction_anywhere(D, n, fac=facs[n])
+        visited = odd[D][: odd[D].index(l) + 1] if l in odd[D] else odd[D]
+        assert [c for c in valuations if c[1] != 2] == [(n, p) for p in visited if n % p == 0]
+    assert primes == []

@@ -21,6 +21,28 @@ def test_verdict_witness_iff_solvable():
         Verdict("unsolvable", (1, 0), "oracle")
 
 
+def test_verdict_checks_hold_positionally_and_by_keyword():
+    for args, kwargs, match in (
+        (("maybe", None, "oracle", None), {}, "bad status"),
+        ((), dict(status="maybe", witness=None, provenance="oracle"), "bad status"),
+        (("solvable", None, "oracle", None), {}, "witness"),
+        ((), dict(status="solvable", witness=None, provenance="oracle"), "witness"),
+        (("unsolvable", (1, 0), "oracle", "r"), {}, "witness"),
+        ((), dict(status="unsolvable", witness=(1, 0), provenance="oracle", reason="r"), "witness"),
+    ):
+        with pytest.raises(ValueError, match=match):
+            Verdict(*args, **kwargs)
+    v = Verdict("unsolvable", None, "artin", "local-obstruction:5")
+    assert v == ("unsolvable", None, "artin", "local-obstruction:5")
+    assert v == Verdict(status="unsolvable", witness=None, provenance="artin",
+                        reason="local-obstruction:5")
+    assert type(v) is Verdict and not v.solvable and v.reason == "local-obstruction:5"
+    w = v._replace(status="solvable", witness=(6, 1), reason=None)
+    assert type(w) is Verdict and w.solvable and w == ("solvable", (6, 1), "artin", None)
+    assert v._replace(reason="r") == ("unsolvable", None, "artin", "r")
+    assert Verdict("solvable", (6, 1), "oracle") == ("solvable", (6, 1), "oracle", None)
+
+
 def test_twist_point_rejects_x0_not_positive():
     # a failed equation and gcd(x0, y0) > 1 are test_quadring's cases
     tp = quadring.TwistPoint(6, 1, 1, 2, 34)  # 36 - 34 = 2
