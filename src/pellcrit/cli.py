@@ -212,23 +212,30 @@ def cmd_verify_lemmas(args) -> int:
 
 
 def cmd_table(args) -> int:
-    worker, instances = _scan_instances(args.family, args.max)
-    records = [worker(x) for x in instances]
-    if args.format == "json":
-        with open(args.out, "w") as fh:
+    # open the output first, so an unwritable path fails before any work, but
+    # without truncating: a scan that fails leaves an existing table as it was
+    try:
+        fh = open(args.out, "a", newline="" if args.format == "csv" else None)
+    except OSError as exc:
+        print(f"pellcrit: error: cannot write {args.out}: {exc.strerror}", file=sys.stderr)
+        return EXIT_USAGE
+    with fh:
+        worker, instances = _scan_instances(args.family, args.max)
+        records = [worker(x) for x in instances]
+        fh.seek(0)
+        fh.truncate()
+        if args.format == "json":
             json.dump(records, fh, indent=1)
-    else:
-        import csv
+        elif records:
+            import csv
 
-        with open(args.out, "w", newline="") as fh:
-            if records:
-                writer = csv.DictWriter(fh, fieldnames=list(records[0].keys()))
-                writer.writeheader()
-                for rec in records:
-                    rec = dict(rec)
-                    if rec.get("witness") is not None:
-                        rec["witness"] = "%d:%d" % tuple(rec["witness"])
-                    writer.writerow(rec)
+            writer = csv.DictWriter(fh, fieldnames=list(records[0].keys()))
+            writer.writeheader()
+            for rec in records:
+                rec = dict(rec)
+                if rec.get("witness") is not None:
+                    rec["witness"] = "%d:%d" % tuple(rec["witness"])
+                writer.writerow(rec)
     bad = sum(1 for rec in records if not rec["agree"])
     return EXIT_INCONSISTENT if bad else EXIT_OK
 

@@ -7,9 +7,12 @@ reflection; its docstring gives the two stop rules.
 
 ``solve`` decides x^2 - D y^2 = n over Z for any positive non-square D and
 nonzero n.  ``minimal_solutions`` finds every solution class by one of three
-complete routes.  The orbit bound B = ``orbit_y_bound(D, n)`` is an integer
->= sqrt(|n| eps / D), eps the norm-plus-one fundamental unit, so that every
-class has a representative with |y| <= B.  The routes, in dispatch order:
+complete routes.  A class and its conjugate (the solutions x + y sqrt(D) and
+x - y sqrt(D)) have the same orbit-minimal (|x|, |y|) representative, so the
+PQa route searches one class of each conjugate pair.  The orbit bound
+B = ``orbit_y_bound(D, n)`` is an integer >= sqrt(|n| eps / D), eps the
+norm-plus-one fundamental unit, so that every class has a representative
+with |y| <= B.  The routes, in dispatch order:
 
 * B <= ``_ORBIT_SCAN_LIMIT``: scan for n + D y^2 a square, in exact
   integer arithmetic, over y in Nagell's range only (Introduction to Number
@@ -26,20 +29,21 @@ class has a representative with |y| <= B.  The routes, in dispatch order:
   only for a hit;
 * otherwise the PQa method (Robertson, "Solving the generalized Pell
   equation x^2 - Dy^2 = N", 2004): one continued-fraction thread of
-  (z + sqrt(D))/|m| per f^2 | n, m = n/f^2 and square root z of D mod |m|,
-  all built from one factorization of n.  A solution shows up where a
-  thread meets Q = +-1.  A thread is periodic from its first reduced state
-  (0 < P <= s, s - P < Q <= s + P, s = isqrt(D)) on, and (s, 1) is the
-  only reduced state with Q = +-1, so a thread whose first reduced state
-  is not on the principal cycle of sqrt(D) stops there; a per-D map from
-  state to index, built from ``pq_states`` on the first thread at D, tells
-  the two apart.  A thread that enters the principal cycle at
+  (z + sqrt(D))/|m| per f^2 | n, m = n/f^2 and conjugate pair z, -z of
+  square roots of D mod |m|, for the one with 0 <= z <= |m|/2 (the thread
+  of -z finds the conjugate classes), all built from one factorization of
+  n.  A solution shows up where a thread meets Q = +-1.  A thread is
+  periodic from its first reduced state (0 < P <= s, s - P < Q <= s + P,
+  s = isqrt(D)) on, and (s, 1) is the only reduced state with Q = +-1, so
+  a thread whose first reduced state is not on the principal cycle of
+  sqrt(D) stops there; a per-D map from state to index, built from
+  ``pq_states`` on the first thread at D, tells the two apart.  A thread that enters the principal cycle at
   ``pq_states[k]`` has exactly one more solution, at the next visit of
   (s, 1) = ``pq_states[L]``; it gets there by the convergent recurrence
   alone, reading the partial quotients ``period[k-1 : L-1]`` (for k = L,
   the whole period rotated) off the cached expansion, with no further
-  floor or state.  The cost grows with the number of threads, 2^w(n) for
-  n with w(n) split primes.
+  floor or state.  The cost grows with the number of threads,
+  2^(w(n)-1) for n with w(n) split primes.
 
 The limit is set by the pairs that reach the oracle.  Measured over
 D < 1500, |n| <= 500, n^2 >= D (Python 3.11, one core of a 2-vCPU VM,
@@ -263,15 +267,18 @@ def _square_divisors(n: int) -> list[tuple[int, tuple[tuple[int, int], ...]]]:
 
 
 def _lmm_all(D: int, n: int) -> list[tuple[int, int]]:
+    # one thread per conjugate pair of roots z, -z of D mod |m|: the thread of
+    # -z finds the conjugates x - y sqrt(D) of the classes the thread of z
+    # finds, and a class and its conjugate have the same orbit-minimal
+    # (|x|, |y|), so the roots with 2z > |m| add nothing
     found: list[tuple[int, int]] = []
     for f, mfac in _square_divisors(n):
         m = n // (f * f)
         am = abs(m)
         for z in sqrt_mod_factored(D, mfac):
-            if 2 * z > am:
-                z -= am
-            for x, y in _pqa_solutions(D, m, z):
-                found.append((f * x, f * y))
+            if 2 * z <= am:
+                for x, y in _pqa_solutions(D, m, z):
+                    found.append((f * x, f * y))
     return found
 
 
@@ -362,14 +369,16 @@ def confirm(D: int, n: int, holds: bool, provenance: str, reason: str | None = N
     """A criterion's verdict on x^2 - D y^2 = n, once the oracle agrees.
 
     ``holds`` says whether the criterion finds the equation solvable, and
-    ``reason`` is the code it gives when not.  Runs ``solve`` once: the
+    ``reason`` is the code it gives when not.  Runs ``minimal_solutions``
+    once, so no local-obstruction label is computed only to be dropped: the
     verdict carries the oracle's minimal witness, and a disagreement raises
     ArithmeticError.
     """
-    oracle = solve(D, n)
-    if oracle.solvable != holds:
+    reps = minimal_solutions(D, n)
+    status = "solvable" if reps else "unsolvable"
+    if bool(reps) != holds:
         raise ArithmeticError(
             f"criterion {provenance} contradicts the oracle at D={D}, n={n}: "
-            f"criterion {'solvable' if holds else 'unsolvable'}, oracle {oracle.status}"
+            f"criterion {'solvable' if holds else 'unsolvable'}, oracle {status}"
         )
-    return Verdict(oracle.status, oracle.witness, provenance, None if holds else reason)
+    return Verdict(status, reps[0] if reps else None, provenance, None if holds else reason)

@@ -17,7 +17,6 @@ from pellcrit.localanalysis import (
     twist_residue_square,
 )
 from pellcrit.quadring import INERT, SPLIT, splitting_type
-from pellcrit.verdict import Verdict
 
 
 class _ReferenceClasses:
@@ -514,13 +513,13 @@ def test_local_obstruction_labels_match_the_oracle():
 def test_joint_decide_raises_when_the_oracle_lies(monkeypatch, capsys):
     # 34, 2 is solvable; 34, -8 is locally solvable but fails the condition
     assert artin.joint_artin_decide(34, -8).reason == "artin-condition-fails"
-    monkeypatch.setattr(pellsolver, "solve", lambda D, n: Verdict("unsolvable", None, "oracle"))
+    monkeypatch.setattr(pellsolver, "minimal_solutions", lambda D, n: [])
     with pytest.raises(ArithmeticError):
         artin.joint_artin_decide(34, 2)
     assert cli.main(["decide", "34", "2"]) == cli.EXIT_INCONSISTENT
     out, err = capsys.readouterr()
     assert out == "" and len(err.splitlines()) == 1 and "Traceback" not in err
-    monkeypatch.setattr(pellsolver, "solve", lambda D, n: Verdict("solvable", (1, 1), "oracle"))
+    monkeypatch.setattr(pellsolver, "minimal_solutions", lambda D, n: [(1, 1)])
     with pytest.raises(ArithmeticError):
         artin.joint_artin_decide(34, -8)
 

@@ -5,7 +5,6 @@ import subprocess
 import sys
 
 from pellcrit import cli, pellsolver
-from pellcrit.verdict import Verdict
 
 
 def run_cli(*args):
@@ -84,7 +83,7 @@ def test_classify_rejects_p_below_2(capsys):
 
 def test_scan_inconsistency_exit_code(monkeypatch, capsys):
     # an oracle that finds nothing contradicts every criterion that says solvable
-    monkeypatch.setattr(pellsolver, "solve", lambda D, n: Verdict("unsolvable", None, "oracle"))
+    monkeypatch.setattr(pellsolver, "minimal_solutions", lambda D, n: [])
     assert cli.main(["scan", "--family", "2p", "--max", "20"]) == cli.EXIT_INCONSISTENT
     out, err = capsys.readouterr()
     assert out == "" and len(err.splitlines()) == 1
@@ -212,3 +211,40 @@ def test_table_json(tmp_path):
     with open(out) as fh:
         rows = json.load(fh)
     assert len(rows) == 50 and all(r["agree"] for r in rows)
+
+
+def test_table_unwritable_out_fails_before_any_work(tmp_path, monkeypatch, capsys):
+    # the output is opened first: a missing directory is a usage error, with
+    # one line on stderr and no scan computed
+    scans = []
+    instances = cli._scan_instances
+    monkeypatch.setattr(cli, "_scan_instances", lambda *args: scans.append(args) or instances(*args))
+    for fmt in ("json", "csv"):
+        out = tmp_path / "no" / "such" / f"t.{fmt}"
+        assert cli.main(["table", "--format", fmt, "--out", str(out), "--max", "5"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"pellcrit: error: cannot write {out}: No such file or directory\n"
+        assert not out.exists()
+    assert scans == []
+    res = run_cli("table", "--out", str(tmp_path / "no" / "t.json"), "--max", "5")
+    assert res.returncode == 2 and res.stdout == "" and len(res.stderr.splitlines()) == 1
+    assert "Traceback" not in res.stderr
+
+
+def test_table_keeps_an_existing_out_when_the_scan_fails(tmp_path, monkeypatch, capsys):
+    # --out is truncated only once the table is computed: a lying oracle makes
+    # the scan fail (exit 3), and the earlier table is left as it was
+    for fmt in ("json", "csv"):
+        out = tmp_path / f"t.{fmt}"
+        out.write_text("earlier table\n" * 100)
+        with monkeypatch.context() as m:
+            m.setattr(pellsolver, "minimal_solutions", lambda D, n: [])
+            assert cli.main(["table", "--format", fmt, "--out", str(out), "--max", "5"]) == 3
+        assert out.read_text() == "earlier table\n" * 100
+        capsys.readouterr()
+        # a run that succeeds replaces the longer earlier file entirely
+        assert cli.main(["table", "--format", fmt, "--out", str(out), "--max", "5"]) == 0
+        with open(out, newline="") as fh:
+            rows = json.load(fh) if fmt == "json" else list(csv.DictReader(fh))
+        assert len(rows) == 2 and all(str(r["agree"]) == "True" for r in rows)

@@ -135,12 +135,8 @@ def test_decompose_221_sets():
     assert 43 not in dec.set3
 
 
-def _oracle_finds_nothing(D, n):
-    return Verdict("unsolvable", None, "oracle")
-
-
 def test_criteria_raise_when_oracle_disagrees(monkeypatch):
-    monkeypatch.setattr(pellsolver, "solve", _oracle_finds_nothing)
+    monkeypatch.setattr(pellsolver, "minimal_solutions", lambda D, n: [])
     # classify_pq: (5, 13) nonresidue pair, (13, 17) quartic trichotomy,
     # (5, 29) both quartic symbols -1
     for call, args in [
@@ -185,8 +181,7 @@ def test_oracle_fallback_labels_nothing_and_checks_its_witness(monkeypatch):
 def test_classify_2p_raises_under_optimize():
     code = (
         "from pellcrit import criteria, pellsolver\n"
-        "from pellcrit.verdict import Verdict\n"
-        "pellsolver.solve = lambda D, n: Verdict('unsolvable', None, 'oracle')\n"
+        "pellsolver.minimal_solutions = lambda D, n: []\n"
         "try:\n"
         "    criteria.classify_2p(3)\n"
         "except ArithmeticError:\n"

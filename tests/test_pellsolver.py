@@ -5,8 +5,9 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from pellcrit import pellsolver
-from pellcrit.intcore import factor, is_square, isqrt
+from pellcrit.intcore import factor, is_prime, is_square, isqrt
 from pellcrit.pellsolver import _floor_quad, cf_fundamental
+from pellcrit.symbols import jacobi
 
 
 def test_cf_fundamental_examples():
@@ -292,12 +293,14 @@ def _reference_pqa_solutions(D: int, m: int, z: int) -> list[tuple[int, int]]:
 
 
 def _roots(D, m, mfac):
-    # the square roots z of D mod |m| that start the PQa threads, as in _lmm_all
+    # every square root of D mod |m|, shifted into (-|m|/2, |m|/2]: the -z of
+    # each conjugate pair included, which _lmm_all skips
     return [z - abs(m) if 2 * z > abs(m) else z for z in pellsolver.sqrt_mod_factored(D, mfac)]
 
 
 def _threads(D, n):
-    # (f, m, z) for every PQa thread of (D, n)
+    # (f, m, z) for the thread of every root, the -z ones included, as the
+    # full-cycle reference; _lmm_all runs only the threads with z >= 0
     for f, mfac in pellsolver._square_divisors(n):
         m = n // (f * f)
         for z in _roots(D, m, mfac):
@@ -362,21 +365,27 @@ def test_pqa_threads_match_full_cycles():
 
 def test_pqa_thread_stops_off_the_principal_cycle(monkeypatch):
     # x^2 - 2575 y^2 = -67 is not solvable (-67 is no square mod 5, and
-    # 5^2 | D): both threads reach a reduced state off the principal cycle
-    # (period 40) within a step
+    # 5^2 | D): of the two roots 30, 37 of D mod 67, a conjugate pair, only
+    # z = 30 runs a thread (-30 is its skipped conjugate), and it starts at
+    # a reduced state off the principal cycle (period 40), where the cycle
+    # index stops it
     D, n = 2575, -67
     cf, _ = pellsolver.cf_fundamental(D)
     assert len(cf.period) == 40
     assert pellsolver.orbit_y_bound(D, n) > pellsolver._ORBIT_SCAN_LIMIT and n * n >= D
-    assert len(list(_threads(D, n))) == 2
-    calls = []
+    assert [z for _, _, z in _threads(D, n)] == [30, -30]
+    state, steps = _first_reduced(D, n, 30)
+    assert state not in cf.pq_states and steps < len(cf.period)
+    floors, lookups = [], []
     floor_quad = pellsolver._floor_quad
+    cycle_index = pellsolver._cycle_index
     monkeypatch.setattr(
-        pellsolver, "_floor_quad", lambda P, Q, s: calls.append(1) or floor_quad(P, Q, s)
+        pellsolver, "_floor_quad", lambda P, Q, s: floors.append(1) or floor_quad(P, Q, s)
     )
+    monkeypatch.setattr(pellsolver, "_cycle_index", lambda D: lookups.append(D) or cycle_index(D))
     v = pellsolver.solve(D, n)
     assert v.status == "unsolvable" and v.reason == "local-obstruction:5"
-    assert 0 < len(calls) < len(cf.period)
+    assert len(floors) == steps and lookups == [D]
 
 
 def test_cf_thread_guard_at_its_edge(monkeypatch):
@@ -549,3 +558,99 @@ def test_pqa_route_solvability_against_sympy():
         assert got == bool(diop_DN(D, n)), (D, n, sympy.__version__)
         solvable += got
     assert solvable >= 15
+
+
+# the PQa route verbatim as before it searched one class of each conjugate
+# pair: a thread for every root z of D mod |m|
+def _reference_lmm_all(D: int, n: int) -> list[tuple[int, int]]:
+    found: list[tuple[int, int]] = []
+    for f, mfac in pellsolver._square_divisors(n):
+        m = n // (f * f)
+        am = abs(m)
+        for z in pellsolver.sqrt_mod_factored(D, mfac):
+            if 2 * z > am:
+                z -= am
+            for x, y in pellsolver._pqa_solutions(D, m, z):
+                found.append((f * x, f * y))
+    return found
+
+
+def _classes(D, sols):
+    # the orbit-minimal (|x|, |y|) of each solution; a class and its
+    # conjugate share one
+    return {pellsolver._descend(D, x, y) for x, y in sols}
+
+
+def test_one_thread_per_conjugate_pair_finds_every_class():
+    pairs = solvable = 0
+    for D in range(2, 400):
+        if is_square(D):
+            continue
+        for n in range(-200, 201):
+            if n == 0 or n * n < D:
+                continue
+            want = _classes(D, _reference_lmm_all(D, n))
+            assert _classes(D, pellsolver._lmm_all(D, n)) == want, (D, n)
+            pairs += 1
+            solvable += bool(want)
+    assert pairs > 140_000 and solvable > 15_000
+
+
+def _split_prime(D, p):
+    # the least odd prime >= p that splits in Q(sqrt D)
+    p |= 1
+    while not (is_prime(p) and jacobi(D, p) == 1):
+        p += 2
+    return p
+
+
+@st.composite
+def _split_products(draw):
+    # D up to 10^6 and n = +-f^2 times 2-4 primes split in Q(sqrt D), so that
+    # every m = n / g^2 has 2^w(m) roots of D mod |m|
+    D = draw(st.integers(min_value=2, max_value=10**6).filter(lambda D: not is_square(D)))
+    n = draw(st.sampled_from([-1, 1])) * draw(st.integers(min_value=1, max_value=12)) ** 2
+    for p in draw(st.lists(st.integers(min_value=3, max_value=3000), min_size=2, max_size=4)):
+        n *= _split_prime(D, p)
+    return D, n
+
+
+@settings(max_examples=60, deadline=None)
+@given(_split_products())
+def test_conjugate_pairs_under_split_products(pair):
+    D, n = pair
+    want = _classes(D, _reference_lmm_all(D, n))
+    assert _classes(D, pellsolver._lmm_all(D, n)) == want, (D, n)
+
+
+def test_four_roots_run_two_threads(monkeypatch):
+    # 7 and 17 split in Q(sqrt 2): four roots of 2 mod 119, two conjugate
+    # pairs, none its own conjugate
+    D, n = 2, 7 * 17
+    roots = pellsolver.sqrt_mod_factored(D, factor(n).factors)
+    assert len(roots) == 4 and all(2 * z % n for z in roots)
+    want = _classes(D, _reference_lmm_all(D, n))
+    assert len(want) == 2
+    calls = []
+    pqa = pellsolver._pqa_solutions
+    monkeypatch.setattr(
+        pellsolver, "_pqa_solutions", lambda D, m, z: calls.append(z) or pqa(D, m, z)
+    )
+    assert _classes(D, pellsolver._lmm_all(D, n)) == want
+    assert calls == [z for z in roots if 2 * z < n]
+
+
+def test_confirm_computes_no_local_label(monkeypatch):
+    # the criterion's unsolvable verdict at 34, -8 (locally solvable, the
+    # condition fails) is confirmed by the search alone
+    labels = []
+    obstruction = pellsolver.local_obstruction_anywhere
+    monkeypatch.setattr(
+        pellsolver,
+        "local_obstruction_anywhere",
+        lambda *args, **kwargs: labels.append(args) or obstruction(*args, **kwargs),
+    )
+    v = pellsolver.confirm(34, -8, False, "artin", "artin-condition-fails")
+    assert v == ("unsolvable", None, "artin", "artin-condition-fails")
+    assert labels == []
+    assert pellsolver.confirm(221, 17, True, "artin") == ("solvable", (119, 8), "artin", None)
