@@ -15,7 +15,6 @@ from .quadring import (
     TwistPoint,
     classify_order,
     find_twist_point,
-    repr_x2_plus_2y2,
     splitting_type,
     two_squares_all,
 )
@@ -80,7 +79,6 @@ __all__ = [
     "places_over",
     "quartic_2_of_d",
     "quartic_residue",
-    "repr_x2_plus_2y2",
     "solve",
     "splitting_type",
     "sqrt_mod",

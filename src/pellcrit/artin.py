@@ -108,16 +108,6 @@ def _reduce(f: Form, s: int, disc: int) -> Form:
     raise ArithmeticError(f"reduction failed for {f}")
 
 
-def _cycle(f: Form, s: int, disc: int) -> tuple[Form, ...]:
-    f = reduce_form(f)
-    out = [f]
-    g = _rho(f, s, disc)
-    while g != f:
-        out.append(g)
-        g = _rho(g, s, disc)
-    return tuple(out)
-
-
 class ClassGroup:
     """Principality in the wide form class group of discriminant disc.
 
@@ -127,7 +117,9 @@ class ClassGroup:
     cycle of the principal form or on the cycle of its negation, since
     (a, b, c) ~ (-a, b, -c) merges exactly those two cycles.  Only that set
     of reduced forms is built, one cycle walk of about the continued
-    fraction period; the rest of the group is never enumerated.
+    fraction period: _rho and _is_reduced commute with that map, so the
+    negated cycle is the image of the principal one.  The rest of the group
+    is never enumerated.
     Composition is Gauss-Shanks (Cohen, GTM 138, Alg. 5.4.7).
     """
 
@@ -138,9 +130,10 @@ class ClassGroup:
         self._s = s = isqrt(disc)
         b = s - (s - disc) % 2  # the largest b <= sqrt(disc) with b = disc mod 2
         self.principal = Form(1, b, (b * b - disc) // 4)
-        self._principal_forms = frozenset(
-            _cycle(self.principal, s, disc) + _cycle(self.principal.neg(), s, disc)
-        )
+        cycle = [_reduce(self.principal, s, disc)]
+        while (f := _rho(cycle[-1], s, disc)) != cycle[0]:
+            cycle.append(f)
+        self._principal_forms = frozenset(cycle + [f.neg() for f in cycle])
 
     def is_principal(self, f: Form) -> bool:
         if f.disc != self.disc:

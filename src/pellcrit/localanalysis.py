@@ -15,8 +15,8 @@ F_{l^2}.
 The 2-adic symbol engine works on the finite group E_v*/(E_v*)^2 of 16
 square classes: a unit is a square iff it is one modulo pi^(2e+1), and
 8 O_E lies in pi^(2e+1) O_E, so a unit's coordinates mod 8 fix its class;
-an element is scaled by a square to integer coordinates first, so class
-computations need no rational arithmetic.
+elements have integer coordinates, so class computations need no rational
+arithmetic.
 The Hilbert pairing on that group is its definition: (a, b)_v = 1 iff b
 is a norm from E_v(sqrt a).  For a not a square those norms form an
 index-2 subgroup, spanned by the classes of x^2 - a y^2 over a small box
@@ -86,33 +86,20 @@ def places_over(D: int, l: int, prec: int = 24) -> tuple[Place, ...]:
     return (Place(l, st, D, prec=prec),)
 
 
-def _integral_pair(x, y) -> tuple[int, int]:
-    # x, y (ints or Fractions) times the square of their denominators:
-    # the same square class, with integer coordinates
-    sq = (x.denominator * y.denominator) ** 2
-    return x.numerator * (sq // x.denominator), y.numerator * (sq // y.denominator)
-
-
-def _as_pair(x):
-    # coordinates stay ints or Fractions as given
-    return x if isinstance(x, tuple) else (x, 0)
-
-
 # ---------------------------------------------------------------------------
 # square classes over Q_2
 
 
-def square_class_2(u) -> tuple[int, int]:
-    """(valuation parity, unit representative) of a nonzero rational in Q_2*.
+def square_class_2(u: int) -> tuple[int, int]:
+    """(valuation parity, unit representative) of a nonzero integer in Q_2*.
 
     The representative is one of 1, -1, 5, -5 (units mod squares); together
     with the parity bit this names the square class among {±1, ±2, ±5, ±10}.
     """
     if u == 0:
         raise ValueError("square class of 0 undefined")
-    t = u.numerator * u.denominator
-    v = valuation(t, 2)
-    rep = {1: 1, 3: -5, 5: 5, 7: -1}[(t >> v) % 8]
+    v = valuation(u, 2)
+    rep = {1: 1, 3: -5, 5: 5, 7: -1}[(u >> v) % 8]
     return (v & 1, rep)
 
 
@@ -267,13 +254,13 @@ class TwoAdicQuad:
             self._canon_cache[ucoords] = hit
         return hit
 
-    def class_of(self, u) -> tuple[int, tuple[int, int]]:
+    def class_of(self, u: tuple[int, int]) -> tuple[int, tuple[int, int]]:
         """Square class as (valuation parity, canonical unit residue).
 
-        Coordinates may be ints or Fractions; scaling by the square of the
-        common denominator keeps the class, and the rest is integer work.
+        u holds integer coordinates; a rational element takes the same class
+        once scaled by the square of its common denominator.
         """
-        a, b = _integral_pair(*u)
+        a, b = u
         nrm = self.norm((a, b))
         if nrm == 0:
             raise ValueError("square class of 0 undefined")
@@ -414,10 +401,10 @@ def _val_unit(x: int, y: int, place: Place) -> tuple[int, int]:
 def hilbert_ev(alpha, beta, place: Place) -> int:
     """Quadratic Hilbert symbol (alpha, beta) over E_v.
 
-    Elements are rationals or coordinate pairs (x, y) meaning x + y sqrt(D).
+    Elements are integers or integer pairs (x, y) meaning x + y sqrt(D).
     """
-    a = _integral_pair(*_as_pair(alpha))
-    b = _integral_pair(*_as_pair(beta))
+    a = alpha if isinstance(alpha, tuple) else (alpha, 0)
+    b = beta if isinstance(beta, tuple) else (beta, 0)
     if a == (0, 0) or b == (0, 0):
         raise ValueError("Hilbert symbol arguments must be nonzero")
     l = place.l
@@ -462,15 +449,12 @@ def character_table(D: int, twist: TwistPoint) -> CharacterTable:
         raise ValueError(f"D={D} is not 2 times a squarefree product of 1 mod 8 primes")
     if twist.D != D:
         raise ValueError("twist point belongs to a different D")
-    ctx = two_adic_context(D)
-    theta = ctx.from_sqrt_basis(*twist.element())
     values = {}
     for c in (1, -1, 2, -2):
-        pt = find_local_point(D, c, 2, prec=24)
+        pt = find_local_point(D, c, 2)
         if pt is None:
             raise ArithmeticError(f"no 2-adic point of norm {c} for D={D}")
-        xi = ctx.from_sqrt_basis(pt.x, pt.y)
-        values[c] = ctx.pair(xi, theta)
+        values[c] = hilbert_ev((pt.x, pt.y), twist.element(), places_over(D, 2)[0])
     tab = CharacterTable(values[1], values[-1], values[2], values[-2])
     if tab.chi_1 != 1 or tab.chi_neg2 != tab.chi_neg1 * tab.chi_2:
         raise ArithmeticError(f"character table inconsistent for D={D}: {tab}")

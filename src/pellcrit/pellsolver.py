@@ -49,23 +49,18 @@ The limit is set by the pairs that reach the oracle.  Measured over
 D < 1500, |n| <= 500, n^2 >= D (Python 3.11, one core of a 2-vCPU VM,
 warm caches, min of 3 runs, 6,000 seeded scan-route pairs), the scan
 tries 44% of the B + 1 values of y on average and at most half, at about
-0.10 us per y tried plus 1.3 us (0.13 us per y over all of 0..B before it
-kept to Nagell's range); PQa costs about 6 us per (D, n) at any B.  The
-scan is faster on 98% of the pairs with B < 32, 77% of those with B in
-[32, 64) and 57% of those with B in [64, 96] (5.2 against 5.7 us).  On
-the 192 locally solvable pairs of the ``joint_2d`` benchmark grid with B in
-(64, 96], the only pairs a joint decision sends to the oracle, it costs
-4.1-7.8 us against 5.0-32.5 us for PQa and wins on 190.  For n^2 < D and
-B <= 96 (D < 3000) the scan costs 1.3/1.8/4.4 us at deciles 10/50/90%
-against 1.9/2.5/4.0 us for the convergent route, so the scan stays first.
-Above the limit the scan wins on half of the PQa-route pairs with B in
-(96, 128] and on almost none of the convergent-route pairs (6.4 against
-2.5 us), so the limit stays at 96.  Measured earlier on a slower host: the
-convergent route costs 4.2/5.6/11.5 us where B > 96, and PQa
-7.1/14.6/43.7 us per pair with n^2 >= D, |n| <= 500 and B > 96, against
-9.1/23.4/90.7 us when a thread on the principal cycle walked it state by
-state.  All three routes find every solution class, so returned witnesses
-are genuine minima.
+0.10 us per y tried plus 1.3 us; PQa costs about 6 us per (D, n) at any
+B.  The scan is faster on 98% of the pairs with B < 32, 77% of those with
+B in [32, 64) and 57% of those with B in [64, 96] (5.2 against 5.7 us).
+On the 192 locally solvable pairs of the ``joint_2d`` benchmark grid with
+B in (64, 96], the only pairs a joint decision sends to the oracle, it
+costs 4.1-7.8 us against 5.0-32.5 us for PQa and wins on 190.  For
+n^2 < D and B <= 96 (D < 3000) the scan costs 1.3/1.8/4.4 us at deciles
+10/50/90% against 1.9/2.5/4.0 us for the convergent route, so the scan
+stays first.  Above the limit the scan wins on half of the PQa-route
+pairs with B in (96, 128] and on almost none of the convergent-route
+pairs (6.4 against 2.5 us), so the limit stays at 96.  All three routes
+find every solution class, so returned witnesses are genuine minima.
 """
 
 from __future__ import annotations

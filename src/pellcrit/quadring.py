@@ -1,9 +1,9 @@
 """Data about Q(sqrt(D)) and the order Z[sqrt(D)].
 
-Splitting of rational primes, sums of two squares, x^2 + 2 y^2
-representations, and the auxiliary "twist point" (x0, y0, z0) solving
-x0^2 - D y0^2 = ell z0^2 whose element x0 - y0 sqrt(D) generates the
-quadratic extension used by the two-character solvability criteria.
+Splitting of rational primes, sums of two squares, and the auxiliary
+"twist point" (x0, y0, z0) solving x0^2 - D y0^2 = ell z0^2 whose element
+x0 - y0 sqrt(D) generates the quadratic extension used by the
+two-character solvability criteria.
 """
 
 from __future__ import annotations
@@ -82,16 +82,6 @@ def two_squares_all(m: int) -> list[tuple[int, int]]:
     return sorted({(max(a, b), min(a, b)) for a, b in cornacchia(1, m)})
 
 
-def repr_x2_plus_2y2(m: int) -> tuple[int, int] | None:
-    """One primitive a^2 + 2 b^2 = m with a, b >= 0, or None."""
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    if m == 1:
-        return (1, 0)
-    reps = cornacchia(2, m)
-    return reps[0] if reps else None
-
-
 class TwistPoint(namedtuple("TwistPoint", "x0 y0 z0 ell D")):
     """Solution (x0, y0, z0) of x0^2 - D y0^2 = ell z0^2, x0 > 0, gcd(x0, y0) = 1.
 
@@ -116,11 +106,9 @@ class TwistPoint(namedtuple("TwistPoint", "x0 y0 z0 ell D")):
         return self.ell * self.z0 * self.z0
 
 
-def twist_point_candidates(D: int, ell: int, z_cap: int | None = None):
+def twist_point_candidates(D: int, ell: int):
     """Yield twist points in lexicographic (z0, y0, x0) order."""
-    if z_cap is None:
-        z_cap = isqrt(D) + 2
-    for z in range(1, z_cap + 1):
+    for z in range(1, isqrt(D) + 3):
         hits = []
         for x, y in minimal_solutions(D, ell * z * z):
             if x > 0 and math.gcd(x, y) == 1:

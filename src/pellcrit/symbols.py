@@ -7,7 +7,7 @@ quadratic Hilbert symbol (a, b)_l for l a prime or the real place.
 
 from __future__ import annotations
 
-from .intcore import Factorization, factor, is_prime, two_squares_prime, valuation
+from .intcore import factor, is_prime, two_squares_prime, valuation
 
 # Distinguished token for the archimedean place (never a pseudo-prime).
 REAL = "real"
@@ -48,9 +48,9 @@ def quartic_residue(a: int, p: int) -> int:
     raise ArithmeticError(f"Euler criterion gave {t} mod {p}")
 
 
-def quartic_2_of_d(d: int | Factorization) -> int:
+def quartic_2_of_d(d: int) -> int:
     """(2/d)_4 = prod over p^e || d of (2/p)_4^e, all p = 1 mod 8, d > 0."""
-    fac = d if isinstance(d, Factorization) else factor(d)
+    fac = factor(d)
     if fac.sign != 1:
         raise ValueError("d must be positive")
     out = 1
@@ -81,20 +81,13 @@ def burde_product(p: int, q: int) -> int:
     return sign * jacobi(a * d - b * c, p)
 
 
-def _to_int_pair(a) -> int:
-    # replace a rational by an integer in the same square class
-    if a == 0:
-        raise ValueError("Hilbert symbol arguments must be nonzero")
-    return a.numerator * a.denominator
-
-
-def hilbert_q(a, b, l) -> int:
+def hilbert_q(a: int, b: int, l) -> int:
     """Quadratic Hilbert symbol (a, b)_l over Q_l, or over R for l = REAL.
 
     +1 iff z^2 = a x^2 + b y^2 has a nontrivial solution in the completion.
     """
-    a = _to_int_pair(a)
-    b = _to_int_pair(b)
+    if a == 0 or b == 0:
+        raise ValueError("Hilbert symbol arguments must be nonzero")
     if l == REAL:
         return -1 if (a < 0 and b < 0) else 1
     if not isinstance(l, int) or not is_prime(l):

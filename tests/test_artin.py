@@ -69,6 +69,37 @@ class _ReferenceClasses:
         return list(out.values())
 
 
+def _reference_principal_forms(disc):
+    """The principal set as two cycle walks: the principal form's and its negation's."""
+    s = math.isqrt(disc)
+    b = s - (s - disc) % 2
+
+    def cycle(f):
+        f = artin.reduce_form(f)
+        out = [f]
+        g = artin._rho(f, s, disc)
+        while g != f:
+            out.append(g)
+            g = artin._rho(g, s, disc)
+        return out
+
+    principal = artin.Form(1, b, (b * b - disc) // 4)
+    return frozenset(cycle(principal) + cycle(principal.neg()))
+
+
+def test_one_cycle_walk_gives_both_cycles():
+    # the negated cycle is the image of the principal one under
+    # (a, b, c) -> (-a, b, -c), at disc 4D and, for D = 1 mod 4, at D
+    count = 0
+    for D in range(2, 3000):
+        if is_square(D):
+            continue
+        for disc in (4 * D, D) if D % 4 == 1 else (4 * D,):
+            assert artin.ClassGroup(disc)._principal_forms == _reference_principal_forms(disc), disc
+            count += 1
+    assert count == 3668
+
+
 def test_class_group_orders():
     assert _ReferenceClasses(884).order == 2  # D = 221
     assert _ReferenceClasses(136).order == 2  # D = 34

@@ -4,7 +4,9 @@ import os
 import subprocess
 import sys
 
-from pellcrit import cli, pellsolver
+import pytest
+
+from pellcrit import artin, cli, intcore, pellsolver
 
 
 def run_cli(*args):
@@ -67,6 +69,80 @@ def test_usage_error_exit_code():
         assert res.returncode == 2, args
         assert res.stdout == "" and len(res.stderr.splitlines()) == 1, args
         assert "Traceback" not in res.stderr, args
+
+
+def _loads_unlimited(line):
+    # parsing a witness of more than 4,300 digits meets the int-to-str limit too
+    if not hasattr(sys, "set_int_max_str_digits"):
+        return json.loads(line)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return json.loads(line)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def test_witnesses_on_either_side_of_the_int_to_str_limit(capsys):
+    # witnesses of 4,207 digits (under the 4,300-digit limit) and 4,365 digits
+    # (over it) print in full, and main leaves its caller's limit as it was
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+    for args, D, over in (
+        (["classify-2p", "60002003"], 120004006, False),
+        (["classify-2p", "60009347"], 120018694, True),
+        (["decide", "120004006", "-2"], 120004006, False),
+        (["decide", "120018694", "-2"], 120018694, True),
+    ):
+        assert cli.main(args) == cli.EXIT_OK, args
+        if limit is not None:
+            assert sys.get_int_max_str_digits() == limit
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 1, args
+        rec = _loads_unlimited(lines[0])
+        x, y = rec["witness"]
+        assert x * x - D * y * y == rec.get("target", rec.get("n")) == -2, args
+        assert (x >= 10**4300) == over, args
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits"), reason="this Python has no int-to-str limit"
+)
+def test_argument_over_the_int_to_str_limit_exits_2():
+    # parsed under the limit, so argparse refuses it before any work; the
+    # timeout catches a limit lifted too early, which would start factoring D
+    res = subprocess.run(
+        [sys.executable, "-m", "pellcrit.cli", "decide", "1" * 4302, "-2"],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert res.returncode == 2
+    assert res.stdout == "" and "Traceback" not in res.stderr
+
+
+def test_verify_lemmas_rejects_other_families():
+    res = run_cli("verify-lemmas", "--family", "3d", "--max", "10")
+    assert res.returncode == 2
+    assert res.stdout == "" and "Traceback" not in res.stderr
+
+
+def test_decide_scans_for_a_local_obstruction_once(monkeypatch, capsys):
+    # a locally obstructed decide still gets the oracle's own search for
+    # oracle_status, but no second local-obstruction label
+    calls = []
+    scan = intcore.local_obstruction_anywhere
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return scan(*args, **kwargs)
+
+    for mod in (intcore, artin, pellsolver):
+        monkeypatch.setattr(mod, "local_obstruction_anywhere", counted)
+    assert cli.main(["decide", "34", "3"]) == cli.EXIT_OK
+    rec = json.loads(capsys.readouterr().out)
+    assert rec["status"] == rec["oracle_status"] == "unsolvable"
+    assert rec["provenance"] == "artin"
+    assert calls == [(34, 3)]
 
 
 def test_classify_rejects_p_below_2(capsys):

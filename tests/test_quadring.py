@@ -59,28 +59,6 @@ def test_two_squares_sampled_large():
         assert quadring.two_squares_all(m) == _two_squares_brute(m), m
 
 
-def _repr2_brute(m):
-    for b in range(math.isqrt(m // 2) + 1):
-        a2 = m - 2 * b * b
-        if a2 >= 0:
-            a = math.isqrt(a2)
-            if a * a == a2 and math.gcd(a, b) == 1:
-                return True
-    return False
-
-
-def test_repr_x2_plus_2y2():
-    assert quadring.repr_x2_plus_2y2(34) == (4, 3)
-    assert quadring.repr_x2_plus_2y2(146) == (12, 1)
-    assert quadring.repr_x2_plus_2y2(15) is None
-    for m in range(1, 8000):
-        got = quadring.repr_x2_plus_2y2(m)
-        assert (got is not None) == _repr2_brute(m), m
-        if got is not None:
-            a, b = got
-            assert a * a + 2 * b * b == m and math.gcd(a, b) == 1 and a >= 0 and b >= 0
-
-
 def test_find_twist_point_examples():
     tp = quadring.find_twist_point(221, 17)
     assert (tp.x0, tp.y0, tp.z0) == (119, 8, 1)

@@ -19,7 +19,10 @@ Each line is a sha256 over one grid, with every record written out in full:
   odd twist prime and the 2d family) and 0 < |n| <= 300;
 * ``cf_fundamental``: the period, ``qs`` and ``pq_states`` of sqrt(D) and the
   unit (x1, y1, unit_norm), for non-square D < 100,000, each D walked afresh
-  past the cache so that memory stays flat.
+  past the cache so that memory stays flat;
+* ``class_group``: the principal set of reduced forms, sorted as plain
+  (a, b, c) tuples, at disc 4D for every non-square D < 20,000 and also at
+  disc D when D = 1 mod 4, each group built afresh past the cache.
 
 Equal digests on two trees mean equal output on every pair.  A single grid
 can be named on the command line, as in ``python3 tools/verdict_digest.py solve``.
@@ -50,6 +53,14 @@ def _verdict(v):
     return (v.status, v.witness, v.provenance, v.reason)
 
 
+def _discs(d_max):
+    for D in range(2, d_max):
+        if math.isqrt(D) ** 2 != D:
+            yield 4 * D
+            if D % 4 == 1:
+                yield D
+
+
 def _walk(D):
     cf, fund = pellsolver.cf_fundamental.__wrapped__(D)
     return (cf.period, cf.qs, cf.pq_states, (fund.x1, fund.y1, fund.unit_norm))
@@ -78,6 +89,10 @@ GRIDS = {
     ),
     "cf_fundamental": lambda: (
         (D, _walk(D)) for D in range(2, 100_000) if math.isqrt(D) ** 2 != D
+    ),
+    "class_group": lambda: (
+        (disc, sorted(tuple(f) for f in artin.ClassGroup(disc)._principal_forms))
+        for disc in _discs(20_000)
     ),
 }
 
