@@ -11,11 +11,12 @@ extension built from a twist point contributes a second condition, a
 product of local Hilbert symbols.  Solvability for the supported families
 is equivalent to some single adelic choice passing both conditions at once.
 
-The joint decision walks the choices (ideals of norm |n|) depth first over
-the exponents at the split primes of n and stops at the first with a
-principal class and a trivial twist symbol.  The symbol's part that depends
-on n alone is computed once, at the first principal choice; each choice
-adds a sign per split prime.
+The joint decision reads one bounded record per prime power of n: its
+classes, and its twist signs from the first principal choice on.  One walk
+over the split exponents, on an explicit stack, serves the decision and the
+class images; the decision stops at the first choice with a principal class
+and a trivial twist symbol.  The symbol's head, its factors at 2 and at the
+odd twist prime, is computed once, at the first principal choice.
 """
 
 from __future__ import annotations
@@ -144,9 +145,8 @@ class ClassGroup:
         if f1.disc != self.disc or f2.disc != self.disc:
             raise ValueError(f"forms {f1}, {f2} do not both have discriminant {self.disc}")
         if f1 is self.principal:
-            # Gauss-Shanks with a1 = 1 gives (a2, b2, c2) back before it
-            # reduces; power and the ramified part of n start from this form,
-            # so these pairs stay out of the memo
+            # Gauss-Shanks with a1 = 1 gives f2 back before it reduces; power
+            # starts from this form, and these pairs stay out of the memo
             return _reduce(f2, self._s, self.disc)
         return _compose(f1, f2)
 
@@ -214,12 +214,6 @@ def prime_form(D: int, l: int, disc: int | None = None) -> Form:
     return Form(l, b, (b * b - disc) // (4 * l))
 
 
-@lru_cache(maxsize=None)
-def _prime_power(D: int, disc: int, l: int, k: int) -> Form:
-    # the k-th power of the prime form over l, shared by every n at this D
-    return class_group(disc).power(prime_form(D, l, disc), k)
-
-
 # ---------------------------------------------------------------------------
 # adelic choices and their ideal classes
 
@@ -255,65 +249,87 @@ class ClassImages(namedtuple("ClassImages", "entries obstruction disc")):
 _MAX_SPLIT_PRIMES = 12
 
 
-def _ideal_data(D: int, n: int, fac: Factorization) -> tuple:
-    """(disc, obstruction, base, split, forced) of the ideals of norm |n|.
+# What l^e || n brings to a decision: classes, the reduced forms of l^(2j - e),
+# j = 0..e, when l splits (j factors on the chosen-root side), of l^e when l
+# ramifies, else None; signs, the twist half, the symbol's factor over l at j
+# even and at j odd (j = 0 at a forced prime), empty until a principal choice
+_PrimeRecord = namedtuple("_PrimeRecord", "l e kind classes signs")
 
-    The discriminant, the prime with no integral local point or None, the
-    class of the ramified part, (l, e, powers) per split prime with powers[j]
-    the class of l^(2j - e), and the (l, kind, e) of the ramified and inert
-    primes.  ``fac`` is the factorization of |n|.
-    """
+
+# bounded: keyed by the primes of n; twist is None where no symbol is asked for
+@lru_cache(maxsize=4096)
+def _prime_record(D: int, disc: int, twist: TwistPoint | None, l: int, e: int) -> _PrimeRecord:
+    kind = splitting_type(D, l)
+    if kind == INERT or (kind == SPLIT and l == 2):
+        return _PrimeRecord(l, e, kind, None, [])
+    group, f = class_group(disc), prime_form(D, l, disc)
+    if kind == RAMIFIED:
+        return _PrimeRecord(l, e, kind, group.power(f, e), [])
+    return _PrimeRecord(l, e, kind, tuple(group.power(f, 2 * j - e) for j in range(e + 1)), [])
+
+
+def _twist_half(rec: _PrimeRecord, D: int, twist: TwistPoint) -> list[int]:
+    # fills rec.signs.  Away from 2 and the twist prime a place counts when n's
+    # share of it is odd; z0 adds none, as an inert l | z0 would divide x0, y0
+    l, e, kind = rec.l, rec.e, rec.kind
+    if l in (2, twist.ell) or (kind != SPLIT and (e // 2 if kind == INERT else e) % 2 == 0):
+        rec.signs[:] = (1, 1)
+        return rec.signs
+    r = [1 if twist_residue_square(D, twist, pl) else -1 for pl in places_over(D, l)]
+    # j factors of a split l lie over its first place, e - j over its second
+    rec.signs[:] = (r[0], r[0]) if kind != SPLIT else (r[1], r[0]) if e % 2 else (1, r[0] * r[1])
+    return rec.signs
+
+
+def _ideals(D: int, n: int, fac: Factorization, twist: TwistPoint | None) -> tuple:
+    """(group, obstruction, base, records, split): the class group, the prime
+    with no integral local point or None, the ramified part's class, and the
+    records of the primes of n and of its split primes."""
     disc = D if D % 8 == 5 and n % 4 == 0 else 4 * D
     group = class_group(disc)
-    split: list[tuple[int, int, tuple[Form, ...]]] = []
-    forced: list[tuple[int, str, int]] = []
-    base = group.principal
+    base = principal = group.principal
+    records, split = [], []
     for l, e in fac.factors:
-        st = splitting_type(D, l)
-        if st == INERT:
+        rec = _prime_record(D, disc, twist, l, e)
+        records.append(rec)
+        if rec.kind == RAMIFIED:
+            base = rec.classes if base is principal else _compose(base, rec.classes)
+        elif rec.kind == INERT:
             if e % 2:
-                return disc, l, base, (), ()
-            forced.append((l, INERT, e // 2))
-        elif st == RAMIFIED:
-            forced.append((l, RAMIFIED, e))
-            base = group.compose(base, _prime_power(D, disc, l, e))
+                return group, l, base, records, split
+        elif l != 2:
+            split.append(rec)
+        elif e == 1:  # the order is not maximal at 2 when D is odd
+            return group, 2, base, records, split
         else:
-            if l == 2:
-                # the order is not maximal at 2 when D is odd
-                if e == 1:
-                    return disc, 2, base, (), ()
-                raise NotImplementedError(
-                    "split conductor prime 2 with 4 | n is outside the"
-                    " supported families"
-                )
-            # j of the e factors on the chosen-root side contribute l^(2j - e)
-            split.append((l, e, tuple(_prime_power(D, disc, l, 2 * j - e) for j in range(e + 1))))
+            raise NotImplementedError("split conductor prime 2 with 4 | n is outside the model")
     if len(split) > _MAX_SPLIT_PRIMES:
         raise ValueError(f"more than {_MAX_SPLIT_PRIMES} split primes in n")
-    return disc, None, base, tuple(split), tuple(forced)
+    return group, None, base, records, split
 
 
-def _choices(principal: Form, split: tuple, base: Form):
-    """Depth first over the split exponents: (chosen split, reduced form).
-
-    All forms are reduced and of one discriminant, so they compose by
-    ``_compose``.  A principal accumulator takes each contribution as it is,
-    as ``ClassGroup.compose`` does.  A principal contribution is composed
-    all the same: the result lies on the accumulator's cycle but need not
-    equal it, and the class images keep that exact form.
-    """
-
-    def walk(i: int, chosen: tuple, acc: Form):
-        if i == len(split):
-            yield chosen, acc
-            return
-        l, e, powers = split[i]
-        for j, contrib in enumerate(powers):
-            yield from walk(
-                i + 1, chosen + ((l, e, j),), contrib if acc is principal else _compose(acc, contrib)
-            )
-
-    return walk(0, (), base)
+def _walk(principal: Form, base: Form, split: list, leaf) -> bool:
+    """Depth first over the split exponents, on one explicit stack: js[i],
+    the exponent at split[i], and accs[i], the class of base and the first i
+    contributions.  leaf(js, form) is called at each leaf until it returns
+    true.  A principal accumulator takes each contribution as it is, as
+    ``ClassGroup.compose`` does; the class images keep the exact forms."""
+    k = len(split)
+    js, accs, i = [0] * k, [base] * (k + 1), 0
+    while True:
+        while i < k:
+            acc, contrib = accs[i], split[i].classes[js[i]]
+            i += 1
+            accs[i] = contrib if acc is principal else _compose(acc, contrib)
+        if leaf(js, accs[k]):
+            return True
+        i = k - 1  # back up to the deepest split prime with an exponent left
+        while i >= 0 and js[i] == split[i].e:
+            js[i] = 0
+            i -= 1
+        if i < 0:
+            return False
+        js[i] += 1
 
 
 def class_images_of_norm(D: int, n: int, *, fac: Factorization | None = None) -> ClassImages:
@@ -329,16 +345,17 @@ def class_images_of_norm(D: int, n: int, *, fac: Factorization | None = None) ->
     """
     if n == 0:
         raise ValueError("n must be nonzero")
-    disc, obstruction, base, split, forced = _ideal_data(
-        D, n, factor(abs(n)) if fac is None else fac
-    )
+    fac = factor(abs(n)) if fac is None else fac
+    group, obstruction, base, records, split = _ideals(D, n, fac, None)
     if obstruction is not None:
-        return ClassImages((), obstruction, disc)
-    entries = tuple(
-        (AdelicChoice(chosen, forced), form)
-        for chosen, form in _choices(class_group(disc).principal, split, base)
-    )
-    return ClassImages(entries, None, disc)
+        return ClassImages((), obstruction, group.disc)
+    forced = tuple((r.l, r.kind, r.e // 2 if r.kind == INERT else r.e)
+                   for r in records if r.kind != SPLIT)
+    entries: list = []
+    _walk(group.principal, base, split, lambda js, form: entries.append(
+        (AdelicChoice(tuple((r.l, r.e, j) for r, j in zip(split, js)), forced), form)
+    ))
+    return ClassImages(tuple(entries), None, group.disc)
 
 
 # ---------------------------------------------------------------------------
@@ -356,52 +373,26 @@ def twist_symbol(
     because the twist element is totally positive.  ``fac``, when given,
     is the factorization of |n|.
     """
-    sym, signs = _twist_parts(D, twist, n, factor(abs(n)) if fac is None else fac)
-    for l, by_parity in signs.items():
-        sym *= by_parity[choice.j_at(l) % 2]
+    disc = D if D % 8 == 5 and n % 4 == 0 else 4 * D
+    sym = _head(D, twist, n)
+    for l, e in (factor(abs(n)) if fac is None else fac).factors:
+        rec = _prime_record(D, disc, twist, l, e)
+        sym *= (rec.signs or _twist_half(rec, D, twist))[choice.j_at(l) % 2]
     return sym
 
 
-def _twist_parts(D: int, twist: TwistPoint, n: int, fac: Factorization) -> tuple:
-    """(sym, signs): the twist symbol's part shared by every choice at (D, n).
-
-    sym is the product at the places over 2 and the twist prime and at the
-    inert and ramified primes; signs[l] is the factor at the split prime l
-    of a choice with j even, and with j odd.
-    """
-    ell = twist.ell
+def _head(D: int, twist: TwistPoint, n: int) -> int:
+    # the factors at the places over 2 and the odd twist prime, shared by
+    # every choice at (D, n)
     v = valuation(n, 2)
     sym = _two_adic_factor(D, twist, ((n >> v) % 16) << (v % 4))
-    # place over the odd twist prime
+    ell = twist.ell
     if ell != 2:
         pt = find_local_point(D, n, ell, prec=valuation(n, ell) + 10)
         if pt is None:
             raise ValueError(f"no {ell}-adic point for D={D}, n={n}")
         sym *= hilbert_ev((pt.x, pt.y), twist.element(), places_over(D, ell)[0])
-    # everywhere else only odd-valuation data of n contributes.  The primes
-    # of z0 add nothing of their own: split and ramified places need an odd
-    # exponent in n, and no inert prime divides z0, as it would divide both
-    # x0 and y0
-    signs: dict[int, tuple[int, int]] = {}
-    for l, e in fac.factors:
-        if l in (2, ell):
-            continue
-        st = splitting_type(D, l)
-        res = _residue_signs(D, twist, l)
-        if st == SPLIT:
-            # j of the e factors of n at l lie over the first place, e - j
-            # over the second; each place counts when its share is odd
-            signs[l] = (res[1], res[0]) if e % 2 else (1, res[0] * res[1])
-        elif (e // 2 if st == INERT else e) % 2:
-            # the one place over l takes e/2 of n when inert, e when ramified
-            sym *= res[0]
-    return sym, signs
-
-
-@lru_cache(maxsize=None)
-def _residue_signs(D: int, twist: TwistPoint, l: int) -> tuple[int, ...]:
-    # +1 or -1 at each place over the odd prime l, in places_over order
-    return tuple(1 if twist_residue_square(D, twist, pl) else -1 for pl in places_over(D, l))
+    return sym
 
 
 @lru_cache(maxsize=None)
@@ -417,8 +408,8 @@ def _two_adic_factor(D: int, twist: TwistPoint, r: int) -> int:
     place2 = _d_context(D).place2
     theta = twist.element()
     if place2.kind == SPLIT:
-        # 2 is never a split prime of a choice (class_images_of_norm stops
-        # first), so the whole of n sits at the second place over 2
+        # 2 is never a split prime of a choice (_ideals stops first), so
+        # the whole of n sits at the second place over 2
         return hilbert_ev(r, theta, place2)
     pt = find_local_point(D, r, 2, prec=valuation(r, 2) + 18)
     if pt is None:
@@ -485,23 +476,28 @@ def _d_context(D: int) -> _DContext:
 
 
 def _some_choice_passes(D: int, n: int, twist: TwistPoint, fac: Factorization) -> bool:
-    # the joint condition on a locally solvable n: walk the choices and stop
-    # at the first with a principal class and a trivial twist symbol
-    disc, obstruction, base, split, _ = _ideal_data(D, n, fac)
+    # walk to the first choice with a principal class and a trivial twist
+    # symbol; the head and twist halves wait for the first principal choice
+    group, obstruction, base, records, split = _ideals(D, n, fac, twist)
     if obstruction is not None:
         return False
-    group = class_group(disc)
-    parts = None
-    for chosen, form in _choices(group.principal, split, base):
-        if form in group._principal_forms:
-            if parts is None:
-                parts = _twist_parts(D, twist, n, fac)
-            sym, signs = parts
-            for l, _, j in chosen:
-                sym *= signs[l][j % 2]
-            if sym == 1:
-                return True
-    return False
+    principal_forms, head = group._principal_forms, None
+
+    def passes(js: list, form: Form) -> bool:
+        nonlocal head
+        if form not in principal_forms:
+            return False
+        if head is None:
+            head = _head(D, twist, n)
+            for rec in records:
+                signs = rec.signs or _twist_half(rec, D, twist)
+                head *= 1 if rec.kind == SPLIT else signs[0]
+        sym = head
+        for rec, j in zip(split, js):
+            sym *= rec.signs[j % 2]
+        return sym == 1
+
+    return _walk(group.principal, base, split, passes)
 
 
 def artin_condition(D: int, n: int, twist: TwistPoint | None = None) -> bool:

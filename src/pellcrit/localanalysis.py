@@ -405,6 +405,8 @@ def hilbert_ev(alpha, beta, place: Place) -> int:
     """
     a = alpha if isinstance(alpha, tuple) else (alpha, 0)
     b = beta if isinstance(beta, tuple) else (beta, 0)
+    if not all(isinstance(t, int) for t in a + b):
+        raise TypeError(f"Hilbert symbol arguments must be integers, got {alpha!r}, {beta!r}")
     if a == (0, 0) or b == (0, 0):
         raise ValueError("Hilbert symbol arguments must be nonzero")
     l = place.l

@@ -86,6 +86,8 @@ def hilbert_q(a: int, b: int, l) -> int:
 
     +1 iff z^2 = a x^2 + b y^2 has a nontrivial solution in the completion.
     """
+    if not isinstance(a, int) or not isinstance(b, int):
+        raise TypeError(f"Hilbert symbol arguments must be integers, got {a!r}, {b!r}")
     if a == 0 or b == 0:
         raise ValueError("Hilbert symbol arguments must be nonzero")
     if l == REAL:

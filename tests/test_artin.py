@@ -446,6 +446,100 @@ def _reference_some_choice_passes(D, n, twist, fac):
     )
 
 
+# The ideal data, choice walk and twist parts as they were before the
+# per-prime record: the powers of a prime form and the residue signs are
+# recomputed on every call, and the walk is a recursive generator
+
+
+def _reference_ideal_data(D, n, fac):
+    # (disc, obstruction, base, split, forced), split holding (l, e, powers)
+    # with powers[j] the class of l^(2j - e)
+    disc = D if D % 8 == 5 and n % 4 == 0 else 4 * D
+    group = artin.class_group(disc)
+
+    def prime_power(l, k):
+        return group.power(artin.prime_form(D, l, disc), k)
+
+    split, forced = [], []
+    base = group.principal
+    for l, e in fac.factors:
+        st = splitting_type(D, l)
+        if st == INERT:
+            if e % 2:
+                return disc, l, base, (), ()
+            forced.append((l, INERT, e // 2))
+        elif st == "ramified":
+            forced.append((l, "ramified", e))
+            base = group.compose(base, prime_power(l, e))
+        else:
+            if l == 2:
+                if e == 1:
+                    return disc, 2, base, (), ()
+                raise NotImplementedError("split conductor prime 2 with 4 | n")
+            split.append((l, e, tuple(prime_power(l, 2 * j - e) for j in range(e + 1))))
+    if len(split) > artin._MAX_SPLIT_PRIMES:
+        raise ValueError("too many split primes")
+    return disc, None, base, tuple(split), tuple(forced)
+
+
+def _reference_choices(principal, split, base):
+    # depth first over the split exponents: (chosen split, reduced form)
+    def walk(i, chosen, acc):
+        if i == len(split):
+            yield chosen, acc
+            return
+        l, e, powers = split[i]
+        for j, contrib in enumerate(powers):
+            yield from walk(
+                i + 1, chosen + ((l, e, j),),
+                contrib if acc is principal else artin._compose(acc, contrib),
+            )
+
+    return walk(0, (), base)
+
+
+def _reference_twist_parts(D, twist, n, fac):
+    # (sym, signs): the symbol at 2, the twist prime, the inert and ramified
+    # primes, and per split prime l the factor at j even and at j odd
+    ell = twist.ell
+    v = valuation(n, 2)
+    sym = artin._two_adic_factor(D, twist, ((n >> v) % 16) << (v % 4))
+    if ell != 2:
+        pt = find_local_point(D, n, ell, prec=valuation(n, ell) + 10)
+        if pt is None:
+            raise ValueError(f"no {ell}-adic point for D={D}, n={n}")
+        sym *= hilbert_ev((pt.x, pt.y), twist.element(), places_over(D, ell)[0])
+    signs = {}
+    for l, e in fac.factors:
+        if l in (2, ell):
+            continue
+        st = splitting_type(D, l)
+        res = tuple(1 if twist_residue_square(D, twist, pl) else -1 for pl in places_over(D, l))
+        if st == SPLIT:
+            signs[l] = (res[1], res[0]) if e % 2 else (1, res[0] * res[1])
+        elif (e // 2 if st == INERT else e) % 2:
+            sym *= res[0]
+    return sym, signs
+
+
+def _reference_class_images(D, n, fac):
+    disc, obstruction, base, split, forced = _reference_ideal_data(D, n, fac)
+    if obstruction is not None:
+        return artin.ClassImages((), obstruction, disc)
+    principal = artin.class_group(disc).principal
+    return artin.ClassImages(tuple(
+        (artin.AdelicChoice(chosen, forced), form)
+        for chosen, form in _reference_choices(principal, split, base)
+    ), None, disc)
+
+
+def _reference_symbol(D, twist, choice, n, fac):
+    sym, signs = _reference_twist_parts(D, twist, n, fac)
+    for l, by_parity in signs.items():
+        sym *= by_parity[choice.j_at(l) % 2]
+    return sym
+
+
 def _outcome(fn, *args):
     try:
         return fn(*args)
@@ -455,10 +549,12 @@ def _outcome(fn, *args):
 
 def test_walk_matches_reference_some_choice_passes():
     # every 0 < |n| <= 300 at every applicable D < 1500, locally obstructed
-    # or not: the same answer, or the same exception, as the full build
+    # or not: the same answer, or the same exception, as the full build; the
+    # same class images, to the exact reduced form; and the same symbol at
+    # every choice, as the references from before the per-prime record
     ds = [D for D in range(2, 1500) if not is_square(D) and artin._d_context(D).applicable]
     assert len(ds) == 26
-    seen = {True: 0, False: 0, NotImplementedError: 0, "disc D": 0}
+    seen = {True: 0, False: 0, NotImplementedError: 0, "disc D": 0, "symbols": 0}
     for D in ds:
         twist = artin.canonical_twist(D)
         for n in range(-300, 301):
@@ -467,6 +563,12 @@ def test_walk_matches_reference_some_choice_passes():
             fac = factor(abs(n))
             got = _outcome(artin._some_choice_passes, D, n, twist, fac)
             assert got == _outcome(_reference_some_choice_passes, D, n, twist, fac), (D, n)
+            images = _outcome(artin.class_images_of_norm, D, n)
+            assert images == _outcome(_reference_class_images, D, n, fac), (D, n)
+            for choice, _ in () if isinstance(images, type) else images.entries:
+                want = _outcome(_reference_symbol, D, twist, choice, n, fac)
+                assert _outcome(artin.twist_symbol, D, twist, choice, n) == want, (D, n, choice)
+                seen["symbols"] += want in (1, -1)
             if got in seen:
                 seen[got] += 1
             if got is True and D % 8 == 5 and n % 4 == 0:
@@ -477,26 +579,28 @@ def test_walk_matches_reference_some_choice_passes():
 @pytest.mark.parametrize("D, n, visited", [(221, 1505, 3), (34, -705, 3), (1394, 455, 2)])
 def test_walk_stops_at_the_first_passing_choice(monkeypatch, D, n, visited):
     # three or more split primes, and a choice early in the walk passes: the
-    # walk stops there, and the per-n twist parts are computed once
+    # walk stops there, and the per-n head of the symbol is computed once
     fac = factor(abs(n))
     entries = artin.class_images_of_norm(D, n, fac=fac).entries
     assert len(entries[0][0].split) >= 3 and len(entries) > visited
-    leaves, parts = [], []
-    choices, twist_parts = artin._choices, artin._twist_parts
+    leaves, heads = [], []
+    walk, head = artin._walk, artin._head
 
-    def counting_choices(*args):
-        for leaf in choices(*args):
-            leaves.append(leaf)
-            yield leaf
+    def counting_walk(principal, base, split, leaf):
+        def counting_leaf(js, form):
+            leaves.append((tuple((r.l, r.e, j) for r, j in zip(split, js)), form))
+            return leaf(js, form)
 
-    def counting_parts(*args):
-        parts.append(args)
-        return twist_parts(*args)
+        return walk(principal, base, split, counting_leaf)
 
-    monkeypatch.setattr(artin, "_choices", counting_choices)
-    monkeypatch.setattr(artin, "_twist_parts", counting_parts)
+    def counting_head(*args):
+        heads.append(args)
+        return head(*args)
+
+    monkeypatch.setattr(artin, "_walk", counting_walk)
+    monkeypatch.setattr(artin, "_head", counting_head)
     assert artin._some_choice_passes(D, n, artin.canonical_twist(D), fac)
-    assert len(leaves) == visited and len(parts) == 1
+    assert len(leaves) == visited and len(heads) == 1
     assert [(c.split, f) for c, f in entries[:visited]] == leaves
     v = artin.joint_artin_decide(D, n)
     x, y = v.witness
@@ -604,13 +708,13 @@ def test_joint_decide_is_one_pass(monkeypatch):
 
 
 def test_warm_decision_reads_per_prime_caches(monkeypatch):
-    # n1 = n * 185^2 has the primes of n = -370 (2, 5, 37), exponents 1, 3, 3
-    # that cover n's powers of the prime forms, and the same 2-adic key.
-    # After n1, deciding n builds no prime form, place or local point,
-    # which a memo keyed on (D, n) could not achieve
+    # n1 = n * 23^2 has the prime powers of n = -370 (2, 5 and 37, each to
+    # the first power), the inert 23 besides, and the same 2-adic key, as
+    # 23^2 = 1 mod 16.  After n1, deciding n builds no prime form, place or
+    # local point, which a memo keyed on (D, n) could not achieve
     D, n = 1394, -370
-    n1 = n * 185**2
-    assert n1 == -12663250
+    n1 = n * 23**2
+    assert n1 == -195730 and quadring.splitting_type(D, 23) == INERT
     assert artin.joint_artin_decide(D, n1).status == "solvable"
     calls = {"prime_form": 0, "places_over": 0, "find_local_point": 0}
 
@@ -629,6 +733,85 @@ def test_warm_decision_reads_per_prime_caches(monkeypatch):
     x, y = v.witness
     assert v.status == "solvable" and v.provenance == "artin" and x * x - D * y * y == n
     assert calls == {"prime_form": 0, "places_over": 0, "find_local_point": 0}
+
+
+def test_twist_half_waits_for_a_principal_choice(monkeypatch):
+    # n = -282 = -2 * 3 * 47 at D = 34 (obstructed at 17) has choices but no
+    # principal one: the walk computes no head and fills no twist half.  The
+    # solvable n = 94 = 2 * 47 then fills the halves of its own records only
+    D, n = 34, -282
+    twist = artin.canonical_twist(D)
+    calls = {"_head": 0, "twist_residue_square": 0}
+
+    def counting(name):
+        orig = getattr(artin, name)
+
+        def wrapped(*args):
+            calls[name] += 1
+            return orig(*args)
+
+        monkeypatch.setattr(artin, name, wrapped)
+
+    for name in calls:
+        counting(name)
+    artin._prime_record.cache_clear()
+    assert not artin._some_choice_passes(D, n, twist, factor(abs(n)))
+    assert len(artin.class_images_of_norm(D, n).entries) == 4
+    assert calls == {"_head": 0, "twist_residue_square": 0}
+
+    def signs():
+        return [artin._prime_record(D, 4 * D, twist, l, 1).signs for l in (2, 3, 47)]
+
+    assert signs() == [[], [], []]
+    assert artin.joint_artin_decide(D, 94).status == "solvable"
+    got = signs()
+    assert calls["_head"] == 1 and len(got[0]) == len(got[2]) == 2 and got[1] == []
+
+
+def test_prime_records_hold_the_joint_2d_grid():
+    # the grid of the joint_2d benchmark, 12 D and 0 < |n| <= 500, needs
+    # fewer records than the bound: a second pass builds none and decides
+    # alike
+    ds = [
+        D for D in range(2, 1001, 2)
+        if not is_square(D) and quadring.classify_order(D).family == "2d"
+        and artin.thm24_applicable(D // 2)
+    ] + [1394]
+    grid = [(D, n) for D in ds for n in range(-500, 501) if n]
+    assert len(grid) == 12000
+    artin._prime_record.cache_clear()
+    first = [artin.joint_artin_decide(D, n) for D, n in grid]
+    info = artin._prime_record.cache_info()
+    assert 0 < info.currsize == info.misses < info.maxsize
+    assert [artin.joint_artin_decide(D, n) for D, n in grid] == first
+    assert artin._prime_record.cache_info().misses == info.misses
+
+
+def test_prime_records_are_bounded():
+    # D = 34: decisions at more distinct split primes than the bound fill the
+    # records to it and no further, and a decision whose record was evicted
+    # is rebuilt with the same verdict
+    maxsize = artin._prime_record.cache_info().maxsize
+    assert maxsize == 4096
+    artin._prime_record.cache_clear()
+    decided = []
+    l = 3
+    while len(decided) < maxsize + 100:
+        l += 2
+        if not is_prime(l) or splitting_type(34, l) != SPLIT:
+            continue
+        n = next((m for m in (l, -l, 2 * l, -2 * l)
+                  if artin.local_obstruction_anywhere(34, m) is None), None)
+        if n is not None:
+            decided.append((n, artin.joint_artin_decide(34, n)))
+    info = artin._prime_record.cache_info()
+    assert info.misses > maxsize and info.currsize == maxsize
+    assert {v.provenance for _, v in decided} == {"artin"}
+    assert {v.status for _, v in decided} == {"solvable", "unsolvable"}
+    for n, v in decided[:3]:
+        assert artin.joint_artin_decide(34, n) == v
+    after = artin._prime_record.cache_info()
+    assert after.misses == info.misses + 3 and after.currsize == maxsize
 
 
 def test_repeated_decision_composes_and_factors_nothing_new():

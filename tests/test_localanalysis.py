@@ -1,4 +1,5 @@
 import functools
+import hashlib
 import math
 import random
 import time
@@ -320,6 +321,39 @@ def test_hilbert_ev_split_matches_hilbert_q():
                         continue
                     got = la.hilbert_ev(a, b, place)
                     assert got == hilbert_q(a, b, l), (D, l, a, b)
+
+
+def test_hilbert_ev_rejects_non_integers():
+    # a Fraction or float element, or pair coordinate, is refused at odd
+    # places (split, inert, ramified) and at the places over 2 (ramified,
+    # inert and split), where it once gave a wrong symbol or a TypeError
+    # from deep inside
+    places = [pl for D, l in [(34, 3), (34, 7), (34, 17), (34, 2), (221, 2), (305, 2)]
+              for pl in la.places_over(D, l)]
+    assert {(pl.l == 2, pl.kind) for pl in places} == {
+        (l2, kind) for l2 in (False, True) for kind in ("split", "inert", "ramified")
+    }
+    for place in places:
+        assert la.hilbert_ev((3, 1), 5, place) in (1, -1)
+        for bad in (Fraction(1, 3), Fraction(3), 1 / 3, 3.0):
+            for alpha, beta in [(bad, 5), (5, bad), ((bad, 1), 5), ((1, bad), 5), (5, (3, bad))]:
+                with pytest.raises(TypeError):
+                    la.hilbert_ev(alpha, beta, place)
+
+
+def test_hilbert_ev_on_integers_is_unchanged():
+    # pairs and integers at every place over 2, 3, 5, 7, 13 and 17 of three
+    # D with 2 ramified, inert and split, against the digest of the same
+    # grid taken before the symbols checked types
+    elems = [(x, y) for x in range(-3, 4) for y in range(-3, 4) if (x, y) != (0, 0)] + [-6, 5, 12]
+    h = hashlib.sha256()
+    for D in (34, 221, 305):
+        for l in (2, 3, 5, 7, 13, 17):
+            for place in la.places_over(D, l):
+                for a in elems:
+                    for b in elems:
+                        h.update(f"{la.hilbert_ev(a, b, place)}".encode())
+    assert h.hexdigest() == "44056b7457c1396dac3f515bbd49958dcb4992bcba00add568f56d0fb18d73e3"
 
 
 def test_split_embedding_raises_its_precision():

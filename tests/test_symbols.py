@@ -1,4 +1,6 @@
+import hashlib
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -71,6 +73,30 @@ def test_hilbert_q_examples():
     assert symbols.hilbert_q(-1, 3, symbols.REAL) == 1
     with pytest.raises(ValueError):
         symbols.hilbert_q(0, 3, 2)
+
+
+def test_hilbert_q_rejects_non_integers():
+    # (1/3, 5)_3 = (3, 5)_3 = -1, but v_3 of a Fraction read by % is 0, which
+    # gave 1: non-integers are refused at an odd place, at 2 and at R
+    assert symbols.hilbert_q(3, 5, 3) == -1
+    for bad in (Fraction(1, 3), Fraction(5), 1 / 3, 3.0):
+        for l in (3, 2, symbols.REAL):
+            with pytest.raises(TypeError):
+                symbols.hilbert_q(bad, 5, l)
+            with pytest.raises(TypeError):
+                symbols.hilbert_q(5, bad, l)
+
+
+def test_hilbert_q_on_integers_is_unchanged():
+    # every (a, b)_l with 0 < |a|, |b| <= 40 at 2, 3, 5, 7, 11 and R, against
+    # the digest of the same grid taken before the symbols checked types
+    h = hashlib.sha256()
+    for l in (2, 3, 5, 7, 11, symbols.REAL):
+        for a in range(-40, 41):
+            for b in range(-40, 41):
+                if a and b:
+                    h.update(b"%d" % (symbols.hilbert_q(a, b, l) + 1))
+    assert h.hexdigest() == "671716190e338465e3005ed8c9a034867f42cc552d33d6c9e5007b356b646bf5"
 
 
 def test_hilbert_q_matches_solvability():

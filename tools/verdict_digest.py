@@ -22,7 +22,11 @@ Each line is a sha256 over one grid, with every record written out in full:
   past the cache so that memory stays flat;
 * ``class_group``: the principal set of reduced forms, sorted as plain
   (a, b, c) tuples, at disc 4D for every non-square D < 20,000 and also at
-  disc D when D = 1 mod 4, each group built afresh past the cache.
+  disc D when D = 1 mod 4, each group built afresh past the cache;
+* ``class_images``: ``class_images_of_norm`` over the same pairs as
+  ``joint_families``: the disc, the obstruction, and per entry the split
+  exponents, the exact reduced form and the ``twist_symbol`` at
+  ``canonical_twist(D)``; an exception is written out by its type.
 
 Equal digests on two trees mean equal output on every pair.  A single grid
 can be named on the command line, as in ``python3 tools/verdict_digest.py solve``.
@@ -49,6 +53,12 @@ def _pairs(d_max, n_max):
                 yield D, n
 
 
+def _family_pairs():
+    for D, n in _pairs(3000, 300):
+        if artin._d_context(D).applicable:
+            yield D, n
+
+
 def _verdict(v):
     return (v.status, v.witness, v.provenance, v.reason)
 
@@ -59,6 +69,24 @@ def _discs(d_max):
             yield 4 * D
             if D % 4 == 1:
                 yield D
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (NotImplementedError, ValueError) as exc:
+        return type(exc).__name__
+
+
+def _images(D, n):
+    images = _outcome(artin.class_images_of_norm, D, n)
+    if isinstance(images, str):
+        return images
+    twist = artin.canonical_twist(D)
+    return (images.disc, images.obstruction, [
+        (choice.split, tuple(form), _outcome(artin.twist_symbol, D, twist, choice, n))
+        for choice, form in images.entries
+    ])
 
 
 def _walk(D):
@@ -81,12 +109,9 @@ GRIDS = {
         if n
     ),
     "joint_families": lambda: (
-        ((D, n), _verdict(artin.joint_artin_decide(D, n)))
-        for D in range(2, 3000)
-        if math.isqrt(D) ** 2 != D and artin._d_context(D).applicable
-        for n in range(-300, 301)
-        if n
+        ((D, n), _verdict(artin.joint_artin_decide(D, n))) for D, n in _family_pairs()
     ),
+    "class_images": lambda: (((D, n), _images(D, n)) for D, n in _family_pairs()),
     "cf_fundamental": lambda: (
         (D, _walk(D)) for D in range(2, 100_000) if math.isqrt(D) ** 2 != D
     ),
