@@ -8,8 +8,6 @@ symbols leave open falls back to the Pell oracle, flagged as such.
 
 from __future__ import annotations
 
-from collections import namedtuple
-
 from .intcore import factor, is_prime, sqrt_mod
 from .symbols import jacobi, quartic_2_of_d, quartic_residue
 from .artin import thm24_applicable
@@ -76,24 +74,6 @@ def classify_2p(p: int) -> tuple[int | None, Verdict]:
     return target, pellsolver.confirm(D, target, True, prov)
 
 
-class Decomposition221(
-    namedtuple("Decomposition221", "sign_exp exp2 exp13 exp17 rest set1 set2 set3 n1")
-):
-    """n = (-1)^sign_exp 2^exp2 13^exp13 17^exp17 * prod p_i^e_i with the
-    residue-symbol subsets of the remaining primes."""
-
-    __slots__ = ()
-    sign_exp: int
-    exp2: int
-    exp13: int
-    exp17: int
-    rest: tuple[tuple[int, int], ...]
-    set1: tuple[int, ...]  # (13/p) = (17/p) = -1
-    set2: tuple[int, ...]  # (221/p) = -1
-    set3: tuple[int, ...]  # (13/p) = (17/p) = 1 and the quartic splits mod p
-    n1: int  # product over primes outside set2
-
-
 def _quartic_splits_mod_p(p: int) -> bool:
     # does x^4 - 238 x^2 + 17 have a root mod p; its roots in x^2 are
     # 119 +- 8 sqrt(221), and the two choices are squares simultaneously
@@ -103,68 +83,40 @@ def _quartic_splits_mod_p(p: int) -> bool:
     return jacobi(119 - 8 * r, p) == 1
 
 
-def decompose_221(n: int) -> Decomposition221:
-    fac = factor(n)
-    rest = tuple((p, e) for p, e in fac.factors if p not in (2, 13, 17))
-    set1, set2, set3 = [], [], []
-    n1 = 1
-    for p, e in rest:
-        j13, j17 = jacobi(13, p), jacobi(17, p)
-        if j13 == -1 and j17 == -1:
-            set1.append(p)
-        if j13 * j17 == -1:
-            set2.append(p)
-        else:
-            n1 *= p**e
-        if j13 == 1 and j17 == 1 and _quartic_splits_mod_p(p):
-            set3.append(p)
-    return Decomposition221(
-        0 if fac.sign == 1 else 1,
-        fac.exponent(2),
-        fac.exponent(13),
-        fac.exponent(17),
-        rest,
-        tuple(set1),
-        tuple(set2),
-        tuple(set3),
-        n1,
-    )
-
-
 def decide_221(n: int) -> Verdict:
-    """Solvability of x^2 - 221 y^2 = n by the explicit symbol conditions."""
+    """Solvability of x^2 - 221 y^2 = n by the explicit symbol conditions.
+
+    One pass over the primes p of n outside {2, 13, 17}.  With n1 the part
+    of n at the p with (13/p) = (17/p), the norm condition is: v2(n) even,
+    (n1/17) = 1 and no p with (13/p) != (17/p) to an odd power.  Unless some
+    p has (13/p) = (17/p) = -1, the twist condition is
+    (n1/17)_4 = (-1)^(s + v13(n) + t), where s = 1 for n < 0 and t counts
+    the odd-exponent p with (13/p) = (17/p) that are 3 mod 4, plus those
+    with (13/p) = (17/p) = 1 where x^4 - 238 x^2 + 17 has no root mod p.
+    """
     if n == 0:
         raise ValueError("n must be nonzero")
-    dec = decompose_221(n)
-    cond1 = (
-        dec.exp2 % 2 == 0
-        and jacobi(dec.n1, 17) == 1
-        and all(jacobi(221, p) == 1 for p, e in dec.rest if e % 2 == 1)
-    )
-    if not cond1:
-        return Verdict("unsolvable", None, "221-closed-form", reason="norm-condition")
-    if dec.set1:
-        cond2 = True
-    else:
-        # sign product over the primes that split in both Q(sqrt 13) and
-        # Q(sqrt 17) but where the twist quartic stays irreducible
-        lhs = 1
-        for p, e in dec.rest:
-            if (
-                e % 2
-                and p not in dec.set3
-                and jacobi(13, p) == 1
-                and jacobi(17, p) == 1
-            ):
-                lhs = -lhs
-        for p, e in dec.rest:
-            if p not in dec.set2 and e % 2 and jacobi(-1, p) == -1:
-                lhs = -lhs
-        rhs = quartic_residue(dec.n1, 17)
-        if (dec.sign_exp + dec.exp13) % 2:
-            rhs = -rhs
-        cond2 = lhs == rhs
-    if not cond2:
+    fac = factor(n)
+    norm_fails = Verdict("unsolvable", None, "221-closed-form", reason="norm-condition")
+    n1, t, both_negative = 1, 0, False
+    for p, e in fac.factors:
+        if p in (2, 13, 17):
+            continue
+        j13 = jacobi(13, p)
+        if j13 != jacobi(17, p):
+            if e % 2:
+                return norm_fails
+            continue
+        n1 *= p**e
+        if j13 == -1:
+            both_negative = True
+        elif e % 2 and not _quartic_splits_mod_p(p):
+            t += 1
+        if e % 2 and p % 4 == 3:
+            t += 1
+    if fac.exponent(2) % 2 or jacobi(n1, 17) != 1:
+        return norm_fails
+    if not both_negative and quartic_residue(n1, 17) != (-1) ** (fac.exponent(13) + t + (n < 0)):
         return Verdict("unsolvable", None, "221-closed-form", reason="twist-condition")
     return pellsolver.confirm(221, n, True, "221-closed-form")
 

@@ -36,14 +36,15 @@ with |y| <= B.  The routes, in dispatch order:
   periodic from its first reduced state (0 < P <= s, s - P < Q <= s + P,
   s = isqrt(D)) on, and (s, 1) is the only reduced state with Q = +-1, so
   a thread whose first reduced state is not on the principal cycle of
-  sqrt(D) stops there; a per-D map from state to index, built from
-  ``pq_states`` on the first thread at D, tells the two apart.  A thread that enters the principal cycle at
-  ``pq_states[k]`` has exactly one more solution, at the next visit of
-  (s, 1) = ``pq_states[L]``; it gets there by the convergent recurrence
-  alone, reading the partial quotients ``period[k-1 : L-1]`` (for k = L,
-  the whole period rotated) off the cached expansion, with no further
-  floor or state.  The cost grows with the number of threads,
-  2^(w(n)-1) for n with w(n) split primes.
+  sqrt(D) stops there.  The cycle's states (P_k, Q_k), k = 1..L, follow
+  from ``qs`` by P_k^2 = D - Q_(k-1) Q_k, so a reduced state (P, Q) is state
+  k iff Q_k = Q and Q_(k-1) = (D - P^2) / Q, found by a scan of ``qs``.  A
+  thread that enters the principal cycle at state k has exactly one more
+  solution, at the next visit of (s, 1) = state L; it gets there by the
+  convergent recurrence alone, reading the partial quotients
+  ``period[k-1 : L-1]`` (for k = L, the whole period rotated) off the
+  cached expansion, with no further floor or state.  The cost grows with
+  the number of threads, 2^(w(n)-1) for n with w(n) split primes.
 
 The limit is set by the pairs that reach the oracle.  Measured over
 D < 1500, |n| <= 500, n^2 >= D (Python 3.11, one core of a 2-vCPU VM,
@@ -82,27 +83,16 @@ class CFExpansion(namedtuple("CFExpansion", "a0 period qs")):
     """Periodic continued fraction of sqrt(D): a0 then a repeating block.
 
     ``qs`` holds Q_1..Q_L, so that ``qs[k]`` names the norm
-    h_k^2 - D k_k^2 = (-1)^(k+1) Q_(k+1) of the convergent h_k / k_k.
-    ``pq_states`` are the states (P_k, Q_k) of (P_k + sqrt(D)) / Q_k for
-    k = 0..L; from k = 1 on they are the principal cycle of reduced states.
-    They are derived, by P_(k+1) = a_k Q_k - P_k, rather than stored: the
-    half-period walk of ``cf_fundamental`` never meets the second half of
-    them, and only a PQa thread reads them, once per D.
+    h_k^2 - D k_k^2 = (-1)^(k+1) Q_(k+1) of the convergent h_k / k_k.  The
+    states (P_k, Q_k) of (P_k + sqrt(D)) / Q_k, the principal cycle of
+    reduced states from k = 1 on, are not stored: they follow from
+    P_k^2 = D - Q_(k-1) Q_k with Q_0 = Q_L = 1.
     """
 
     __slots__ = ()
     a0: int
     period: tuple[int, ...]
     qs: tuple[int, ...]
-
-    @property
-    def pq_states(self) -> tuple[tuple[int, int], ...]:
-        P, Q = 0, 1
-        states = [(P, Q)]
-        for a, q in zip((self.a0,) + self.period, self.qs):
-            P, Q = a * Q - P, q
-            states.append((P, Q))
-        return tuple(states)
 
 
 class PellFundamental(namedtuple("PellFundamental", "x1 y1 unit_norm")):
@@ -112,7 +102,14 @@ class PellFundamental(namedtuple("PellFundamental", "x1 y1 unit_norm")):
     unit_norm: int
 
 
-@lru_cache(maxsize=None)
+# D whose expansion and +1 unit stay cached.  A long scan meets each D once,
+# so an unbounded cache only grows; 1,024 still holds every D of a workload
+# that cycles through a few hundred, such as the 283 non-square D <= 300 of
+# the benchmark's oracle sweep, which then never evicts.
+_CF_CACHE_SIZE = 1024
+
+
+@lru_cache(maxsize=_CF_CACHE_SIZE)
 def cf_fundamental(D: int) -> tuple[CFExpansion, PellFundamental]:
     """CF expansion of sqrt(D) and the minimal solution of x^2 - D y^2 = +-1.
 
@@ -162,7 +159,7 @@ def cf_fundamental(D: int) -> tuple[CFExpansion, PellFundamental]:
     return CFExpansion(a0, tuple(period), tuple(qs)), PellFundamental(x, y, norm)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CF_CACHE_SIZE)
 def plus_unit(D: int) -> tuple[int, int]:
     """Fundamental solution of x^2 - D y^2 = +1."""
     _, f = cf_fundamental(D)
@@ -197,13 +194,6 @@ def _floor_quad(P: int, Q: int, s: int) -> int:
     return -((P + s) // (-Q)) - 1
 
 
-@lru_cache(maxsize=None)
-def _cycle_index(D: int) -> dict[tuple[int, int], int]:
-    # index k of each state in pq_states, built on the first PQa thread at D
-    cf, _ = cf_fundamental(D)
-    return {state: k for k, state in enumerate(cf.pq_states)}
-
-
 def _pqa_solutions(D: int, m: int, z: int) -> list[tuple[int, int]]:
     """Solutions of x^2 - D y^2 = m on the CF thread of (z + sqrt(D))/|m|."""
     s = isqrt(D)
@@ -235,12 +225,19 @@ def _pqa_solutions(D: int, m: int, z: int) -> list[tuple[int, int]]:
         if i > _CF_THREAD_MAX_STEPS:
             raise ArithmeticError(f"CF thread failed to cycle for D={D}, m={m}")
     # the first reduced state: off the principal cycle no Q = +-1 follows;
-    # on it, the one remaining hit is at (s, 1) = pq_states[L]
-    cur = _cycle_index(D).get((P, Q))
-    if cur is None:
+    # on it, as the state k with Q_k = qs[k - 1] = Q and
+    # Q_(k-1) = qs[k - 2] = (D - P^2) / Q (qs[-1] = Q_L = Q_0), the one
+    # remaining hit is at (s, 1), state L
+    qs, q_prev = cf.qs, (D - P * P) // Q
+    k = 0
+    for _ in range(qs.count(Q)):
+        k = qs.index(Q, k) + 1
+        if qs[k - 2] == q_prev:
+            break
+    else:
         return sols
     period = cf.period
-    run = period[cur - 1 : -1] if cur < len(period) else period[-1:] + period[:-1]
+    run = period[k - 1 : -1] if k < len(period) else period[-1:] + period[:-1]
     for a in run:
         g_prev, g = g, a * g + g_prev
         b_prev, b = b, a * b + b_prev

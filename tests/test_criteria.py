@@ -5,11 +5,12 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import pellcrit
 from pellcrit import criteria, pellsolver
 from pellcrit.verdict import Verdict
-from pellcrit.intcore import _SMALL_PRIMES
+from pellcrit.intcore import _SMALL_PRIMES, factor
 from pellcrit.symbols import jacobi, quartic_residue
 
 
@@ -80,6 +81,12 @@ def test_decide_221_examples():
     assert not criteria.decide_221(-4).solvable
     v = criteria.decide_221(4)
     assert v.solvable and v.witness == (2, 0)
+    # 43 splits in both quadratic fields but the quartic stays irreducible;
+    # v2(n) = 1 fails the norm condition before it matters
+    assert jacobi(13, 43) == 1 and jacobi(17, 43) == 1
+    assert not criteria._quartic_splits_mod_p(43)
+    v = criteria.decide_221(-2 * 13 * 43 * 43)
+    assert v == ("unsolvable", None, "221-closed-form", "norm-condition")
     with pytest.raises(ValueError):
         criteria.decide_221(0)
 
@@ -88,6 +95,89 @@ def test_decide_221_against_oracle_window():
     for n in range(1, 1500):
         for s in (n, -n):
             assert criteria.decide_221(s).solvable == pellsolver.solve(221, s).solvable
+
+
+def _reference_decide_221(n):
+    # the two-pass criterion: a decomposition of n into three residue-symbol
+    # prime sets and n1, then a second walk over the primes for the conditions
+    fac = factor(n)
+    rest = tuple((p, e) for p, e in fac.factors if p not in (2, 13, 17))
+    set1, set2, set3 = [], [], []
+    n1 = 1
+    for p, e in rest:
+        j13, j17 = jacobi(13, p), jacobi(17, p)
+        if j13 == -1 and j17 == -1:
+            set1.append(p)
+        if j13 * j17 == -1:
+            set2.append(p)
+        else:
+            n1 *= p**e
+        if j13 == 1 and j17 == 1 and criteria._quartic_splits_mod_p(p):
+            set3.append(p)
+    sign_exp = 0 if fac.sign == 1 else 1
+    cond1 = (
+        fac.exponent(2) % 2 == 0
+        and jacobi(n1, 17) == 1
+        and all(jacobi(221, p) == 1 for p, e in rest if e % 2 == 1)
+    )
+    if not cond1:
+        return Verdict("unsolvable", None, "221-closed-form", reason="norm-condition")
+    if set1:
+        cond2 = True
+    else:
+        lhs = 1
+        for p, e in rest:
+            if e % 2 and p not in set3 and jacobi(13, p) == 1 and jacobi(17, p) == 1:
+                lhs = -lhs
+        for p, e in rest:
+            if p not in set2 and e % 2 and jacobi(-1, p) == -1:
+                lhs = -lhs
+        rhs = quartic_residue(n1, 17)
+        if (sign_exp + fac.exponent(13)) % 2:
+            rhs = -rhs
+        cond2 = lhs == rhs
+    if not cond2:
+        return Verdict("unsolvable", None, "221-closed-form", reason="twist-condition")
+    return pellsolver.confirm(221, n, True, "221-closed-form")
+
+
+def test_decide_221_matches_two_pass_reference():
+    # full verdict tuples on 0 < |n| <= 30,000, every outcome well populated
+    reasons = {}
+    for n in range(-30_000, 30_001):
+        if n:
+            v = criteria.decide_221(n)
+            assert v == _reference_decide_221(n), n
+            reasons[v.reason] = reasons.get(v.reason, 0) + 1
+    assert set(reasons) == {None, "norm-condition", "twist-condition"}
+    assert min(reasons.values()) > 1000
+
+
+# primes below 2000 other than 2, 13 and 17, by the pair ((13/p), (17/p))
+_PRIME_CLASSES = {}
+for _p in _SMALL_PRIMES:
+    if _p not in (2, 13, 17):
+        _PRIME_CLASSES.setdefault((jacobi(13, _p), jacobi(17, _p)), []).append(_p)
+_PRIME_POOLS = [[2], [13], [17]] + [_PRIME_CLASSES[c] for c in sorted(_PRIME_CLASSES)]
+
+
+@st.composite
+def _n_for_221(draw):
+    # a signed product of up to five distinct primes, drawn from 2, 13, 17 and
+    # each of the four symbol classes, with exponents 1 to 3
+    prime = st.sampled_from(_PRIME_POOLS).flatmap(st.sampled_from)
+    n = draw(st.sampled_from((1, -1)))
+    for p in draw(st.lists(prime, max_size=5, unique=True)):
+        n *= p ** draw(st.integers(min_value=1, max_value=3))
+    return n
+
+
+@settings(max_examples=300, deadline=None)
+@given(_n_for_221())
+def test_decide_221_on_symbol_class_products(n):
+    v = criteria.decide_221(n)
+    assert v == _reference_decide_221(n)
+    assert v.solvable == pellsolver.solve(221, n).solvable
 
 
 def test_known_obstructions_examples():
@@ -122,17 +212,6 @@ def test_pall_mechanism():
         else:
             assert quartic_residue(2, p) == -1, p
     assert hits > 3
-
-
-def test_decompose_221_sets():
-    dec = criteria.decompose_221(-2 * 13 * 43 * 43)
-    assert dec.sign_exp == 1 and dec.exp2 == 1 and dec.exp13 == 1
-    assert dec.rest == ((43, 2),)
-    assert dec.n1 == 43 * 43
-    assert 43 not in dec.set2
-    # 43 splits in both quadratic fields but the quartic stays irreducible
-    assert jacobi(13, 43) == 1 and jacobi(17, 43) == 1
-    assert 43 not in dec.set3
 
 
 def test_criteria_raise_when_oracle_disagrees(monkeypatch):

@@ -10,6 +10,17 @@ from pellcrit.pellsolver import _floor_quad, cf_fundamental
 from pellcrit.symbols import jacobi
 
 
+def _states(cf):
+    # the states (P_k, Q_k) of (P_k + sqrt(D)) / Q_k for k = 0..L, by
+    # P_(k+1) = a_k Q_k - P_k; from k = 1 on, the principal cycle
+    P, Q = 0, 1
+    states = [(P, Q)]
+    for a, q in zip((cf.a0,) + cf.period, cf.qs):
+        P, Q = a * Q - P, q
+        states.append((P, Q))
+    return tuple(states)
+
+
 def test_cf_fundamental_examples():
     cf, f = pellsolver.cf_fundamental(221)
     assert (f.x1, f.y1, f.unit_norm) == (1665, 112, 1)
@@ -32,8 +43,10 @@ def test_cf_invariants_to_2000():
         body = cf.period[:-1]
         assert body == tuple(reversed(body))
         assert cf.period[-1] == 2 * cf.a0
-        assert all(q != 0 for _, q in cf.pq_states)
-        assert cf.qs == tuple(q for _, q in cf.pq_states[1:])
+        states = _states(cf)
+        assert all(q != 0 for _, q in states)
+        assert cf.qs == tuple(q for _, q in states[1:])
+        assert all(P * P == D - q_prev * q for (_, q_prev), (P, q) in zip(states, states[1:]))
         # h_k^2 - D k_k^2 = (-1)^(k+1) Q_(k+1) over two periods
         L = len(cf.period)
         h_prev, h, k_prev, k = 1, cf.a0, 0, 1
@@ -45,7 +58,7 @@ def test_cf_invariants_to_2000():
 
 def _reference_cf_fundamental(D: int):
     # the full walk over one whole period, as before the half-period walk;
-    # it returns (a0, period, pq_states, qs) and (x1, y1, unit_norm) as tuples
+    # it returns (a0, period, states, qs) and (x1, y1, unit_norm) as tuples
     a0 = isqrt(D)
     h_prev, h = 1, a0
     k_prev, k = 0, 1
@@ -74,7 +87,7 @@ def _reference_cf_fundamental(D: int):
 def _half_walk_matches_full_walk(D: int) -> int:
     # the period length, once the half walk matches the full one at D
     cf, fund = cf_fundamental.__wrapped__(D)
-    got = (cf.a0, cf.period, cf.pq_states, cf.qs), (fund.x1, fund.y1, fund.unit_norm)
+    got = (cf.a0, cf.period, _states(cf), cf.qs), (fund.x1, fund.y1, fund.unit_norm)
     assert got == _reference_cf_fundamental(D), D
     return len(cf.period)
 
@@ -368,24 +381,23 @@ def test_pqa_thread_stops_off_the_principal_cycle(monkeypatch):
     # 5^2 | D): of the two roots 30, 37 of D mod 67, a conjugate pair, only
     # z = 30 runs a thread (-30 is its skipped conjugate), and it starts at
     # a reduced state off the principal cycle (period 40), where the cycle
-    # index stops it
+    # test on ``qs`` stops it
     D, n = 2575, -67
     cf, _ = pellsolver.cf_fundamental(D)
     assert len(cf.period) == 40
     assert pellsolver.orbit_y_bound(D, n) > pellsolver._ORBIT_SCAN_LIMIT and n * n >= D
     assert [z for _, _, z in _threads(D, n)] == [30, -30]
     state, steps = _first_reduced(D, n, 30)
-    assert state not in cf.pq_states and steps < len(cf.period)
-    floors, lookups = [], []
+    assert state not in _states(cf) and steps < len(cf.period)
+    floors = []
     floor_quad = pellsolver._floor_quad
-    cycle_index = pellsolver._cycle_index
     monkeypatch.setattr(
         pellsolver, "_floor_quad", lambda P, Q, s: floors.append(1) or floor_quad(P, Q, s)
     )
-    monkeypatch.setattr(pellsolver, "_cycle_index", lambda D: lookups.append(D) or cycle_index(D))
     v = pellsolver.solve(D, n)
     assert v.status == "unsolvable" and v.reason == "local-obstruction:5"
-    assert len(floors) == steps and lookups == [D]
+    assert len(floors) == steps
+    assert pellsolver._pqa_solutions(D, n, 30) == []
 
 
 def test_cf_thread_guard_at_its_edge(monkeypatch):
@@ -455,6 +467,7 @@ def test_pqa_threads_match_full_cycles_on_long_periods():
     on_cycle = entered_at_s1 = odd_negative = 0
     for D, L in periods.items():
         cf, fund = cf_fundamental(D)
+        states = _states(cf)
         assert len(cf.period) == L and (fund.unit_norm == -1) == (L % 2 == 1)
         for m in range(-60, 61):
             if m == 0:
@@ -463,16 +476,16 @@ def test_pqa_threads_match_full_cycles_on_long_periods():
                 want = _reference_pqa_solutions(D, m, z)
                 assert pellsolver._pqa_solutions(D, m, z) == want, (D, m, z)
                 state, _ = _first_reduced(D, m, z)
-                if state in cf.pq_states:
+                if state in states:
                     on_cycle += 1
-                    entered_at_s1 += cf.pq_states.index(state) == L
+                    entered_at_s1 += states.index(state) == L
                 odd_negative += bool(want) and m < 0 and L % 2 == 1
     assert on_cycle > 100 and entered_at_s1 >= 2 and odd_negative > 10
     # a thread whose first reduced state is (s, 1) itself: one hit on entering
     # and one more a whole rotated period later
     D, m, z = 106979, -50, 23
     cf, _ = cf_fundamental(D)
-    assert _first_reduced(D, m, z)[0] == cf.pq_states[-1] == (isqrt(D), 1)
+    assert _first_reduced(D, m, z)[0] == _states(cf)[-1] == (isqrt(D), 1)
     sols = pellsolver._pqa_solutions(D, m, z)
     assert len(sols) == 2 and all(x * x - D * y * y == m for x, y in sols)
 
@@ -484,7 +497,7 @@ def test_pqa_thread_takes_no_floor_on_the_principal_cycle(monkeypatch):
     D, m, z = 136889, -59, 3
     cf, _ = cf_fundamental(D)
     state, steps = _first_reduced(D, m, z)
-    assert 0 < cf.pq_states.index(state) < len(cf.period) == 401
+    assert 0 < _states(cf).index(state) < len(cf.period) == 401
     s = isqrt(D)
     seen = []
     floor_quad = pellsolver._floor_quad
@@ -654,3 +667,22 @@ def test_confirm_computes_no_local_label(monkeypatch):
     assert v == ("unsolvable", None, "artin", "artin-condition-fails")
     assert labels == []
     assert pellsolver.confirm(221, 17, True, "artin") == ("solvable", (119, 8), "artin", None)
+
+
+def test_cf_caches_are_bounded():
+    # after maxsize + 1 distinct D both per-D caches are full, not larger, and
+    # the evicted first D computes an equal expansion and unit again
+    size = pellsolver.cf_fundamental.cache_info().maxsize
+    assert size == pellsolver.plus_unit.cache_info().maxsize == 1024
+    ds = [D for D in range(2, 2 * size) if not is_square(D)][: size + 1]
+    pellsolver.cf_fundamental.cache_clear()
+    pellsolver.plus_unit.cache_clear()
+    first = cf_fundamental(ds[0]), pellsolver.plus_unit(ds[0])
+    for D in ds[1:]:
+        pellsolver.plus_unit(D)
+    assert pellsolver.cf_fundamental.cache_info().currsize == size
+    assert pellsolver.plus_unit.cache_info().currsize == size
+    misses = pellsolver.cf_fundamental.cache_info().misses
+    assert (cf_fundamental(ds[0]), pellsolver.plus_unit(ds[0])) == first
+    assert pellsolver.cf_fundamental.cache_info().misses == misses + 1
+    assert pellsolver.cf_fundamental.cache_info().currsize == size

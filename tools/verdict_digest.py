@@ -17,9 +17,11 @@ Each line is a sha256 over one grid, with every record written out in full:
 * ``joint_families``: the same tuple over every D < 3000 where the joint
   criterion applies (``_d_context(D).applicable``: the pq family with its
   odd twist prime and the 2d family) and 0 < |n| <= 300;
-* ``cf_fundamental``: the period, ``qs`` and ``pq_states`` of sqrt(D) and the
-  unit (x1, y1, unit_norm), for non-square D < 100,000, each D walked afresh
-  past the cache so that memory stays flat;
+* ``decide_221``: the verdict tuple of the closed-form D = 221 criterion for
+  0 < |n| <= 30,000;
+* ``cf_fundamental``: the period, ``qs`` and the states (P_k, Q_k) of sqrt(D)
+  and the unit (x1, y1, unit_norm), for non-square D < 100,000, each D walked
+  afresh past the cache so that memory stays flat;
 * ``class_group``: the principal set of reduced forms, sorted as plain
   (a, b, c) tuples, at disc 4D for every non-square D < 20,000 and also at
   disc D when D = 1 mod 4, each group built afresh past the cache;
@@ -41,7 +43,7 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 from gen import JOINT_2D_D, JOINT_2D_N_MAX  # noqa: E402
-from pellcrit import artin, intcore, pellsolver  # noqa: E402
+from pellcrit import artin, criteria, intcore, pellsolver  # noqa: E402
 
 
 def _pairs(d_max, n_max):
@@ -89,9 +91,19 @@ def _images(D, n):
     ])
 
 
+def _states(cf):
+    # (P_k, Q_k) for k = 0..L, by P_(k+1) = a_k Q_k - P_k
+    P, Q = 0, 1
+    states = [(P, Q)]
+    for a, q in zip((cf.a0,) + cf.period, cf.qs):
+        P, Q = a * Q - P, q
+        states.append((P, Q))
+    return tuple(states)
+
+
 def _walk(D):
     cf, fund = pellsolver.cf_fundamental.__wrapped__(D)
-    return (cf.period, cf.qs, cf.pq_states, (fund.x1, fund.y1, fund.unit_norm))
+    return (cf.period, cf.qs, _states(cf), (fund.x1, fund.y1, fund.unit_norm))
 
 
 GRIDS = {
@@ -112,6 +124,9 @@ GRIDS = {
         ((D, n), _verdict(artin.joint_artin_decide(D, n))) for D, n in _family_pairs()
     ),
     "class_images": lambda: (((D, n), _images(D, n)) for D, n in _family_pairs()),
+    "decide_221": lambda: (
+        (n, _verdict(criteria.decide_221(n))) for n in range(-30_000, 30_001) if n
+    ),
     "cf_fundamental": lambda: (
         (D, _walk(D)) for D in range(2, 100_000) if math.isqrt(D) ** 2 != D
     ),
