@@ -275,10 +275,18 @@ def _twist_half(rec: _PrimeRecord, D: int, twist: TwistPoint) -> list[int]:
     if l in (2, twist.ell) or (kind != SPLIT and (e // 2 if kind == INERT else e) % 2 == 0):
         rec.signs[:] = (1, 1)
         return rec.signs
-    r = [1 if twist_residue_square(D, twist, pl) else -1 for pl in places_over(D, l)]
+    r = _residue_signs(D, twist, l)
     # j factors of a split l lie over its first place, e - j over its second
     rec.signs[:] = (r[0], r[0]) if kind != SPLIT else (r[1], r[0]) if e % 2 else (1, r[0] * r[1])
     return rec.signs
+
+
+# bounded: keyed by the primes of n, like _prime_record, whose records at
+# every exponent of l share one entry
+@lru_cache(maxsize=4096)
+def _residue_signs(D: int, twist: TwistPoint, l: int) -> tuple[int, ...]:
+    # the twist residue character at each place over l, as +1 or -1
+    return tuple(1 if twist_residue_square(D, twist, pl) else -1 for pl in places_over(D, l))
 
 
 def _ideals(D: int, n: int, fac: Factorization, twist: TwistPoint | None) -> tuple:
@@ -520,7 +528,7 @@ def joint_artin_decide(D: int, n: int) -> Verdict:
         fac = factor(abs(n))
         l = local_obstruction_anywhere(D, n, fac=fac)
         if l is not None:
-            return Verdict("unsolvable", None, "artin", f"local-obstruction:{l}")
+            return pellsolver._unsolvable("artin", f"local-obstruction:{l}")
         try:
             holds = _some_choice_passes(D, n, canonical_twist(D), fac)
         except NotImplementedError:

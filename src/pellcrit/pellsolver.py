@@ -32,8 +32,10 @@ with |y| <= B.  The routes, in dispatch order:
   (z + sqrt(D))/|m| per f^2 | n, m = n/f^2 and conjugate pair z, -z of
   square roots of D mod |m|, for the one with 0 <= z <= |m|/2 (the thread
   of -z finds the conjugate classes), all built from one factorization of
-  n.  A solution shows up where a thread meets Q = +-1.  A thread is
-  periodic from its first reduced state (0 < P <= s, s - P < Q <= s + P,
+  n.  The square divisors of n and the roots of each thread, keyed by
+  D mod |m| and the factorization of |m|, stay in bounded memos.  A
+  solution shows up where a thread meets Q = +-1.  A thread is periodic
+  from its first reduced state (0 < P <= s, s - P < Q <= s + P,
   s = isqrt(D)) on, and (s, 1) is the only reduced state with Q = +-1, so
   a thread whose first reduced state is not on the principal cycle of
   sqrt(D) stops there.  The cycle's states (P_k, Q_k), k = 1..L, follow
@@ -48,24 +50,26 @@ with |y| <= B.  The routes, in dispatch order:
 
 The limit is set by the pairs that reach the oracle.  Measured over
 D < 1500, |n| <= 500, n^2 >= D (Python 3.11, one core of a 2-vCPU VM,
-warm caches, min of 3 runs, 6,000 seeded scan-route pairs), the scan
-tries 44% of the B + 1 values of y on average and at most half, at about
-0.10 us per y tried plus 1.3 us; PQa costs about 6 us per (D, n) at any
-B.  The scan is faster on 98% of the pairs with B < 32, 77% of those with
-B in [32, 64) and 57% of those with B in [64, 96] (5.2 against 5.7 us).
-On the 192 locally solvable pairs of the ``joint_2d`` benchmark grid with
-B in (64, 96], the only pairs a joint decision sends to the oracle, it
-costs 4.1-7.8 us against 5.0-32.5 us for PQa and wins on 190.  For
-n^2 < D and B <= 96 (D < 3000) the scan costs 1.3/1.8/4.4 us at deciles
-10/50/90% against 1.9/2.5/4.0 us for the convergent route, so the scan
-stays first.  Above the limit the scan wins on half of the PQa-route
-pairs with B in (96, 128] and on almost none of the convergent-route
-pairs (6.4 against 2.5 us), so the limit stays at 96.  All three routes
-find every solution class, so returned witnesses are genuine minima.
+warm caches, min of 3 runs), the scan tries 44% of the B + 1 values of y
+on average and at most half, at about 0.10 us per y tried plus 1.3 us.
+PQa costs about 8 us per (D, n) at any B while n is new to the memos of
+its square divisors and thread roots, and 2.3 us in the median of 2,000
+seeded pairs with B <= 96 once they hold n, as they do when pairs recur:
+then it beats the scan on 47% of the pairs with B < 32, 73% of those
+with B in [32, 64) and 87% of those with B in [64, 96].  On the
+locally solvable pairs of the ``joint_2d`` benchmark grid, the only
+pairs a joint decision sends to the oracle, the scan wins on 86 of 186
+with B in (64, 96] (8.6 against 8.3 us) and on 3 of 36 in (96, 128].
+For n^2 < D and B <= 96 (D < 3000) the scan costs 1.3/1.8/4.4 us at
+deciles 10/50/90% against 1.9/2.5/4.0 us for the convergent route.  The
+limit stays at 96, set when PQa had no memos; lowering it is a claim for
+the benchmark to settle.  All three routes find every solution class, so
+returned witnesses are genuine minima.
 """
 
 from __future__ import annotations
 
+import math
 from collections import namedtuple
 from functools import lru_cache
 
@@ -168,17 +172,17 @@ def plus_unit(D: int) -> tuple[int, int]:
     return f.x1 * f.x1 + D * f.y1 * f.y1, 2 * f.x1 * f.y1
 
 
-def orbit_y_bound(D: int, n: int) -> int:
+def orbit_y_bound(D: int, n: int, unit: tuple[int, int] | None = None) -> int:
     """Integer B >= sqrt(|n| eps / D); every class has a rep with |y| <= B."""
-    xp, yp = plus_unit(D)
+    xp, yp = plus_unit(D) if unit is None else unit
     num = abs(n) * xp + isqrt(n * n * yp * yp * D) + 1
     return isqrt(num // D + 1) + 1
 
 
-def _descend(D: int, x: int, y: int) -> tuple[int, int]:
+def _descend(D: int, x: int, y: int, unit: tuple[int, int] | None = None) -> tuple[int, int]:
     # slide along the unit orbit while |y| strictly decreases; with x, y >= 0
     # the step by eps never shrinks y, so only the step by 1/eps is tried
-    xp, yp = plus_unit(D)
+    xp, yp = plus_unit(D) if unit is None else unit
     x, y = abs(x), abs(y)
     while True:
         x2, y2 = abs(x * xp - D * y * yp), abs(x * yp - y * xp)
@@ -245,7 +249,9 @@ def _pqa_solutions(D: int, m: int, z: int) -> list[tuple[int, int]]:
     return sols
 
 
-def _square_divisors(n: int) -> list[tuple[int, tuple[tuple[int, int], ...]]]:
+# bounded like ``factor``'s memo: the key is n itself
+@lru_cache(maxsize=4096)
+def _square_divisors(n: int) -> tuple[tuple[int, tuple[tuple[int, int], ...]], ...]:
     # every f with f^2 | n, paired with the factorization of |n| / f^2,
     # all from one factorization of n
     out: list[tuple[int, tuple[tuple[int, int], ...]]] = [(1, ())]
@@ -255,22 +261,28 @@ def _square_divisors(n: int) -> list[tuple[int, tuple[tuple[int, int], ...]]]:
             for f, rest in out
             for k in range(e // 2 + 1)
         ]
-    return out
+    return tuple(out)
+
+
+# bounded: keyed by a = D mod |m| and the factorization of |m|, which range
+# as widely as n.  Of each conjugate pair z, -z of roots of a mod |m| only
+# 0 <= z <= |m|/2 is kept: the thread of -z finds the conjugates
+# x - y sqrt(D) of the classes the thread of z finds, and a class and its
+# conjugate have the same orbit-minimal (|x|, |y|)
+@lru_cache(maxsize=4096)
+def _thread_roots(a: int, mfac: tuple[tuple[int, int], ...]) -> tuple[int, ...]:
+    am = math.prod(p**e for p, e in mfac)
+    return tuple(z for z in sqrt_mod_factored(a, mfac) if 2 * z <= am)
 
 
 def _lmm_all(D: int, n: int) -> list[tuple[int, int]]:
-    # one thread per conjugate pair of roots z, -z of D mod |m|: the thread of
-    # -z finds the conjugates x - y sqrt(D) of the classes the thread of z
-    # finds, and a class and its conjugate have the same orbit-minimal
-    # (|x|, |y|), so the roots with 2z > |m| add nothing
+    # one thread per conjugate pair of roots of D mod |m|, m = n / f^2
     found: list[tuple[int, int]] = []
     for f, mfac in _square_divisors(n):
         m = n // (f * f)
-        am = abs(m)
-        for z in sqrt_mod_factored(D, mfac):
-            if 2 * z <= am:
-                for x, y in _pqa_solutions(D, m, z):
-                    found.append((f * x, f * y))
+        for z in _thread_roots(D % abs(m), mfac):
+            for x, y in _pqa_solutions(D, m, z):
+                found.append((f * x, f * y))
     return found
 
 
@@ -320,31 +332,37 @@ def minimal_solutions(D: int, n: int) -> list[tuple[int, int]]:
         raise ValueError(f"D must be a positive non-square, got {D}")
     if n == 0:
         raise ValueError("n must be nonzero")
-    ybound = orbit_y_bound(D, n)
-    reps: set[tuple[int, int]] = set()
-    if ybound <= _ORBIT_SCAN_LIMIT:
+    unit = xp, yp = plus_unit(D)
+    if orbit_y_bound(D, n, unit) <= _ORBIT_SCAN_LIMIT:
         # only Nagell's range of least y per class (Thms 108 and 108a, see
         # the module docstring); for n < 0 it starts at the least y with
         # D y^2 >= -n, so t is never negative
-        xp, yp = plus_unit(D)
         if n > 0:
             ys = range(0, isqrt(n * yp * yp // (2 * (xp + 1))) + 1)
         else:
             ys = range(isqrt((-n - 1) // D) + 1, isqrt(-n * yp * yp // (2 * (xp - 1))) + 1)
+        found = []
         for y in ys:
             t = n + D * y * y
             x = isqrt(t)
             if x * x == t:
-                reps.add(_descend(D, x, y))
+                found.append((x, y))
     else:
-        for x, y in _convergent_all(D, n) if n * n < D else _lmm_all(D, n):
-            reps.add(_descend(D, x, y))
-    out = sorted(reps, key=lambda t: (t[1], t[0]))
-    if out:
-        x, y = out[0]
-        if x * x - D * y * y != n:
-            raise ArithmeticError(f"oracle witness {(x, y)} fails for D={D}, n={n}")
+        found = _convergent_all(D, n) if n * n < D else _lmm_all(D, n)
+    if not found:
+        return []
+    out = sorted({_descend(D, x, y, unit) for x, y in found}, key=lambda t: (t[1], t[0]))
+    x, y = out[0]
+    if x * x - D * y * y != n:
+        raise ArithmeticError(f"oracle witness {(x, y)} fails for D={D}, n={n}")
     return out
+
+
+# bounded: one entry per (provenance, reason); a verdict is immutable, so one
+# object serves every unsolvable decision with the same label
+@lru_cache(maxsize=4096)
+def _unsolvable(provenance: str, reason: str | None) -> Verdict:
+    return Verdict("unsolvable", None, provenance, reason)
 
 
 def solve(D: int, n: int) -> Verdict:
@@ -353,8 +371,7 @@ def solve(D: int, n: int) -> Verdict:
     if reps:
         return Verdict("solvable", reps[0], "oracle")
     l = local_obstruction_anywhere(D, n)
-    reason = "class-search-exhausted" if l is None else f"local-obstruction:{l}"
-    return Verdict("unsolvable", None, "oracle", reason)
+    return _unsolvable("oracle", "class-search-exhausted" if l is None else f"local-obstruction:{l}")
 
 
 def confirm(D: int, n: int, holds: bool, provenance: str, reason: str | None = None) -> Verdict:
@@ -367,10 +384,10 @@ def confirm(D: int, n: int, holds: bool, provenance: str, reason: str | None = N
     ArithmeticError.
     """
     reps = minimal_solutions(D, n)
-    status = "solvable" if reps else "unsolvable"
     if bool(reps) != holds:
+        status = "solvable" if reps else "unsolvable"
         raise ArithmeticError(
             f"criterion {provenance} contradicts the oracle at D={D}, n={n}: "
             f"criterion {'solvable' if holds else 'unsolvable'}, oracle {status}"
         )
-    return Verdict(status, reps[0] if reps else None, provenance, None if holds else reason)
+    return Verdict("solvable", reps[0], provenance) if holds else _unsolvable(provenance, reason)

@@ -770,8 +770,9 @@ def test_twist_half_waits_for_a_principal_choice(monkeypatch):
 
 def test_prime_records_hold_the_joint_2d_grid():
     # the grid of the joint_2d benchmark, 12 D and 0 < |n| <= 500, needs
-    # fewer records than the bound: a second pass builds none and decides
-    # alike
+    # fewer records, residue signs, square divisors, thread roots and
+    # unsolvable verdicts than their bounds: a second pass builds none and
+    # decides alike
     ds = [
         D for D in range(2, 1001, 2)
         if not is_square(D) and quadring.classify_order(D).family == "2d"
@@ -779,12 +780,18 @@ def test_prime_records_hold_the_joint_2d_grid():
     ] + [1394]
     grid = [(D, n) for D in ds for n in range(-500, 501) if n]
     assert len(grid) == 12000
-    artin._prime_record.cache_clear()
+    memos = (
+        artin._prime_record, artin._residue_signs, pellsolver._square_divisors,
+        pellsolver._thread_roots, pellsolver._unsolvable,
+    )
+    for memo in memos:
+        memo.cache_clear()
     first = [artin.joint_artin_decide(D, n) for D, n in grid]
-    info = artin._prime_record.cache_info()
-    assert 0 < info.currsize == info.misses < info.maxsize
+    infos = [memo.cache_info() for memo in memos]
+    for info in infos:
+        assert 0 < info.currsize == info.misses < info.maxsize
     assert [artin.joint_artin_decide(D, n) for D, n in grid] == first
-    assert artin._prime_record.cache_info().misses == info.misses
+    assert [memo.cache_info().misses for memo in memos] == [info.misses for info in infos]
 
 
 def test_prime_records_are_bounded():
@@ -812,6 +819,26 @@ def test_prime_records_are_bounded():
         assert artin.joint_artin_decide(34, n) == v
     after = artin._prime_record.cache_info()
     assert after.misses == info.misses + 3 and after.currsize == maxsize
+
+
+def test_residue_signs_are_bounded():
+    # D = 34 at more odd primes than the bound (2 and 17 carry no residue
+    # character): the memo fills to its bound, and the evicted first prime
+    # computes equal signs with one new miss
+    twist = artin.canonical_twist(34)
+    maxsize = artin._residue_signs.cache_info().maxsize
+    assert maxsize == 4096
+    primes = [l for l in range(3, 50_000, 2) if l != 17 and is_prime(l)][: maxsize + 1]
+    assert len(primes) == maxsize + 1
+    artin._residue_signs.cache_clear()
+    first = artin._residue_signs(34, twist, primes[0])
+    for l in primes[1:]:
+        artin._residue_signs(34, twist, l)
+    info = artin._residue_signs.cache_info()
+    assert info.currsize == maxsize and info.misses == maxsize + 1
+    assert artin._residue_signs(34, twist, primes[0]) == first
+    after = artin._residue_signs.cache_info()
+    assert after.misses == info.misses + 1 and after.currsize == maxsize
 
 
 def test_repeated_decision_composes_and_factors_nothing_new():

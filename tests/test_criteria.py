@@ -250,7 +250,7 @@ def test_oracle_fallback_labels_nothing_and_checks_its_witness(monkeypatch):
     assert labels == []
     # the search checks the witness it returns, as solve relies on
     descend = pellsolver._descend
-    monkeypatch.setattr(pellsolver, "_descend", lambda D, x, y: descend(D, x + 1, y))
+    monkeypatch.setattr(pellsolver, "_descend", lambda D, x, y, unit=None: descend(D, x + 1, y, unit))
     with pytest.raises(ArithmeticError, match="oracle witness"):
         criteria.classify_2p(113)
     with pytest.raises(ArithmeticError, match="oracle witness"):
@@ -283,6 +283,45 @@ def test_no_assert_statements_in_package():
             tree = ast.parse(fh.read(), path)
         found = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
         assert not found, (path, found)
+
+
+# Per-D caches still unbounded; each leaves this list once it has a bound.
+_UNBOUNDED_CACHES = {
+    ("artin", "class_group"),
+    ("artin", "_two_adic_factor"),
+    ("artin", "canonical_twist"),
+    ("artin", "_d_context"),
+    ("localanalysis", "two_adic_context"),
+}
+
+
+def _callee(node):
+    return node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
+
+
+def _unbounded(node):
+    # functools.cache, or an lru_cache whose maxsize is None
+    if isinstance(node, ast.Call) and _callee(node.func) == "lru_cache":
+        size = [kw.value for kw in node.keywords if kw.arg == "maxsize"] + node.args[:1]
+        return bool(size) and isinstance(size[0], ast.Constant) and size[0].value is None
+    return _callee(node) == "cache"
+
+
+def test_no_new_unbounded_cache():
+    # an unbounded memo grows with every new key of a long scan, so every
+    # memo in the package names its bound, bar the listed per-D caches
+    src = os.path.dirname(pellcrit.__file__)
+    found = set()
+    for path in sorted(glob.glob(os.path.join(src, "*.py"))):
+        module = os.path.splitext(os.path.basename(path))[0]
+        with open(path) as fh:
+            tree = ast.parse(fh.read(), path)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef):
+                found |= {(module, node.name) for dec in node.decorator_list if _unbounded(dec)}
+            elif isinstance(node, ast.Call) and _unbounded(node.func):
+                found.add((module, f"line {node.lineno}"))  # cache(f) or lru_cache(None)(f)
+    assert found == _UNBOUNDED_CACHES
 
 
 def test_verdict_statuses():

@@ -686,3 +686,67 @@ def test_cf_caches_are_bounded():
     assert (cf_fundamental(ds[0]), pellsolver.plus_unit(ds[0])) == first
     assert pellsolver.cf_fundamental.cache_info().misses == misses + 1
     assert pellsolver.cf_fundamental.cache_info().currsize == size
+
+
+def test_thread_roots_match_the_filtered_roots():
+    # the memo keyed by D mod |m| returns the 2z <= |m| filter of every root
+    # of D mod |m|, in the same order
+    for am in range(1, 501):
+        mfac = factor(am).factors
+        for D in range(2, 300):
+            want = tuple(z for z in pellsolver.sqrt_mod_factored(D, mfac) if 2 * z <= am)
+            assert pellsolver._thread_roots(D % am, mfac) == want, (D, am)
+
+
+def _assert_bounded(memo, keys, maxsize):
+    # after maxsize + 1 distinct keys the memo holds maxsize, and the evicted
+    # first key computes an equal value with one new miss
+    assert len(keys) == maxsize + 1 and memo.cache_info().maxsize == maxsize
+    memo.cache_clear()
+    first = memo(*keys[0])
+    for key in keys[1:]:
+        memo(*key)
+    info = memo.cache_info()
+    assert info.currsize == maxsize and info.misses == maxsize + 1
+    assert memo(*keys[0]) == first
+    after = memo.cache_info()
+    assert after.misses == info.misses + 1 and after.currsize == maxsize
+
+
+def test_square_divisors_are_bounded():
+    _assert_bounded(pellsolver._square_divisors, [(n,) for n in range(-2048, 2050) if n], 4096)
+    assert pellsolver._square_divisors(-72) == (
+        (1, ((2, 3), (3, 2))), (3, ((2, 3),)), (2, ((2, 1), (3, 2))), (6, ((2, 1),))
+    )
+
+
+def test_thread_roots_are_bounded():
+    # residues of a prime modulus 1 mod 4: half of them have roots
+    mfac = ((10009, 1),)
+    _assert_bounded(pellsolver._thread_roots, [(a, mfac) for a in range(4097)], 4096)
+    assert pellsolver._thread_roots(4, mfac) == (2,)
+
+
+def test_unsolvable_verdicts_are_bounded():
+    keys = [("oracle", f"local-obstruction:{l}") for l in range(4097)]
+    _assert_bounded(pellsolver._unsolvable, keys, 4096)
+    assert pellsolver._unsolvable("oracle", None) == ("unsolvable", None, "oracle", None)
+
+
+def test_obstructed_pairs_share_one_verdict():
+    # obstructed at 3 (2 and 5 are not squares mod 3): one interned verdict,
+    # whose checks still run for a verdict that is not interned
+    v = pellsolver.solve(3, 2)
+    assert v == ("unsolvable", None, "oracle", "local-obstruction:3")
+    assert pellsolver.solve(6, 5) is v
+    assert pellsolver.solve(7, 3) != v
+    with pytest.raises(ValueError, match="witness"):
+        pellsolver.Verdict("unsolvable", (1, 0), "oracle")
+
+
+def test_confirm_raises_on_disagreement():
+    assert pellsolver.confirm(3, 2, False, "c", "r") is pellsolver._unsolvable("c", "r")
+    with pytest.raises(ArithmeticError, match="contradicts the oracle at D=3, n=2"):
+        pellsolver.confirm(3, 2, True, "c")
+    with pytest.raises(ArithmeticError, match="criterion unsolvable, oracle solvable"):
+        pellsolver.confirm(2, 7, False, "c", "r")
