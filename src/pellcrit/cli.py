@@ -10,15 +10,21 @@ Subcommands:
 
 Records are emitted one JSON object per line on stdout (csv for table).
 Exit codes: 0 success, 2 usage error, 3 internal inconsistency (criteria
-disagreeing with the oracle anywhere is a finding, never swallowed).
+disagreeing with the oracle anywhere is a finding, never swallowed), 141 a
+reader that closed its pipe before the output ended.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
+import os
+import stat
 import sys
 import time
+from collections import namedtuple
+from itertools import combinations
 
 from .intcore import _sieve
 from .symbols import quartic_2_of_d
@@ -29,10 +35,17 @@ from . import artin, criteria, pellsolver
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_INCONSISTENT = 3
+EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE: what a shell reports for a writer whose reader left
 
-
-def _emit(record: dict, out=None) -> None:
-    print(json.dumps(record), file=out or sys.stdout)
+# x^2 - pq y^2 in {-1, p, q} and x^2 - 2p y^2 in {-1, 2, -2}: the criterion's name in criteria
+# (looked up per call, as a wrapper may replace it), params -> (D, the oracle's targets in order)
+Family = namedtuple("Family", "params criterion targets help")
+TARGET_FAMILIES = {
+    "pq": Family(("p", "q"), "classify_pq", lambda p, q: (p * q, (-1, p, q)),
+                 "solvable target among -1, p, q"),
+    "2p": Family(("p",), "classify_2p", lambda p: (2 * p, (-1, 2, -2)),
+                 "solvable target among -1, 2, -2"),
+}
 
 
 def cmd_decide(args) -> int:
@@ -43,85 +56,50 @@ def cmd_decide(args) -> int:
         "D": args.D,
         "n": args.n,
         "status": verdict.status,
-        "witness": list(verdict.witness) if verdict.witness else None,
+        "witness": verdict.witness,
         "provenance": verdict.provenance,
         "oracle_status": oracle_status,
         "timings": round(1000 * (time.perf_counter() - t0), 3),
     }
-    _emit(record)
+    print(json.dumps(record))
     if verdict.status != oracle_status:
         print(f"inconsistency at D={args.D}, n={args.n}", file=sys.stderr)
         return EXIT_INCONSISTENT
     return EXIT_OK
 
 
-def cmd_classify_pq(args) -> int:
-    target, verdict = criteria.classify_pq(args.p, args.q)
-    _emit(
-        {
-            "p": args.p,
-            "q": args.q,
-            "target": target,
-            "provenance": verdict.provenance,
-            "witness": list(verdict.witness) if verdict.witness else None,
-        }
-    )
-    return EXIT_OK
-
-
-def cmd_classify_2p(args) -> int:
-    target, verdict = criteria.classify_2p(args.p)
-    _emit(
-        {
-            "p": args.p,
-            "target": target,
-            "provenance": verdict.provenance,
-            "witness": list(verdict.witness) if verdict.witness else None,
-        }
-    )
+def cmd_classify(args) -> int:
+    family = TARGET_FAMILIES[args.family]
+    record = {name: getattr(args, name) for name in family.params}
+    target, verdict = getattr(criteria, family.criterion)(*record.values())
+    record.update(target=target, provenance=verdict.provenance, witness=verdict.witness)
+    print(json.dumps(record))
     return EXIT_OK
 
 
 # -- scan workers (top level so process pools can pickle them)
 
 
-def _oracle_target(D: int, targets: tuple[int, ...], confirmed: int | None) -> int | None:
-    # the first target the oracle solves; the criteria have already had the
-    # oracle confirm their own target, so it is not asked again.  The others
-    # take the oracle's complete search alone: an unsolvable target's local
-    # label would only be thrown away
-    for t in targets:
-        if t == confirmed or pellsolver.minimal_solutions(D, t):
-            return t
-    return None
-
-
-def _scan_pq_one(pair: tuple[int, int]) -> dict:
-    p, q = pair
-    target, verdict = criteria.classify_pq(p, q)
-    oracle_target = _oracle_target(p * q, (-1, p, q), target)
-    return {
-        "family": "pq",
-        "p": p,
-        "q": q,
-        "criteria_target": target,
-        "oracle_target": oracle_target,
-        "witness": list(verdict.witness) if verdict.witness else None,
-        "agree": target == oracle_target,
-    }
-
-
-def _scan_2p_one(p: int) -> dict:
-    target, verdict = criteria.classify_2p(p)
-    oracle_target = _oracle_target(2 * p, (-1, 2, -2), target)
-    return {
-        "family": "2p",
-        "p": p,
-        "criteria_target": target,
-        "oracle_target": oracle_target,
-        "witness": list(verdict.witness) if verdict.witness else None,
-        "agree": target == oracle_target,
-    }
+def _scan_target_one(name: str, params: tuple[int, ...]) -> dict:
+    family = TARGET_FAMILIES[name]
+    target, verdict = getattr(criteria, family.criterion)(*params)
+    D, targets = family.targets(*params)
+    # the first target the oracle solves.  The criterion's own target has been
+    # confirmed already; the others take the oracle's complete search alone,
+    # as an unsolvable target's local label would only be thrown away
+    for oracle_target in targets:
+        if oracle_target == target or pellsolver.minimal_solutions(D, oracle_target):
+            break
+    else:
+        oracle_target = None
+    record = {"family": name}
+    for key, value in zip(family.params, params):
+        record[key] = value
+    record["criteria_target"] = target
+    record["oracle_target"] = oracle_target
+    record["witness"] = verdict.witness
+    record["agree"] = target == oracle_target
+    return record
 
 
 def _scan_221_one(n: int) -> dict:
@@ -134,48 +112,40 @@ def _scan_221_one(n: int) -> dict:
         "n": n,
         "criteria_status": v.status,
         "oracle_status": oracle_status,
-        "witness": list(v.witness) if v.witness else None,
+        "witness": v.witness,
         "agree": v.status == oracle_status,
     }
 
 
 def _scan_instances(family: str, maxval: int):
-    if family == "pq":
-        ps = [p for p in _sieve(maxval) if p % 4 == 1]
-        work = []
-        for i, p in enumerate(ps):
-            for q in ps[i + 1 :]:
-                if artin.cor14_applicable(p, q):
-                    work.append((p, q))
-        return _scan_pq_one, work
-    if family == "2p":
-        return _scan_2p_one, [p for p in _sieve(maxval) if p != 2]
     if family == "221":
-        work = []
-        for n in range(1, maxval + 1):
-            work.append(n)
-            work.append(-n)
-        return _scan_221_one, work
-    raise ValueError(f"unknown family {family}")
+        return _scan_221_one, [m for n in range(1, maxval + 1) for m in (n, -n)]
+    worker, ps = functools.partial(_scan_target_one, family), _sieve(maxval)
+    if family == "pq":
+        pairs = combinations([p for p in ps if p % 4 == 1], 2)
+        return worker, [pq for pq in pairs if artin.cor14_applicable(*pq)]
+    return worker, [(p,) for p in ps if p != 2]
 
 
-def cmd_scan(args) -> int:
+def _records(args) -> list[dict]:
     worker, instances = _scan_instances(args.family, args.max)
-    if args.jobs > 1:
+    jobs = getattr(args, "jobs", 1)
+    if jobs > 1:
         # the pool pulls in multiprocessing, so only a parallel scan imports it
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            records = list(pool.map(worker, instances, chunksize=16))
-    else:
-        records = [worker(x) for x in instances]
-    disagreements = 0
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            return list(pool.map(worker, instances, chunksize=16))
+    return [worker(x) for x in instances]
+
+
+def cmd_scan(args) -> int:
+    records = _records(args)
     for rec in records:
-        _emit(rec)
+        print(json.dumps(rec))
         if not rec["agree"]:
-            disagreements += 1
             print(f"inconsistency: {rec}", file=sys.stderr)
-    return EXIT_INCONSISTENT if disagreements else EXIT_OK
+    return EXIT_OK if all(rec["agree"] for rec in records) else EXIT_INCONSISTENT
 
 
 def cmd_verify_lemmas(args) -> int:
@@ -188,12 +158,11 @@ def cmd_verify_lemmas(args) -> int:
             continue
         tw = find_twist_point(D, 2)
         tab = character_table(D, tw)
-        has_rep = artin.thm24_applicable(d)
         checks = {
             "norm_one_trivial": tab.chi_1 == 1,
             "two_matches_mod16": tab.chi_2 == (1 if d % 16 == 1 else -1),
             "neg_two_matches_quartic": tab.chi_neg2 == quartic_2_of_d(d),
-            "neg_one_forced": (not has_rep) or tab.chi_neg1 == -1,
+            "neg_one_forced": not artin.thm24_applicable(d) or tab.chi_neg1 == -1,
             "multiplicative": tab.chi_neg2 == tab.chi_neg1 * tab.chi_2,
         }
         record = {
@@ -203,7 +172,7 @@ def cmd_verify_lemmas(args) -> int:
             "chi": [tab.chi_1, tab.chi_neg1, tab.chi_2, tab.chi_neg2],
             **checks,
         }
-        _emit(record)
+        print(json.dumps(record))
         if not all(checks.values()):
             failures += 1
             print(f"lemma check failed at d={d}: {record}", file=sys.stderr)
@@ -212,17 +181,19 @@ def cmd_verify_lemmas(args) -> int:
 
 def cmd_table(args) -> int:
     # open the output first, so an unwritable path fails before any work, but
-    # without truncating: a scan that fails leaves an existing table as it was
+    # without truncating: a scan that fails leaves an existing table as it
+    # was.  A FIFO with no reader is refused (ENXIO) rather than waited for
     try:
-        fh = open(args.out, "a", newline="" if args.format == "csv" else None)
+        fd = os.open(args.out, os.O_WRONLY | os.O_CREAT | os.O_NONBLOCK, 0o666)
     except OSError as exc:
         print(f"pellcrit: error: cannot write {args.out}: {exc.strerror}", file=sys.stderr)
         return EXIT_USAGE
-    with fh:
-        worker, instances = _scan_instances(args.family, args.max)
-        records = [worker(x) for x in instances]
-        fh.seek(0)
-        fh.truncate()
+    with open(fd, "w", newline="" if args.format == "csv" else None) as fh:
+        os.set_blocking(fd, True)
+        records = _records(args)
+        # a regular file is replaced; a device or a pipe takes the table as it comes
+        if stat.S_ISREG(os.fstat(fd).st_mode):
+            fh.truncate(0)
         if args.format == "json":
             json.dump(records, fh, indent=1)
         elif records:
@@ -231,12 +202,9 @@ def cmd_table(args) -> int:
             writer = csv.DictWriter(fh, fieldnames=list(records[0].keys()))
             writer.writeheader()
             for rec in records:
-                rec = dict(rec)
-                if rec.get("witness") is not None:
-                    rec["witness"] = "%d:%d" % tuple(rec["witness"])
-                writer.writerow(rec)
-    bad = sum(1 for rec in records if not rec["agree"])
-    return EXIT_INCONSISTENT if bad else EXIT_OK
+                w = rec["witness"]
+                writer.writerow({**rec, "witness": "%d:%d" % w if w else None})
+    return EXIT_OK if all(rec["agree"] for rec in records) else EXIT_INCONSISTENT
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -252,17 +220,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("n", type=int)
     p.set_defaults(func=cmd_decide)
 
-    p = sub.add_parser("classify-pq", help="solvable target among -1, p, q")
-    p.add_argument("p", type=int)
-    p.add_argument("q", type=int)
-    p.set_defaults(func=cmd_classify_pq)
-
-    p = sub.add_parser("classify-2p", help="solvable target among -1, 2, -2")
-    p.add_argument("p", type=int)
-    p.set_defaults(func=cmd_classify_2p)
+    for name, family in TARGET_FAMILIES.items():
+        p = sub.add_parser(f"classify-{name}", help=family.help)
+        for param in family.params:
+            p.add_argument(param, type=int)
+        p.set_defaults(func=cmd_classify, family=name)
 
     p = sub.add_parser("scan", help="criteria vs oracle over a family range")
-    p.add_argument("--family", choices=["pq", "2p", "221"], required=True)
+    p.add_argument("--family", choices=[*TARGET_FAMILIES, "221"], required=True)
     p.add_argument("--max", type=int, required=True)
     p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(func=cmd_scan)
@@ -275,7 +240,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("table", help="emit a classification table")
     p.add_argument("--format", choices=["json", "csv"], default="json")
     p.add_argument("--out", required=True)
-    p.add_argument("--family", choices=["pq", "2p", "221"], default="2p")
+    p.add_argument("--family", choices=[*TARGET_FAMILIES, "221"], default="2p")
     p.add_argument("--max", type=int, default=200)
     p.set_defaults(func=cmd_table)
     return parser
@@ -294,7 +259,17 @@ def main(argv=None) -> int:
             value = getattr(args, name, 1)
             if value < 1:
                 raise ValueError(f"--{name} must be at least 1, got {value}")
-        return args.func(args)
+        rc = args.func(args)
+        sys.stdout.flush()
+        return rc
+    except BrokenPipeError:
+        # a reader left early (`scan ... | head -1`); if stdout's, its unwritten
+        # rest goes to devnull, so the interpreter's last flush stays quiet
+        try:
+            sys.stdout.flush()
+        except BrokenPipeError:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     except ValueError as exc:
         # arguments the parser accepts but the mathematics rejects
         print(f"pellcrit: error: {exc}", file=sys.stderr)

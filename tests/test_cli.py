@@ -188,20 +188,21 @@ def test_scan_asks_the_oracle_ahead_of_the_target(monkeypatch, capsys):
 
 
 def test_scan_2p_walks_each_period_once_and_labels_nothing(monkeypatch, capsys):
-    # one cold walk of sqrt(2p) per record, and the oracle-target check runs
-    # the complete search without computing a local-obstruction label
+    # one cold walk of sqrt(2p) per record, and the worker, oracle-target
+    # check included, runs the complete search without computing a
+    # local-obstruction label
     inside, labels = [], []
-    oracle_target = cli._oracle_target
+    worker = cli._scan_target_one
 
-    def traced_target(*args):
+    def traced_worker(*args):
         inside.append(True)
         try:
-            return oracle_target(*args)
+            return worker(*args)
         finally:
             inside.pop()
 
     obstruction = pellsolver.local_obstruction_anywhere
-    monkeypatch.setattr(cli, "_oracle_target", traced_target)
+    monkeypatch.setattr(cli, "_scan_target_one", traced_worker)
     monkeypatch.setattr(
         pellsolver,
         "local_obstruction_anywhere",
@@ -226,12 +227,29 @@ def test_scan_records_round_trip():
 
 
 def test_scan_jobs_identical_records():
-    serial = run_cli("scan", "--family", "221", "--max", "40")
-    parallel = run_cli("scan", "--family", "221", "--max", "40", "--jobs", "3")
-    assert serial.returncode == parallel.returncode == 0
-    a = sorted(serial.stdout.splitlines())
-    b = sorted(parallel.stdout.splitlines())
-    assert a == b
+    # the pool pickles each family's worker, and its records come back in order
+    for family, maxval in (("221", "40"), ("2p", "300"), ("pq", "120")):
+        serial = run_cli("scan", "--family", family, "--max", maxval)
+        parallel = run_cli("scan", "--family", family, "--max", maxval, "--jobs", "3")
+        assert serial.returncode == parallel.returncode == 0, family
+        assert serial.stdout and parallel.stdout == serial.stdout, family
+
+
+def test_scan_into_a_reader_that_closes_early():
+    # `scan ... | head -1`: the reader takes one line and goes while most of the
+    # output is unwritten; exit 141 as a shell reports SIGPIPE, with no traceback
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "pellcrit.cli", "scan", "--family", "221", "--max", "3000"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == cli.EXIT_BROKEN_PIPE == 141
+    assert json.loads(first)["n"] == 1
+    assert err == b""
 
 
 def test_cli_import_skips_the_pool_and_dataclasses():
@@ -324,3 +342,41 @@ def test_table_keeps_an_existing_out_when_the_scan_fails(tmp_path, monkeypatch, 
         with open(out, newline="") as fh:
             rows = json.load(fh) if fmt == "json" else list(csv.DictReader(fh))
         assert len(rows) == 2 and all(str(r["agree"]) == "True" for r in rows)
+
+
+def test_table_out_to_a_device_or_a_pipe(tmp_path):
+    # only a regular file is truncated: /dev/null and a pipe take the table as
+    # it comes, with the same bytes a file gets
+    res = run_cli("table", "--out", os.devnull, "--max", "40")
+    assert (res.returncode, res.stdout, res.stderr) == (0, "", "")
+    for fmt in ("json", "csv"):
+        out = tmp_path / f"t.{fmt}"
+        args = ["table", "--format", fmt, "--max", "40", "--out"]
+        assert run_cli(*args, str(out)).returncode == 0
+        res = subprocess.run(
+            [sys.executable, "-m", "pellcrit.cli", *args, "/dev/stdout"], capture_output=True
+        )
+        assert (res.returncode, res.stderr) == (0, b"")
+        assert res.stdout == out.read_bytes() and res.stdout
+
+
+def test_table_out_to_a_fifo_never_waits(tmp_path, capsys):
+    # a FIFO with no reader is a usage error at once; with a reader it gets the table
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    res = subprocess.run(
+        [sys.executable, "-m", "pellcrit.cli", "table", "--out", str(fifo), "--max", "5"],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert res.returncode == 2 and res.stdout == ""
+    assert res.stderr == f"pellcrit: error: cannot write {fifo}: No such device or address\n"
+    reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+    try:
+        assert cli.main(["table", "--out", str(fifo), "--max", "5"]) == cli.EXIT_OK
+        rows = json.loads(os.read(reader, 1 << 16))
+    finally:
+        os.close(reader)
+    assert [row["p"] for row in rows] == [3, 5]
+    assert capsys.readouterr() == ("", "")

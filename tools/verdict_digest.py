@@ -28,13 +28,19 @@ Each line is a sha256 over one grid, with every record written out in full:
 * ``class_images``: ``class_images_of_norm`` over the same pairs as
   ``joint_families``: the disc, the obstruction, and per entry the split
   exponents, the exact reduced form and the ``twist_symbol`` at
-  ``canonical_twist(D)``; an exception is written out by its type.
+  ``canonical_twist(D)``; an exception is written out by its type;
+* ``classify``: the exit code and the JSON line of ``cli.main`` for
+  ``classify-pq p q`` on every pair of ``scan --family pq --max 300`` (p < q,
+  both 1 mod 4, with ``cor14_applicable``) and for ``classify-2p p`` on
+  every odd prime p below 20,000.
 
 Equal digests on two trees mean equal output on every pair.  A single grid
 can be named on the command line, as in ``python3 tools/verdict_digest.py solve``.
 """
 
+import contextlib
 import hashlib
+import io
 import math
 import pathlib
 import sys
@@ -43,7 +49,7 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 from gen import JOINT_2D_D, JOINT_2D_N_MAX  # noqa: E402
-from pellcrit import artin, criteria, intcore, pellsolver  # noqa: E402
+from pellcrit import artin, cli, criteria, intcore, pellsolver  # noqa: E402
 
 
 def _pairs(d_max, n_max):
@@ -106,6 +112,24 @@ def _walk(D):
     return (cf.period, cf.qs, _states(cf), (fund.x1, fund.y1, fund.unit_norm))
 
 
+def _classify_argvs():
+    ps = [p for p in intcore._sieve(300) if p % 4 == 1]
+    for i, p in enumerate(ps):
+        for q in ps[i + 1 :]:
+            if artin.cor14_applicable(p, q):
+                yield ["classify-pq", str(p), str(q)]
+    for p in intcore._sieve(20_000):
+        if p != 2:
+            yield ["classify-2p", str(p)]
+
+
+def _printed(argv):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        rc = cli.main(argv)
+    return rc, buf.getvalue()
+
+
 GRIDS = {
     "minimal_solutions": lambda: (
         ((D, n), pellsolver.minimal_solutions(D, n)) for D, n in _pairs(1500, 300)
@@ -134,6 +158,7 @@ GRIDS = {
         (disc, sorted(tuple(f) for f in artin.ClassGroup(disc)._principal_forms))
         for disc in _discs(20_000)
     ),
+    "classify": lambda: ((tuple(argv), _printed(argv)) for argv in _classify_argvs()),
 }
 
 
