@@ -43,7 +43,6 @@ from .quadring import (
     two_squares_all,
 )
 from .localanalysis import (
-    Place,
     find_local_point,
     hilbert_ev,
     places_over,
@@ -70,7 +69,7 @@ class Form(namedtuple("Form", "a b c")):
         return self.b * self.b - 4 * self.a * self.c
 
     def neg(self) -> "Form":
-        return Form(-self.a, self.b, -self.c)
+        return Form._make((-self.a, self.b, -self.c))
 
 
 def _is_reduced(f: Form, s: int, disc: int) -> bool:
@@ -91,7 +90,8 @@ def _rho(f: Form, s: int, disc: int) -> Form:
         r = r0 if r0 <= abs(f.c) else r0 - c2
     else:
         r = r0 + c2 * ((s - r0) // c2)
-    return Form(f.c, r, (r * r - disc) // (4 * f.c))
+    # a step keeps the form primitive, so _make skips the constructor's check
+    return Form._make((f.c, r, (r * r - disc) // (4 * f.c)))
 
 
 def reduce_form(f: Form) -> Form:
@@ -152,7 +152,7 @@ class ClassGroup:
 
     def power(self, f: Form, k: int) -> Form:
         if k < 0:
-            f, k = Form(f.a, -f.b, f.c), -k
+            f, k = Form._make((f.a, -f.b, f.c)), -k
         out = self.principal
         while k:
             if k & 1:
@@ -182,7 +182,8 @@ def _compose(f1: Form, f2: Form) -> Form:
     return reduce_form(Form(a3, b3, (b3 * b3 - disc) // (4 * a3)))
 
 
-@lru_cache(maxsize=None)
+# bounded: about 180 KB a group near D = 10^6; joint_2d needs 12, joint_families 68
+@lru_cache(maxsize=128)
 def class_group(disc: int) -> ClassGroup:
     """Principality test of the wide class group of discriminant disc (cached)."""
     return ClassGroup(disc)
@@ -403,7 +404,8 @@ def _head(D: int, twist: TwistPoint, n: int) -> int:
     return sym
 
 
-@lru_cache(maxsize=None)
+# bounded: at most 32 keys r per D and twist point
+@lru_cache(maxsize=4096)
 def _two_adic_factor(D: int, twist: TwistPoint, r: int) -> int:
     """The symbol at the place over 2 that carries n, for every n keyed r.
 
@@ -413,7 +415,7 @@ def _two_adic_factor(D: int, twist: TwistPoint, r: int) -> int:
     r = ((n >> v) % 16) << (v % 4), v = v2(n), names n's class.  The Q_2
     square class is coarser and wrong: at D = 34, n = 1 and n = 9 differ.
     """
-    place2 = _d_context(D).place2
+    place2 = places_over(D, 2)[-1]  # the only place over 2, or the second
     theta = twist.element()
     if place2.kind == SPLIT:
         # 2 is never a split prime of a choice (_ideals stops first), so
@@ -448,7 +450,8 @@ def thm24_applicable(d: int) -> bool:
     )
 
 
-@lru_cache(maxsize=None)
+# bounded: small values, kept for as many D as the continued-fraction memos
+@lru_cache(maxsize=1024)
 def canonical_twist(D: int) -> TwistPoint:
     info = classify_order(D)
     if info.family == FAMILY_PQ:
@@ -461,26 +464,14 @@ def canonical_twist(D: int) -> TwistPoint:
     raise ValueError(f"D={D} is outside both families")
 
 
-class _DContext(namedtuple("_DContext", "applicable place2")):
-    """What every decision at one D reuses.
-
-    The twist point, class group and 2-adic engine stay in their own
-    caches.  The place over the twist prime is not kept: that prime is
-    ramified, and its place costs no square-root lift.
-    """
-
-    __slots__ = ()
-    applicable: bool
-    place2: Place  # the place over 2 that carries n: the only one, or the second
-
-
-@lru_cache(maxsize=None)
-def _d_context(D: int) -> _DContext:
+# bounded: one bool per D, kept for as many D as canonical_twist
+@lru_cache(maxsize=1024)
+def _applicable(D: int) -> bool:
+    """Whether the joint criterion holds at D: cor14 in the pq family, thm24 in 2d."""
     info = classify_order(D)
-    applicable = (info.family == FAMILY_PQ and cor14_applicable(*info.primes)) or (
+    return (info.family == FAMILY_PQ and cor14_applicable(*info.primes)) or (
         info.family == FAMILY_2D and thm24_applicable(D // 2)
     )
-    return _DContext(applicable, places_over(D, 2)[-1])
 
 
 def _some_choice_passes(D: int, n: int, twist: TwistPoint, fac: Factorization) -> bool:
@@ -524,7 +515,7 @@ def joint_artin_decide(D: int, n: int) -> Verdict:
     """
     if n == 0:
         raise ValueError("n must be nonzero")
-    if _d_context(D).applicable:
+    if _applicable(D):
         fac = factor(abs(n))
         l = local_obstruction_anywhere(D, n, fac=fac)
         if l is not None:

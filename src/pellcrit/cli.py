@@ -127,7 +127,7 @@ def _scan_instances(family: str, maxval: int):
     return worker, [(p,) for p in ps if p != 2]
 
 
-def _records(args) -> list[dict]:
+def _records(args):
     worker, instances = _scan_instances(args.family, args.max)
     jobs = getattr(args, "jobs", 1)
     if jobs > 1:
@@ -135,17 +135,20 @@ def _records(args) -> list[dict]:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(worker, instances, chunksize=16))
-    return [worker(x) for x in instances]
+            yield from pool.map(worker, instances, chunksize=16)
+    else:
+        yield from map(worker, instances)
 
 
 def cmd_scan(args) -> int:
-    records = _records(args)
-    for rec in records:
+    # each record is printed as it comes, so a scan that fails keeps the ones before
+    rc = EXIT_OK
+    for rec in _records(args):
         print(json.dumps(rec))
         if not rec["agree"]:
+            rc = EXIT_INCONSISTENT
             print(f"inconsistency: {rec}", file=sys.stderr)
-    return EXIT_OK if all(rec["agree"] for rec in records) else EXIT_INCONSISTENT
+    return rc
 
 
 def cmd_verify_lemmas(args) -> int:
@@ -190,7 +193,7 @@ def cmd_table(args) -> int:
         return EXIT_USAGE
     with open(fd, "w", newline="" if args.format == "csv" else None) as fh:
         os.set_blocking(fd, True)
-        records = _records(args)
+        records = list(_records(args))
         # a regular file is replaced; a device or a pipe takes the table as it comes
         if stat.S_ISREG(os.fstat(fd).st_mode):
             fh.truncate(0)
@@ -207,6 +210,8 @@ def cmd_table(args) -> int:
     return EXIT_OK if all(rec["agree"] for rec in records) else EXIT_INCONSISTENT
 
 
+# built once per process: main reuses one tree, and parsing leaves it as it was
+@functools.lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pellcrit",

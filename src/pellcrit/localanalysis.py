@@ -357,7 +357,8 @@ class TwoAdicQuad:
         return self._table[(self.class_of(u), self.class_of(v))]
 
 
-@lru_cache(maxsize=None)
+# bounded: about 37 KB an engine near D = 10^6, and as few D in use as class groups
+@lru_cache(maxsize=128)
 def two_adic_context(D: int) -> TwoAdicQuad:
     return TwoAdicQuad(D)
 

@@ -4,10 +4,11 @@ import os
 import random
 import subprocess
 import sys
+from operator import attrgetter
 
 import pytest
 
-from pellcrit import artin, cli, intcore, pellsolver, quadring
+from pellcrit import artin, cli, intcore, localanalysis, pellsolver, quadring
 from pellcrit.intcore import factor, is_prime, is_square, valuation
 from pellcrit.localanalysis import (
     find_local_point,
@@ -340,7 +341,7 @@ def _reference_twist_symbol(D, twist, choice, n, *, fac=None):
     # every place recomputed from n on every call
     if fac is None:
         fac = factor(abs(n))
-    place2 = artin._d_context(D).place2
+    place2 = places_over(D, 2)[-1]
     ell = twist.ell
     theta = twist.element()
     sym = 1
@@ -385,7 +386,7 @@ def _reference_twist_symbol(D, twist, choice, n, *, fac=None):
 def test_twist_symbol_matches_reference():
     # every choice of every locally solvable 0 < |n| <= 300, over every
     # applicable D < 1500: 2 split (D = 1 mod 8), inert (5 mod 8), ramified
-    ds = [D for D in range(2, 1500) if not is_square(D) and artin._d_context(D).applicable]
+    ds = [D for D in range(2, 1500) if not is_square(D) and artin._applicable(D)]
     assert {D % 8 for D in ds} == {1, 2, 5}
     compared = 0
     for D in ds:
@@ -416,7 +417,7 @@ def test_twist_symbol_matches_reference():
 def test_class_images_forms_are_reduced():
     # class_images_of_norm does not reduce its leaf forms again: each is the
     # principal form or a compose result, and both are already reduced
-    ds = [D for D in range(2, 1500) if not is_square(D) and artin._d_context(D).applicable]
+    ds = [D for D in range(2, 1500) if not is_square(D) and artin._applicable(D)]
     assert len(ds) == 26
     entries = 0
     for D in ds:
@@ -552,7 +553,7 @@ def test_walk_matches_reference_some_choice_passes():
     # or not: the same answer, or the same exception, as the full build; the
     # same class images, to the exact reduced form; and the same symbol at
     # every choice, as the references from before the per-prime record
-    ds = [D for D in range(2, 1500) if not is_square(D) and artin._d_context(D).applicable]
+    ds = [D for D in range(2, 1500) if not is_square(D) and artin._applicable(D)]
     assert len(ds) == 26
     seen = {True: 0, False: 0, NotImplementedError: 0, "disc D": 0, "symbols": 0}
     for D in ds:
@@ -821,24 +822,73 @@ def test_prime_records_are_bounded():
     assert after.misses == info.misses + 3 and after.currsize == maxsize
 
 
-def test_residue_signs_are_bounded():
+def test_residue_signs_are_bounded(assert_bounded):
     # D = 34 at more odd primes than the bound (2 and 17 carry no residue
-    # character): the memo fills to its bound, and the evicted first prime
-    # computes equal signs with one new miss
+    # character)
     twist = artin.canonical_twist(34)
-    maxsize = artin._residue_signs.cache_info().maxsize
-    assert maxsize == 4096
-    primes = [l for l in range(3, 50_000, 2) if l != 17 and is_prime(l)][: maxsize + 1]
-    assert len(primes) == maxsize + 1
-    artin._residue_signs.cache_clear()
-    first = artin._residue_signs(34, twist, primes[0])
-    for l in primes[1:]:
-        artin._residue_signs(34, twist, l)
-    info = artin._residue_signs.cache_info()
-    assert info.currsize == maxsize and info.misses == maxsize + 1
-    assert artin._residue_signs(34, twist, primes[0]) == first
-    after = artin._residue_signs.cache_info()
-    assert after.misses == info.misses + 1 and after.currsize == maxsize
+    primes = [l for l in range(3, 50_000, 2) if l != 17 and is_prime(l)][:4097]
+    assert_bounded(artin._residue_signs, [(34, twist, l) for l in primes], 4096)
+
+
+def test_class_groups_are_bounded(assert_bounded):
+    ds = [D for D in range(2, 200) if not is_square(D)][:129]
+    view = attrgetter("disc", "principal", "_principal_forms")
+    assert_bounded(artin.class_group, [(4 * D,) for D in ds], 128, view)
+
+
+def test_two_adic_engines_are_bounded(assert_bounded):
+    # nonsplit D with v2(D) <= 1, the fields Q_2(sqrt(D))
+    ds = [D for D in range(2, 400) if D % 4 in (2, 3) or D % 8 == 5][:129]
+    view = attrgetter("kind", "_vec", "_table")
+    assert_bounded(localanalysis.two_adic_context, [(D,) for D in ds], 128, view)
+
+
+def _family_ds():
+    # D of either family with a twist point, in increasing order
+    for D in itertools.count(3):
+        if not is_square(D) and quadring.classify_order(D).family != quadring.FAMILY_OTHER:
+            try:
+                artin.canonical_twist(D)
+            except ValueError:  # no twist point within the search bound
+                continue
+            yield D
+
+
+def test_twist_points_and_applicability_are_bounded(assert_bounded):
+    family = [(D,) for D in itertools.islice(_family_ds(), 1025)]
+    assert_bounded(artin.canonical_twist, family, 1024)
+    nonsquare = [(D,) for D in range(2, 3000) if not is_square(D)]
+    assert_bounded(artin._applicable, nonsquare[:1025], 1024)
+
+
+def test_two_adic_factors_are_bounded(assert_bounded):
+    # 2 splits at D = 1 mod 8, so every one of the 32 keys r has a symbol
+    twists = (artin.canonical_twist(D) for D in _family_ds() if D % 8 == 1)
+    keys = [(tw.D, tw, u << w) for tw in itertools.islice(twists, 129)
+            for w in range(4) for u in range(1, 16, 2)]
+    assert_bounded(artin._two_adic_factor, keys[:4097], 4096)
+
+
+def test_decisions_survive_an_evicted_class_group():
+    # a class group evicted between two decisions at its D is rebuilt, while
+    # the cached prime records still hold forms of the old group, its
+    # principal form among them: equal verdicts and class images
+    ds = [1394, next(D for D in range(2, 1500) if D % 8 == 5 and artin._applicable(D))]
+    ns = [n for n in range(-500, 501) if n]
+
+    def decisions():
+        return [(artin.joint_artin_decide(D, n), _outcome(artin.class_images_of_norm, D, n))
+                for D in ds for n in ns]
+
+    first = decisions()
+    groups = [artin.class_group(disc) for disc in (4 * ds[0], ds[1], 4 * ds[1])]
+    records = artin._prime_record.cache_info()
+    for D in range(2, 300):
+        if not is_square(D) and D not in ds:
+            artin.class_group(4 * D)
+    assert decisions() == first
+    assert all(artin.class_group(g.disc) is not g for g in groups)
+    assert artin._prime_record.cache_info().misses == records.misses
 
 
 def test_repeated_decision_composes_and_factors_nothing_new():

@@ -166,6 +166,38 @@ def test_scan_inconsistency_exit_code(monkeypatch, capsys):
     assert "Traceback" not in err
 
 
+def test_scan_prints_each_record_before_the_next_is_computed(monkeypatch, capsys):
+    # a worker that breaks an invariant on its third instance: the two records
+    # before it are on stdout already, and the scan exits 3
+    worker, calls = cli._scan_target_one, []
+
+    def failing_worker(*args):
+        calls.append(args)
+        if len(calls) == 3:
+            raise ArithmeticError("third instance")
+        return worker(*args)
+
+    monkeypatch.setattr(cli, "_scan_target_one", failing_worker)
+    assert cli.main(["scan", "--family", "2p", "--max", "50"]) == cli.EXIT_INCONSISTENT
+    out, err = capsys.readouterr()
+    assert [json.loads(line)["p"] for line in out.splitlines()] == [3, 5]
+    assert err == "pellcrit: inconsistency: third instance\n" and len(calls) == 3
+
+
+def test_help_from_the_one_parser_matches_a_fresh_process(monkeypatch, capsys):
+    # main reuses one argparse tree, and its help is the bytes a new process prints
+    monkeypatch.setenv("COLUMNS", "100")
+    assert cli.build_parser() is cli.build_parser()
+    for argv in (["--help"], ["scan", "--help"]):
+        fresh = run_cli(*argv)
+        assert fresh.returncode == 0 and fresh.stdout.startswith("usage: pellcrit")
+        for _ in range(2):
+            with pytest.raises(SystemExit) as exc:
+                cli.main(argv)
+            assert exc.value.code == 0
+            assert capsys.readouterr().out == fresh.stdout, argv
+
+
 def test_scan_asks_the_oracle_ahead_of_the_target(monkeypatch, capsys):
     # the scan takes the criteria's confirmed target as solvable, but an
     # oracle that also solves -1 must still contradict every target 2 or -2;

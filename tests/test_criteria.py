@@ -285,16 +285,6 @@ def test_no_assert_statements_in_package():
         assert not found, (path, found)
 
 
-# Per-D caches still unbounded; each leaves this list once it has a bound.
-_UNBOUNDED_CACHES = {
-    ("artin", "class_group"),
-    ("artin", "_two_adic_factor"),
-    ("artin", "canonical_twist"),
-    ("artin", "_d_context"),
-    ("localanalysis", "two_adic_context"),
-}
-
-
 def _callee(node):
     return node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
 
@@ -309,7 +299,7 @@ def _unbounded(node):
 
 def test_no_new_unbounded_cache():
     # an unbounded memo grows with every new key of a long scan, so every
-    # memo in the package names its bound, bar the listed per-D caches
+    # memo in the package names its bound
     src = os.path.dirname(pellcrit.__file__)
     found = set()
     for path in sorted(glob.glob(os.path.join(src, "*.py"))):
@@ -321,7 +311,7 @@ def test_no_new_unbounded_cache():
                 found |= {(module, node.name) for dec in node.decorator_list if _unbounded(dec)}
             elif isinstance(node, ast.Call) and _unbounded(node.func):
                 found.add((module, f"line {node.lineno}"))  # cache(f) or lru_cache(None)(f)
-    assert found == _UNBOUNDED_CACHES
+    assert found == set()
 
 
 def test_verdict_statuses():

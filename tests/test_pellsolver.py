@@ -698,38 +698,23 @@ def test_thread_roots_match_the_filtered_roots():
             assert pellsolver._thread_roots(D % am, mfac) == want, (D, am)
 
 
-def _assert_bounded(memo, keys, maxsize):
-    # after maxsize + 1 distinct keys the memo holds maxsize, and the evicted
-    # first key computes an equal value with one new miss
-    assert len(keys) == maxsize + 1 and memo.cache_info().maxsize == maxsize
-    memo.cache_clear()
-    first = memo(*keys[0])
-    for key in keys[1:]:
-        memo(*key)
-    info = memo.cache_info()
-    assert info.currsize == maxsize and info.misses == maxsize + 1
-    assert memo(*keys[0]) == first
-    after = memo.cache_info()
-    assert after.misses == info.misses + 1 and after.currsize == maxsize
-
-
-def test_square_divisors_are_bounded():
-    _assert_bounded(pellsolver._square_divisors, [(n,) for n in range(-2048, 2050) if n], 4096)
+def test_square_divisors_are_bounded(assert_bounded):
+    assert_bounded(pellsolver._square_divisors, [(n,) for n in range(-2048, 2050) if n], 4096)
     assert pellsolver._square_divisors(-72) == (
         (1, ((2, 3), (3, 2))), (3, ((2, 3),)), (2, ((2, 1), (3, 2))), (6, ((2, 1),))
     )
 
 
-def test_thread_roots_are_bounded():
+def test_thread_roots_are_bounded(assert_bounded):
     # residues of a prime modulus 1 mod 4: half of them have roots
     mfac = ((10009, 1),)
-    _assert_bounded(pellsolver._thread_roots, [(a, mfac) for a in range(4097)], 4096)
+    assert_bounded(pellsolver._thread_roots, [(a, mfac) for a in range(4097)], 4096)
     assert pellsolver._thread_roots(4, mfac) == (2,)
 
 
-def test_unsolvable_verdicts_are_bounded():
+def test_unsolvable_verdicts_are_bounded(assert_bounded):
     keys = [("oracle", f"local-obstruction:{l}") for l in range(4097)]
-    _assert_bounded(pellsolver._unsolvable, keys, 4096)
+    assert_bounded(pellsolver._unsolvable, keys, 4096)
     assert pellsolver._unsolvable("oracle", None) == ("unsolvable", None, "oracle", None)
 
 

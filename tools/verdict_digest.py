@@ -15,8 +15,8 @@ Each line is a sha256 over one grid, with every record written out in full:
 * ``joint_artin_decide``: the same tuple over the 12 family-B D of the
   ``joint_2d`` benchmark and 0 < |n| <= 500;
 * ``joint_families``: the same tuple over every D < 3000 where the joint
-  criterion applies (``_d_context(D).applicable``: the pq family with its
-  odd twist prime and the 2d family) and 0 < |n| <= 300;
+  criterion applies (``_applicable(D)``: the pq family with its odd twist
+  prime and the 2d family) and 0 < |n| <= 300;
 * ``decide_221``: the verdict tuple of the closed-form D = 221 criterion for
   0 < |n| <= 30,000;
 * ``cf_fundamental``: the period, ``qs`` and the states (P_k, Q_k) of sqrt(D)
@@ -63,7 +63,7 @@ def _pairs(d_max, n_max):
 
 def _family_pairs():
     for D, n in _pairs(3000, 300):
-        if artin._d_context(D).applicable:
+        if artin._applicable(D):
             yield D, n
 
 
