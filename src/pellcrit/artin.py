@@ -12,7 +12,7 @@ product of local Hilbert symbols.  Solvability for the supported families
 is equivalent to some single adelic choice passing both conditions at once.
 
 The joint decision reads one bounded record per prime power of n: its
-classes, and its twist signs from the first principal choice on.  One walk
+classes and its twist signs, both built with the record.  One walk
 over the split exponents, on an explicit stack, serves the decision and the
 class images; the decision stops at the first choice with a principal class
 and a trivial twist symbol.  The symbol's head, its factors at 2 and at the
@@ -253,7 +253,7 @@ _MAX_SPLIT_PRIMES = 12
 # What l^e || n brings to a decision: classes, the reduced forms of l^(2j - e),
 # j = 0..e, when l splits (j factors on the chosen-root side), of l^e when l
 # ramifies, else None; signs, the twist half, the symbol's factor over l at j
-# even and at j odd (j = 0 at a forced prime), empty until a principal choice
+# even and at j odd (j = 0 at a forced prime), or () where twist is None
 _PrimeRecord = namedtuple("_PrimeRecord", "l e kind classes signs")
 
 
@@ -261,33 +261,24 @@ _PrimeRecord = namedtuple("_PrimeRecord", "l e kind classes signs")
 @lru_cache(maxsize=4096)
 def _prime_record(D: int, disc: int, twist: TwistPoint | None, l: int, e: int) -> _PrimeRecord:
     kind = splitting_type(D, l)
+    signs = () if twist is None else _twist_half(D, twist, l, e, kind)
     if kind == INERT or (kind == SPLIT and l == 2):
-        return _PrimeRecord(l, e, kind, None, [])
+        return _PrimeRecord(l, e, kind, None, signs)
     group, f = class_group(disc), prime_form(D, l, disc)
     if kind == RAMIFIED:
-        return _PrimeRecord(l, e, kind, group.power(f, e), [])
-    return _PrimeRecord(l, e, kind, tuple(group.power(f, 2 * j - e) for j in range(e + 1)), [])
+        return _PrimeRecord(l, e, kind, group.power(f, e), signs)
+    return _PrimeRecord(l, e, kind, tuple(group.power(f, 2 * j - e) for j in range(e + 1)), signs)
 
 
-def _twist_half(rec: _PrimeRecord, D: int, twist: TwistPoint) -> list[int]:
-    # fills rec.signs.  Away from 2 and the twist prime a place counts when n's
-    # share of it is odd; z0 adds none, as an inert l | z0 would divide x0, y0
-    l, e, kind = rec.l, rec.e, rec.kind
+def _twist_half(D: int, twist: TwistPoint, l: int, e: int, kind: str) -> tuple[int, int]:
+    # away from 2 and the twist prime a place counts when n's share of it is
+    # odd; z0 adds none, as an inert l | z0 would divide x0, y0
     if l in (2, twist.ell) or (kind != SPLIT and (e // 2 if kind == INERT else e) % 2 == 0):
-        rec.signs[:] = (1, 1)
-        return rec.signs
-    r = _residue_signs(D, twist, l)
-    # j factors of a split l lie over its first place, e - j over its second
-    rec.signs[:] = (r[0], r[0]) if kind != SPLIT else (r[1], r[0]) if e % 2 else (1, r[0] * r[1])
-    return rec.signs
-
-
-# bounded: keyed by the primes of n, like _prime_record, whose records at
-# every exponent of l share one entry
-@lru_cache(maxsize=4096)
-def _residue_signs(D: int, twist: TwistPoint, l: int) -> tuple[int, ...]:
+        return (1, 1)
     # the twist residue character at each place over l, as +1 or -1
-    return tuple(1 if twist_residue_square(D, twist, pl) else -1 for pl in places_over(D, l))
+    r = [1 if twist_residue_square(D, twist, pl) else -1 for pl in places_over(D, l)]
+    # j factors of a split l lie over its first place, e - j over its second
+    return (r[0], r[0]) if kind != SPLIT else (r[1], r[0]) if e % 2 else (1, r[0] * r[1])
 
 
 def _ideals(D: int, n: int, fac: Factorization, twist: TwistPoint | None) -> tuple:
@@ -386,7 +377,7 @@ def twist_symbol(
     sym = _head(D, twist, n)
     for l, e in (factor(abs(n)) if fac is None else fac).factors:
         rec = _prime_record(D, disc, twist, l, e)
-        sym *= (rec.signs or _twist_half(rec, D, twist))[choice.j_at(l) % 2]
+        sym *= rec.signs[choice.j_at(l) % 2]
     return sym
 
 
@@ -476,7 +467,7 @@ def _applicable(D: int) -> bool:
 
 def _some_choice_passes(D: int, n: int, twist: TwistPoint, fac: Factorization) -> bool:
     # walk to the first choice with a principal class and a trivial twist
-    # symbol; the head and twist halves wait for the first principal choice
+    # symbol; the head waits for the first principal choice
     group, obstruction, base, records, split = _ideals(D, n, fac, twist)
     if obstruction is not None:
         return False
@@ -489,8 +480,7 @@ def _some_choice_passes(D: int, n: int, twist: TwistPoint, fac: Factorization) -
         if head is None:
             head = _head(D, twist, n)
             for rec in records:
-                signs = rec.signs or _twist_half(rec, D, twist)
-                head *= 1 if rec.kind == SPLIT else signs[0]
+                head *= 1 if rec.kind == SPLIT else rec.signs[0]
         sym = head
         for rec, j in zip(split, js):
             sym *= rec.signs[j % 2]

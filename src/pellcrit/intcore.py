@@ -392,24 +392,17 @@ def local_obstruction_anywhere(D: int, n: int, *, fac: Factorization | None = No
     return None
 
 
-# bounded: the key holds the residue a mod p^e, which ranges as widely as n
-@lru_cache(maxsize=4096)
-def _prime_power_roots(a: int, p: int, e: int) -> tuple[int, ...]:
-    return tuple(sqrt_mod_prime_power(a, p, e))
-
-
 def sqrt_mod_factored(a: int, factors) -> list[int]:
     """All x in [0, m) with x^2 = a mod m, for m = prod p^e given as (p, e) pairs.
 
-    The roots mod each p^e (memoized) are combined through the CRT
-    idempotents of m; the list is empty when some p^e admits no root, and
-    [0] when m = 1.
+    The roots mod each p^e are combined through the CRT idempotents of m;
+    the list is empty when some p^e admits no root, and [0] when m = 1.
     """
     m = math.prod(p**e for p, e in factors)
     roots = [0]
     for p, e in factors:
         q = p**e
-        rs = _prime_power_roots(a % q, p, e)
+        rs = sqrt_mod_prime_power(a, p, e)
         if not rs:
             return []
         # idempotent: 1 mod q, 0 mod every other prime power of m

@@ -67,7 +67,11 @@ class Place(namedtuple("Place", "l kind D root prec", defaults=(None, 0))):
     prec: int
 
 
-def places_over(D: int, l: int, prec: int = 24) -> tuple[Place, ...]:
+# the precision, as a power of l, of a split place's square root of D
+_PLACE_PREC = 24
+
+
+def places_over(D: int, l: int) -> tuple[Place, ...]:
     """The places of E over the rational prime l.
 
     An odd l with l^2 | D raises ValueError: the symbols take sqrt(D) as a
@@ -77,13 +81,12 @@ def places_over(D: int, l: int, prec: int = 24) -> tuple[Place, ...]:
         raise ValueError(f"no place over {l} for D = {D}: {l}^2 divides D")
     st = splitting_type(D, l)
     if st == SPLIT:
-        r = lift_unit_sqrt(D, l, prec)
-        mod = l**prec
+        r = lift_unit_sqrt(D, l, _PLACE_PREC)
         return (
-            Place(l, SPLIT, D, root=r, prec=prec),
-            Place(l, SPLIT, D, root=mod - r, prec=prec),
+            Place(l, SPLIT, D, root=r, prec=_PLACE_PREC),
+            Place(l, SPLIT, D, root=l**_PLACE_PREC - r, prec=_PLACE_PREC),
         )
-    return (Place(l, st, D, prec=prec),)
+    return (Place(l, st, D, prec=_PLACE_PREC),)
 
 
 # ---------------------------------------------------------------------------
@@ -219,7 +222,6 @@ class TwoAdicQuad:
             self.kind = "inert"
             self.pi = (2, 0)
             self.c = (D - 1) // 4
-        self._canon_cache: dict = {}
         self._build_classes()
         self._build_pairing()
 
@@ -246,13 +248,6 @@ class TwoAdicQuad:
     def _mulmod(self, u, v) -> tuple[int, int]:
         w = self.mul(u, v)
         return (w[0] % _COORD_MOD, w[1] % _COORD_MOD)
-
-    def _canon(self, ucoords: tuple[int, int]) -> tuple[int, int]:
-        hit = self._canon_cache.get(ucoords)
-        if hit is None:
-            hit = min(self._mulmod(ucoords, s) for s in self._squares)
-            self._canon_cache[ucoords] = hit
-        return hit
 
     def class_of(self, u: tuple[int, int]) -> tuple[int, tuple[int, int]]:
         """Square class as (valuation parity, canonical unit residue).
@@ -282,7 +277,7 @@ class TwoAdicQuad:
             m = (1 - D) >> 1
             for _ in range(v):
                 a, b = ((a - b * D) >> 1) * m, ((b - a) >> 1) * m
-        return (v & 1, self._canon((a % _COORD_MOD, b % _COORD_MOD)))
+        return (v & 1, self._canon[(a % _COORD_MOD, b % _COORD_MOD)])
 
     # -- the group of square classes and the pairing on it
 
@@ -293,11 +288,13 @@ class TwoAdicQuad:
             for b in range(_COORD_MOD)
             if self.norm((a, b)) % 2 == 1
         ]
-        self._squares = {self._mulmod(u, u) for u in units}
-        unit_classes = sorted({self._canon(u) for u in units})
+        squares = {self._mulmod(u, u) for u in units}
+        # each unit residue mod 8 to the least residue of its square class
+        self._canon = {u: min(self._mulmod(u, s) for s in squares) for u in units}
+        unit_classes = sorted(set(self._canon.values()))
         if len(unit_classes) != 8:
             raise ArithmeticError(f"{len(unit_classes)} unit square classes for D={self.D}, not 8")
-        self._trivial = (0, self._canon((1, 0)))
+        self._trivial = (0, self._canon[(1, 0)])
         self.classes = [(p, c) for p in (0, 1) for c in unit_classes]
         # exact integer representatives
         self._rep = {}

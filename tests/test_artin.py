@@ -736,13 +736,13 @@ def test_warm_decision_reads_per_prime_caches(monkeypatch):
     assert calls == {"prime_form": 0, "places_over": 0, "find_local_point": 0}
 
 
-def test_twist_half_waits_for_a_principal_choice(monkeypatch):
+def test_head_waits_for_a_principal_choice(monkeypatch):
     # n = -282 = -2 * 3 * 47 at D = 34 (obstructed at 17) has choices but no
-    # principal one: the walk computes no head and fills no twist half.  The
-    # solvable n = 94 = 2 * 47 then fills the halves of its own records only
+    # principal one: the walk computes no head.  The solvable n = 94 = 2 * 47
+    # computes it once
     D, n = 34, -282
     twist = artin.canonical_twist(D)
-    calls = {"_head": 0, "twist_residue_square": 0}
+    calls = {"_head": 0}
 
     def counting(name):
         orig = getattr(artin, name)
@@ -755,25 +755,17 @@ def test_twist_half_waits_for_a_principal_choice(monkeypatch):
 
     for name in calls:
         counting(name)
-    artin._prime_record.cache_clear()
     assert not artin._some_choice_passes(D, n, twist, factor(abs(n)))
     assert len(artin.class_images_of_norm(D, n).entries) == 4
-    assert calls == {"_head": 0, "twist_residue_square": 0}
-
-    def signs():
-        return [artin._prime_record(D, 4 * D, twist, l, 1).signs for l in (2, 3, 47)]
-
-    assert signs() == [[], [], []]
+    assert calls == {"_head": 0}
     assert artin.joint_artin_decide(D, 94).status == "solvable"
-    got = signs()
-    assert calls["_head"] == 1 and len(got[0]) == len(got[2]) == 2 and got[1] == []
+    assert calls == {"_head": 1}
 
 
 def test_prime_records_hold_the_joint_2d_grid():
     # the grid of the joint_2d benchmark, 12 D and 0 < |n| <= 500, needs
-    # fewer records, residue signs, square divisors, thread roots and
-    # unsolvable verdicts than their bounds: a second pass builds none and
-    # decides alike
+    # fewer records, square divisors, thread roots and unsolvable verdicts
+    # than their bounds: a second pass builds none and decides alike
     ds = [
         D for D in range(2, 1001, 2)
         if not is_square(D) and quadring.classify_order(D).family == "2d"
@@ -782,8 +774,8 @@ def test_prime_records_hold_the_joint_2d_grid():
     grid = [(D, n) for D in ds for n in range(-500, 501) if n]
     assert len(grid) == 12000
     memos = (
-        artin._prime_record, artin._residue_signs, pellsolver._square_divisors,
-        pellsolver._thread_roots, pellsolver._unsolvable,
+        artin._prime_record, pellsolver._square_divisors, pellsolver._thread_roots,
+        pellsolver._unsolvable,
     )
     for memo in memos:
         memo.cache_clear()
@@ -820,14 +812,6 @@ def test_prime_records_are_bounded():
         assert artin.joint_artin_decide(34, n) == v
     after = artin._prime_record.cache_info()
     assert after.misses == info.misses + 3 and after.currsize == maxsize
-
-
-def test_residue_signs_are_bounded(assert_bounded):
-    # D = 34 at more odd primes than the bound (2 and 17 carry no residue
-    # character)
-    twist = artin.canonical_twist(34)
-    primes = [l for l in range(3, 50_000, 2) if l != 17 and is_prime(l)][:4097]
-    assert_bounded(artin._residue_signs, [(34, twist, l) for l in primes], 4096)
 
 
 def test_class_groups_are_bounded(assert_bounded):

@@ -218,19 +218,13 @@ def test_factor_proves_each_prime_once(monkeypatch):
     assert calls.count(199999) == 1
 
 
-def test_prime_power_roots_memo():
-    # the per-prime-power memo is bounded, keyed by the residue, and the
-    # public lists are fresh copies
-    memo = intcore._prime_power_roots
-    assert memo.cache_info().maxsize is not None
+def test_prime_power_roots_by_residue():
+    # the roots depend on a only mod p^e, and the public lists are fresh
     roots = intcore.sqrt_mod_prime_power(2, 7, 3)
     roots.append(-1)
     assert intcore.sqrt_mod_prime_power(2, 7, 3) == intcore.sqrt_mod_prime_power(2 + 343, 7, 3)
     assert -1 not in intcore.sqrt_mod_factored(2, ((7, 3),))
     assert intcore.sqrt_mod_factored(2, ((7, 3),)) == intcore.sqrt_mod_factored(2 - 343, ((7, 3),))
-    for m in range(10**5, 10**5 + memo.cache_info().maxsize + 100):
-        intcore.sqrt_mod_factored(1, intcore.factor(m).factors)
-    assert memo.cache_info().currsize <= memo.cache_info().maxsize
 
 
 def test_against_sympy_around_witness_bounds():

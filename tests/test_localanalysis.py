@@ -655,7 +655,7 @@ def _reference_class_of(ctx, u):
         else:
             a, b = (a - b * D) / (1 - D), (b - a) / (1 - D)
     coords = tuple(t.numerator * pow(t.denominator, -1, 8) % 8 for t in (a, b))
-    return (v & 1, ctx._canon(coords))
+    return (v & 1, ctx._canon[coords])
 
 
 def test_integer_classes_match_rational_reference():
@@ -675,3 +675,22 @@ def test_integer_classes_match_rational_reference():
             if ctx.norm(u) == 0:
                 continue
             assert ctx.class_of(_scaled(u)) == _reference_class_of(ctx, u), (D, u)
+
+
+def test_unit_table_is_built_whole():
+    # the engine canonicalizes every unit residue mod 8 when it is built, to
+    # the 8 unit square classes, and class_of only reads that table.  Units
+    # are the residues of odd norm: 32 in a ramified field, 48 in the inert
+    rng = random.Random(27)
+    for D, kind, units in ((34, "ram2", 32), (7, "ram3", 32), (221, "inert", 48)):
+        ctx = la.TwoAdicQuad(D)
+        assert ctx.kind == kind
+        table = dict(ctx._canon)
+        assert set(table) == {(a, b) for a in range(8) for b in range(8)
+                              if ctx.norm((a, b)) % 2} and len(table) == units
+        assert len(set(table.values())) == 8
+        for _ in range(500):
+            u = (rng.randint(-(1 << 30), 1 << 30), rng.randint(-(1 << 30), 1 << 30))
+            if ctx.norm(u):
+                ctx.class_of(u)
+        assert ctx._canon == table

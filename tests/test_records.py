@@ -95,13 +95,16 @@ def _one_of_each_record() -> list:
         artin.Form(1, 2, -33),
         images.entries[0][0],
         images,
+        # the record of 3 || n that a decision at D = 34 reads, twist signs built
+        artin._prime_record(34, 4 * 34, artin.canonical_twist(34), 3, 1),
     ]
 
 
 def test_every_record_is_immutable():
     records = _one_of_each_record()
-    assert len({type(rec) for rec in records}) == 12
+    assert len({type(rec) for rec in records}) == 13
     for rec in records:
+        hash(rec)  # no mutable field inside
         for name in rec._fields:
             with pytest.raises(AttributeError):
                 setattr(rec, name, None)

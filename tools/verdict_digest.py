@@ -32,7 +32,11 @@ Each line is a sha256 over one grid, with every record written out in full:
 * ``classify``: the exit code and the JSON line of ``cli.main`` for
   ``classify-pq p q`` on every pair of ``scan --family pq --max 300`` (p < q,
   both 1 mod 4, with ``cor14_applicable``) and for ``classify-2p p`` on
-  every odd prime p below 20,000.
+  every odd prime p below 20,000;
+* ``two_adic``: the engine kind, and the square class (``class_of``) and the
+  Hilbert symbol at the place over 2 (``hilbert_ev``, each unordered pair) of
+  23 small elements x + y sqrt(D), for every D < 3000 where Q_2(sqrt(D)) is
+  a field with v2(D) <= 1.
 
 Equal digests on two trees mean equal output on every pair.  A single grid
 can be named on the command line, as in ``python3 tools/verdict_digest.py solve``.
@@ -49,7 +53,7 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 from gen import JOINT_2D_D, JOINT_2D_N_MAX  # noqa: E402
-from pellcrit import artin, cli, criteria, intcore, pellsolver  # noqa: E402
+from pellcrit import artin, cli, criteria, intcore, localanalysis, pellsolver  # noqa: E402
 
 
 def _pairs(d_max, n_max):
@@ -130,6 +134,20 @@ def _printed(argv):
     return rc, buf.getvalue()
 
 
+_TWO_ADIC_BOX = [(x, y) for x in (-3, -1, 0, 1, 2, 4, 6, 16) for y in (0, 1, -2) if x or y]
+
+
+def _two_adic(D):
+    ctx = localanalysis.two_adic_context(D)
+    place = localanalysis.places_over(D, 2)[0]
+    box = _TWO_ADIC_BOX
+    return (
+        ctx.kind,
+        [ctx.class_of(ctx.from_sqrt_basis(*u)) for u in box],
+        [localanalysis.hilbert_ev(u, w, place) for i, u in enumerate(box) for w in box[i:]],
+    )
+
+
 GRIDS = {
     "minimal_solutions": lambda: (
         ((D, n), pellsolver.minimal_solutions(D, n)) for D, n in _pairs(1500, 300)
@@ -159,6 +177,9 @@ GRIDS = {
         for disc in _discs(20_000)
     ),
     "classify": lambda: ((tuple(argv), _printed(argv)) for argv in _classify_argvs()),
+    "two_adic": lambda: (
+        (D, _two_adic(D)) for D in range(2, 3000) if D % 4 == 2 or D % 8 in (3, 5, 7)
+    ),
 }
 
 
