@@ -42,24 +42,39 @@ with |y| <= B.  The routes, in dispatch order:
   from ``qs`` by P_k^2 = D - Q_(k-1) Q_k, so a reduced state (P, Q) is state
   k iff Q_k = Q and Q_(k-1) = (D - P^2) / Q, found by a scan of ``qs``.  A
   thread that enters the principal cycle at state k has exactly one more
-  solution, at the next visit of (s, 1) = state L; it gets there by the
-  convergent recurrence alone, reading the partial quotients
-  ``period[k-1 : L-1]`` (for k = L, the whole period rotated) off the
-  cached expansion, with no further floor or state.  The cost grows with
-  the number of threads, 2^(w(n)-1) for n with w(n) split primes.
+  solution, at the next visit of (s, 1) = state L, after the run
+  a_k..a_(L-1) of partial quotients (for k = L, the whole period
+  rotated).  The convergent recurrence G <- a G + G' over a run
+  a_1..a_r multiplies (G, G') by the matrices [[a_j, 1], [1, 0]], whose
+  product has Euler's continuants c0 = K(a_1..a_r) and c1 = K(a_2..a_r)
+  in its first column, so the thread ends at G c0 + G' c1, and B likewise,
+  with a norm sign set by the parity of r.  (c0, c1, r mod 2) depends on
+  D and the entry state alone; ``_cycle_continuants`` keeps it, or None
+  off the cycle, in a bounded memo keyed by (D, P, Q) with as many entries
+  as the expansions (1,024).  A miss scans ``qs`` for k and takes the
+  continuants right to left, one multiply-add per partial quotient against
+  the recurrence's two; a thread takes no floor on the cycle.  The cost
+  grows with the number of threads, 2^(w(n)-1) for n with w(n) split
+  primes.
 
 The limit is set by the pairs that reach the oracle.  Measured over
 D < 1500, |n| <= 500, n^2 >= D (Python 3.11, one core of a 2-vCPU VM,
 warm caches, min of 3 runs), the scan tries 44% of the B + 1 values of y
 on average and at most half, at about 0.10 us per y tried plus 1.3 us.
-PQa costs about 8 us per (D, n) at any B while n is new to the memos of
-its square divisors and thread roots, and 2.3 us in the median of 2,000
-seeded pairs with B <= 96 once they hold n, as they do when pairs recur:
-then it beats the scan on 47% of the pairs with B < 32, 73% of those
-with B in [32, 64) and 87% of those with B in [64, 96].  On the
-locally solvable pairs of the ``joint_2d`` benchmark grid, the only
-pairs a joint decision sends to the oracle, the scan wins on 86 of 186
-with B in (64, 96] (8.6 against 8.3 us) and on 3 of 36 in (96, 128].
+The PQa figures come from three runs of one script on that VM, shared
+with other work, each time the least of 3 means of 10 warm
+``minimal_solutions`` calls with the route forced: absolute times moved
+by up to 40% from run to run, while each win rate compares the two
+routes within one run.  PQa costs 12 to 18 us per (D, n) while n is new
+to the memos of its square divisors and thread roots (the least of 3
+calls after clearing them), whether or not the continuants of its entry
+states are held, and 2.2 to 2.9 us in the median of 2,000 seeded pairs
+with B <= 96 once they hold n, as they do when pairs recur: then it
+beats the scan on 49-53% of the pairs with B < 32, 72-77% of those with
+B in [32, 64) and 91-93% of those with B in [64, 96].  On the locally
+solvable pairs of the ``joint_2d`` benchmark grid, the only pairs a
+joint decision sends to the oracle, the scan wins on 41 to 56 of 186
+with B in (64, 96] and on at most 1 of 36 in (96, 128].
 For n^2 < D and B <= 96 (D < 3000) the scan costs 1.3/1.8/4.4 us at
 deciles 10/50/90% against 1.9/2.5/4.0 us for the convergent route.  The
 limit stays at 96, set when PQa had no memos; lowering it is a claim for
@@ -202,7 +217,7 @@ def _pqa_solutions(D: int, m: int, z: int) -> list[tuple[int, int]]:
     """Solutions of x^2 - D y^2 = m on the CF thread of (z + sqrt(D))/|m|."""
     s = isqrt(D)
     am = abs(m)
-    cf, fund = cf_fundamental(D)
+    _, fund = cf_fundamental(D)
     sols: list[tuple[int, int]] = []
 
     def hit(val: int, g: int, b: int) -> None:
@@ -229,9 +244,26 @@ def _pqa_solutions(D: int, m: int, z: int) -> list[tuple[int, int]]:
         if i > _CF_THREAD_MAX_STEPS:
             raise ArithmeticError(f"CF thread failed to cycle for D={D}, m={m}")
     # the first reduced state: off the principal cycle no Q = +-1 follows;
-    # on it, as the state k with Q_k = qs[k - 1] = Q and
-    # Q_(k-1) = qs[k - 2] = (D - P^2) / Q (qs[-1] = Q_L = Q_0), the one
-    # remaining hit is at (s, 1), state L
+    # on it the one remaining hit is at (s, 1), state L, where the
+    # recurrence over the run of partial quotients in between has taken
+    # g to g c0 + g_prev c1, and b alike
+    tail = _cycle_continuants(D, P, Q)
+    if tail is not None:
+        c0, c1, odd = tail
+        hit(am if (i + odd) % 2 == 0 else -am, g * c0 + g_prev * c1, b * c0 + b_prev * c1)
+    return sols
+
+
+# bounded like the expansions: one entry per (D, P, Q), the first reduced
+# state of some thread, so per-D cycle data; no entry depends on n
+@lru_cache(maxsize=_CF_CACHE_SIZE)
+def _cycle_continuants(D: int, P: int, Q: int) -> tuple[int, int, int] | None:
+    # None off the principal cycle.  On it, as the state k with
+    # Q_k = qs[k - 1] = Q and Q_(k-1) = qs[k - 2] = (D - P^2) / Q
+    # (qs[-1] = Q_L = Q_0), the run a_k..a_(L-1) up to (s, 1) (for k = L,
+    # the whole period rotated), its continuants K(run) and K(run[1:]),
+    # taken right to left, and len(run) % 2
+    cf, _ = cf_fundamental(D)
     qs, q_prev = cf.qs, (D - P * P) // Q
     k = 0
     for _ in range(qs.count(Q)):
@@ -239,14 +271,13 @@ def _pqa_solutions(D: int, m: int, z: int) -> list[tuple[int, int]]:
         if qs[k - 2] == q_prev:
             break
     else:
-        return sols
+        return None
     period = cf.period
     run = period[k - 1 : -1] if k < len(period) else period[-1:] + period[:-1]
-    for a in run:
-        g_prev, g = g, a * g + g_prev
-        b_prev, b = b, a * b + b_prev
-    hit(am if (i + len(run)) % 2 == 0 else -am, g, b)
-    return sols
+    c0, c1 = 1, 0
+    for a in reversed(run):
+        c0, c1 = a * c0 + c1, c0
+    return c0, c1, len(run) % 2
 
 
 # bounded like ``factor``'s memo: the key is n itself

@@ -764,8 +764,9 @@ def test_head_waits_for_a_principal_choice(monkeypatch):
 
 def test_prime_records_hold_the_joint_2d_grid():
     # the grid of the joint_2d benchmark, 12 D and 0 < |n| <= 500, needs
-    # fewer records, square divisors, thread roots and unsolvable verdicts
-    # than their bounds: a second pass builds none and decides alike
+    # fewer records, square divisors, thread roots, principal-cycle
+    # continuants and unsolvable verdicts than their bounds: a second pass
+    # builds none and decides alike.  Its 1,860 PQa threads end on 66 states
     ds = [
         D for D in range(2, 1001, 2)
         if not is_square(D) and quadring.classify_order(D).family == "2d"
@@ -775,7 +776,7 @@ def test_prime_records_hold_the_joint_2d_grid():
     assert len(grid) == 12000
     memos = (
         artin._prime_record, pellsolver._square_divisors, pellsolver._thread_roots,
-        pellsolver._unsolvable,
+        pellsolver._cycle_continuants, pellsolver._unsolvable,
     )
     for memo in memos:
         memo.cache_clear()
@@ -783,6 +784,7 @@ def test_prime_records_hold_the_joint_2d_grid():
     infos = [memo.cache_info() for memo in memos]
     for info in infos:
         assert 0 < info.currsize == info.misses < info.maxsize
+    assert infos[3].currsize == 66 and infos[3].hits == 1794
     assert [artin.joint_artin_decide(D, n) for D, n in grid] == first
     assert [memo.cache_info().misses for memo in memos] == [info.misses for info in infos]
 

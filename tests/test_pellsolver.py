@@ -458,13 +458,28 @@ def _first_reduced(D, m, z):
     return (P, Q), i
 
 
+def _cycle_keys(count):
+    # (D, P_k, Q_k) for the principal cycles of sqrt(D), D = 2, 3, ...: the
+    # first count keys on which the continuant memo returns a value
+    keys = []
+    for D in range(2, 10**6):
+        if not is_square(D):
+            keys += [(D, P, Q) for P, Q in _states(cf_fundamental(D)[0])[1:]]
+            if len(keys) >= count:
+                return keys[:count]
+
+
 def test_pqa_threads_match_full_cycles_on_long_periods():
     # thread by thread at D of 10^5..10^6 with periods in the hundreds, where
-    # a thread on the principal cycle jumps along the cached period to (s, 1);
-    # 136889 has an odd period, so its threads of m < 0 also meet
-    # -m through the norm -1 unit
+    # a thread on the principal cycle takes its last solution from the
+    # continuants of the run to (s, 1); 136889 has an odd period, so its
+    # threads of m < 0 also meet -m through the norm -1 unit.  Each thread
+    # runs with the continuant memo cold, warm, and after eviction by keys
+    # of other D: a warm pass makes no miss, an evicted one the same misses
+    # as the cold one
     periods = {106979: 290, 114955: 154, 120937: 123, 136889: 401}
-    on_cycle = entered_at_s1 = odd_negative = 0
+    threads = []
+    on_cycle = off_cycle = entered_at_s1 = odd_negative = 0
     for D, L in periods.items():
         cf, fund = cf_fundamental(D)
         states = _states(cf)
@@ -474,13 +489,28 @@ def test_pqa_threads_match_full_cycles_on_long_periods():
                 continue
             for z in _roots(D, m, factor(abs(m)).factors):
                 want = _reference_pqa_solutions(D, m, z)
-                assert pellsolver._pqa_solutions(D, m, z) == want, (D, m, z)
+                threads.append((D, m, z, want))
                 state, _ = _first_reduced(D, m, z)
                 if state in states:
                     on_cycle += 1
                     entered_at_s1 += states.index(state) == L
+                else:
+                    off_cycle += 1
+                    assert want == []
                 odd_negative += bool(want) and m < 0 and L % 2 == 1
-    assert on_cycle > 100 and entered_at_s1 >= 2 and odd_negative > 10
+    assert on_cycle > 100 and off_cycle > 100 and entered_at_s1 >= 2 and odd_negative > 10
+    memo = pellsolver._cycle_continuants
+    memo.cache_clear()
+    misses = []
+    for run in ("cold", "warm", "evicted"):
+        if run == "evicted":
+            for key in _cycle_keys(memo.cache_info().maxsize):
+                memo(*key)
+        before = memo.cache_info().misses
+        for D, m, z, want in threads:
+            assert pellsolver._pqa_solutions(D, m, z) == want, (run, D, m, z)
+        misses.append(memo.cache_info().misses - before)
+    assert misses[0] == misses[2] > 0 and misses[1] == 0
     # a thread whose first reduced state is (s, 1) itself: one hit on entering
     # and one more a whole rotated period later
     D, m, z = 106979, -50, 23
@@ -710,6 +740,32 @@ def test_thread_roots_are_bounded(assert_bounded):
     mfac = ((10009, 1),)
     assert_bounded(pellsolver._thread_roots, [(a, mfac) for a in range(4097)], 4096)
     assert pellsolver._thread_roots(4, mfac) == (2,)
+
+
+def _continuant(run):
+    # K(run), taken left to right, as the denominators of the convergents
+    k_prev, k = 0, 1
+    for a in run:
+        k_prev, k = k, a * k + k_prev
+    return k
+
+
+def test_cycle_continuants_are_bounded(assert_bounded):
+    assert_bounded(pellsolver._cycle_continuants, _cycle_keys(1025), 1024)
+    # at state k the run is a_k..a_(L-1); at (s, 1), state L, it is the
+    # whole period rotated, a_L, a_1..a_(L-1), so c1 = K(a_1..a_(L-1)) is
+    # y1 of the +-1 unit
+    for D in (2, 13, 94, 106979, 136889):
+        cf, fund = cf_fundamental(D)
+        period = cf.period
+        for k, (P, Q) in enumerate(_states(cf)[1:], 1):
+            run = period[k - 1 : -1] if k < len(period) else period[-1:] + period[:-1]
+            want = _continuant(run), _continuant(run[1:]), len(run) % 2
+            assert pellsolver._cycle_continuants(D, P, Q) == want, (D, k)
+        assert pellsolver._cycle_continuants(D, isqrt(D), 1)[1] == fund.y1
+    # the first reduced state of the thread of (30 + sqrt(2575)) / 67 is
+    # off the principal cycle
+    assert pellsolver._cycle_continuants(2575, *_first_reduced(2575, -67, 30)[0]) is None
 
 
 def test_unsolvable_verdicts_are_bounded(assert_bounded):

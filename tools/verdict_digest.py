@@ -8,6 +8,10 @@ Each line is a sha256 over one grid, with every record written out in full:
 
 * ``minimal_solutions``: every solution class of x^2 - D y^2 = n, non-square
   D < 1500, 0 < |n| <= 300;
+* ``pqa_threads``: the raw solutions of one PQa thread (``_pqa_solutions``,
+  before any descent along the unit orbit) of x^2 - D y^2 = m, for
+  non-square D < 600, 1 < |m| <= 300 and every square root z of D mod |m|
+  with 0 <= z <= |m|/2;
 * ``local_obstruction_anywhere``: the first obstructing prime, or None, for
   non-square D < 800, 0 < |n| <= 400;
 * ``solve``: the verdict (status, witness, provenance, reason) for non-square
@@ -116,6 +120,16 @@ def _walk(D):
     return (cf.period, cf.qs, _states(cf), (fund.x1, fund.y1, fund.unit_norm))
 
 
+def _threads():
+    for m in range(-300, 301):
+        if abs(m) > 1:
+            mfac = intcore.factor(abs(m)).factors
+            for D in range(2, 600):
+                if math.isqrt(D) ** 2 != D:
+                    for z in pellsolver._thread_roots(D % abs(m), mfac):
+                        yield D, m, z
+
+
 def _classify_argvs():
     ps = [p for p in intcore._sieve(300) if p % 4 == 1]
     for i, p in enumerate(ps):
@@ -151,6 +165,9 @@ def _two_adic(D):
 GRIDS = {
     "minimal_solutions": lambda: (
         ((D, n), pellsolver.minimal_solutions(D, n)) for D, n in _pairs(1500, 300)
+    ),
+    "pqa_threads": lambda: (
+        ((D, m, z), pellsolver._pqa_solutions(D, m, z)) for D, m, z in _threads()
     ),
     "local_obstruction_anywhere": lambda: (
         ((D, n), intcore.local_obstruction_anywhere(D, n)) for D, n in _pairs(800, 400)
