@@ -491,10 +491,10 @@ def _some_choice_passes(D: int, n: int, twist: TwistPoint, fac: Factorization) -
 
 def artin_condition(D: int, n: int, twist: TwistPoint | None = None) -> bool:
     """Whether some adelic point has principal class and trivial twist symbol."""
-    fac = factor(abs(n))
-    if local_obstruction_anywhere(D, n, fac=fac) is not None:
+    if local_obstruction_anywhere(D, n) is not None:
         return False
-    return _some_choice_passes(D, n, canonical_twist(D) if twist is None else twist, fac)
+    twist = canonical_twist(D) if twist is None else twist
+    return _some_choice_passes(D, n, twist, factor(abs(n)))
 
 
 def joint_artin_decide(D: int, n: int) -> Verdict:
@@ -506,12 +506,12 @@ def joint_artin_decide(D: int, n: int) -> Verdict:
     if n == 0:
         raise ValueError("n must be nonzero")
     if _applicable(D):
-        fac = factor(abs(n))
-        l = local_obstruction_anywhere(D, n, fac=fac)
+        # the local test factors |n| only once D's primes and 2 pass
+        l = local_obstruction_anywhere(D, n)
         if l is not None:
-            return pellsolver._unsolvable("artin", f"local-obstruction:{l}")
+            return pellsolver._obstructed("artin", l)
         try:
-            holds = _some_choice_passes(D, n, canonical_twist(D), fac)
+            holds = _some_choice_passes(D, n, canonical_twist(D), factor(abs(n)))
         except NotImplementedError:
             pass  # conductor prime split in the order and 4 | n: outside the model
         else:

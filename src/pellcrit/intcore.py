@@ -363,7 +363,7 @@ def _odd_solvable(D: int, n: int, l: int, e: int) -> bool:
     return e % 2 == 0 or pow(D, l >> 1, l) == 1
 
 
-# D's odd primes, v2(D) and odd part of D; bounded, like the factor memo it reads
+# the local scan's per-D plan: D's odd primes, v2(D) and odd part; bounded like factor's memo
 @lru_cache(maxsize=4096)
 def _d_parts(D: int) -> tuple[tuple[int, ...], int, int]:
     odd = tuple(p for p, _ in factor(D).factors if p != 2)
@@ -374,20 +374,25 @@ def local_obstruction_anywhere(D: int, n: int, *, fac: Factorization | None = No
     """The first prime l with no Z_l-point of x^2 - D y^2 = n, or None.
 
     D's odd primes, then 2, then the odd primes of n prime to D, so each
-    prime of 2Dn is tested once; D's primes, v2(D) and odd part are memoized
-    per D.  ``fac`` is the factorization of |n| (else made once 2 passes); it
-    gives each v_l(n), and no prime is proven again: it proved them when built.
+    prime of 2Dn is tested once, by a per-D plan (D's odd primes, v2(D) and
+    odd part).  The unit cases are Euler's criterion: n a square mod an odd
+    l | D prime to n, whatever the power of l in D, and D a square mod an
+    odd prime of n prime to D with v_l(n) odd; only an l dividing D and n
+    reaches ``_odd_solvable``'s descent.  ``fac`` is the factorization of
+    |n|, else made only once D's primes and 2 pass; no prime is proven
+    again: it proved them when built.
     """
     odd, a, d = _d_parts(D)
     for l in odd:
-        if not _odd_solvable(D, n, l, valuation(n, l) if n % l == 0 else 0):
+        r = n % l
+        if (pow(r, l >> 1, l) != 1) if r else not _odd_solvable(D, n, l, valuation(n, l)):
             return l
     if _two_adic_layer(a, d, n) is None:
         return 2
     if fac is None:
         fac = factor(abs(n))
     for l, e in fac.factors:
-        if l != 2 and D % l and not _odd_solvable(D, n, l, e):
+        if e & 1 and l != 2 and D % l and pow(D % l, l >> 1, l) != 1:
             return l
     return None
 

@@ -396,13 +396,20 @@ def _unsolvable(provenance: str, reason: str | None) -> Verdict:
     return Verdict("unsolvable", None, provenance, reason)
 
 
+# bounded: one entry per (provenance, obstructing prime l), keyed by l itself
+# so that no decision formats the reason; l is None when every Z_l has a point
+@lru_cache(maxsize=4096)
+def _obstructed(provenance: str, l: int | None) -> Verdict:
+    return Verdict("unsolvable", None, provenance,
+                   "class-search-exhausted" if l is None else f"local-obstruction:{l}")
+
+
 def solve(D: int, n: int) -> Verdict:
     """Complete decision of x^2 - D y^2 = n over Z, with a minimal witness."""
     reps = minimal_solutions(D, n)
     if reps:
         return Verdict("solvable", reps[0], "oracle")
-    l = local_obstruction_anywhere(D, n)
-    return _unsolvable("oracle", "class-search-exhausted" if l is None else f"local-obstruction:{l}")
+    return _obstructed("oracle", local_obstruction_anywhere(D, n))
 
 
 def confirm(D: int, n: int, holds: bool, provenance: str, reason: str | None = None) -> Verdict:

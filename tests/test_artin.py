@@ -675,37 +675,57 @@ def test_joint_decide_anchors():
 
 def test_joint_decide_is_one_pass(monkeypatch):
     # with the per-D state warm, a decision factors |n| once, never
-    # classifies D again, and tests each prime of 2 D n for a local point once
-    D, n = 1394, -370  # 370 = 2 * 5 * 37, with 5 and 37 split
+    # classifies D again, and tests each prime of 2 D n for a local point
+    # once, by the per-D plan: Euler's criterion for a unit n at 41 | D and
+    # for the unit D at 7 || n, the descent only at 17, which divides D and
+    # n, nothing at 3, whose exponent in n is even, and the 2-adic closed form
+    D, n = 1394, 1071  # 1394 = 2 * 17 * 41, 1071 = 3^2 * 7 * 17
     artin.joint_artin_decide(D, n)
-    assert len(artin.class_images_of_norm(D, n).entries[0][0].split) == 2
-    calls = {"factor": [], "classify_order": [], "_odd_solvable": [], "_two_adic_layer": []}
+    names = ("factor", "classify_order", "_odd_solvable", "_two_adic_layer", "pow")
+    calls = {name: [] for name in names}
 
-    def counting(module, name):
-        orig = getattr(module, name)
-
+    def counting(module, name, orig):
         def wrapped(*args, **kwargs):
             calls[name].append(args)
             return orig(*args, **kwargs)
 
-        monkeypatch.setattr(module, name, wrapped)
+        monkeypatch.setattr(module, name, wrapped, raising=False)
 
-    counting(artin, "factor")
-    counting(artin, "classify_order")
-    # the local-obstruction scan lives in intcore: one test per odd prime
-    # (D, n, l, v_l(n)), and the 2-adic closed form on (v2(D), D / 2^v2(D), n)
-    counting(intcore, "_odd_solvable")
-    counting(intcore, "_two_adic_layer")
+    for module in (artin, intcore):
+        counting(module, "factor", factor)
+    counting(artin, "classify_order", artin.classify_order)
+    counting(intcore, "_odd_solvable", intcore._odd_solvable)
+    counting(intcore, "_two_adic_layer", intcore._two_adic_layer)
+    counting(intcore, "pow", pow)  # shadows the builtin inside intcore only
+    misses = factor.cache_info().misses
     v = artin.joint_artin_decide(D, n)
+    assert v.solvable and v.provenance == "artin"
     x, y = v.witness
-    assert v.provenance == "artin" and x * x - D * y * y == n
-    assert calls["factor"] == [(370,)]
+    assert x * x - D * y * y == n
+    # the local test factors |n| once 2 passes, and the criterion reads it
+    # back from the memo, which computes nothing
+    assert calls["factor"] == [(n,), (n,)] and factor.cache_info().misses == misses
     assert calls["classify_order"] == []
     assert calls["_two_adic_layer"] == [(1, D // 2, n)]
-    # 17 and 41 divide D but not n; 5 and 37 divide n once
-    assert sorted(calls["_odd_solvable"]) == [
-        (D, n, 5, 1), (D, n, 17, 0), (D, n, 37, 1), (D, n, 41, 0)
-    ]
+    assert calls["_odd_solvable"] == [(D, n, 17, 1)]
+    assert sorted(args[2] for args in calls["pow"]) == [7, 17, 41]
+
+
+def test_obstructed_verdicts_are_interned(assert_bounded):
+    # one immutable verdict per (provenance, obstructing prime), shared by
+    # the joint decision and the oracle: 13 and 15 are both obstructed at 41
+    D = 1394
+    joint = artin.joint_artin_decide(D, 13)
+    assert joint == ("unsolvable", None, "artin", "local-obstruction:41")
+    assert artin.joint_artin_decide(D, 15) is joint is pellsolver._obstructed("artin", 41)
+    oracle = pellsolver.solve(D, 13)
+    assert oracle == ("unsolvable", None, "oracle", "local-obstruction:41")
+    assert pellsolver.solve(D, 15) is oracle is pellsolver._obstructed("oracle", 41)
+    # locally solvable everywhere, yet no integral point
+    exhausted = pellsolver.solve(82, 2)
+    assert exhausted == ("unsolvable", None, "oracle", "class-search-exhausted")
+    assert pellsolver.solve(D, 2) is exhausted is pellsolver._obstructed("oracle", None)
+    assert_bounded(pellsolver._obstructed, [("artin", l) for l in range(4097)], 4096)
 
 
 def test_warm_decision_reads_per_prime_caches(monkeypatch):

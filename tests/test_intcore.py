@@ -5,7 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pellcrit import intcore
+from pellcrit import artin, intcore
 
 
 def test_is_prime_examples():
@@ -299,6 +299,30 @@ def test_local_obstruction_factors_only_n_once_d_is_warm(monkeypatch):
         assert calls == ([] if l in (2, 3, 5) else [abs(n)]), (n, l)
         seen.add(l)
     assert {2, 3, 5, None} <= seen and len(seen) > 4
+
+
+def test_locally_obstructed_decision_factors_nothing(monkeypatch):
+    # the joint decision and artin_condition run the local test before they
+    # factor |n|: obstructed at an odd prime of D or at 2, neither factors;
+    # obstructed at a prime of n, or locally solvable, both read the
+    # factorization of |n|, and of nothing else
+    D = 1394  # 2 * 17 * 41, where the joint criterion applies
+    ns = [n for n in range(-300, 301) if n]
+    first = {n: intcore.local_obstruction_anywhere(D, n) for n in ns}
+    artin.joint_artin_decide(D, 1)
+    calls = []
+    factor = intcore.factor
+    for module in (intcore, artin):
+        monkeypatch.setattr(module, "factor", lambda n: calls.append(n) or factor(n))
+    for n in ns:
+        l = first[n]
+        for decide in (artin.joint_artin_decide, artin.artin_condition):
+            calls.clear()
+            out = decide(D, n)
+            if l is not None:
+                assert out is False or out.reason == f"local-obstruction:{l}", (n, out)
+            assert calls == [] if l in (2, 17, 41) else calls and set(calls) == {abs(n)}, (n, l)
+    assert {2, 17, 41, None} < set(first.values())
 
 
 def test_local_solvable_rejects_its_edge():

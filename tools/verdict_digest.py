@@ -14,6 +14,11 @@ Each line is a sha256 over one grid, with every record written out in full:
   with 0 <= z <= |m|/2;
 * ``local_obstruction_anywhere``: the first obstructing prime, or None, for
   non-square D < 800, 0 < |n| <= 400;
+* ``local_powers``: the same, for D = l^k m with l^2 | D, odd l <= 13,
+  2 <= k <= 5 and 0 < m < 25 prime to l, and n = +-2^a l^b u with a <= 12,
+  b <= 6 and odd u < 16 prime to l, so that the descent at l^2 | D, the
+  primes l of both D and n, and the 2-adic layers run far beyond the
+  |n| <= 400 grid;
 * ``solve``: the verdict (status, witness, provenance, reason) for non-square
   D < 1000, 0 < |n| <= 200;
 * ``joint_artin_decide``: the same tuple over the 12 family-B D of the
@@ -73,6 +78,21 @@ def _family_pairs():
     for D, n in _pairs(3000, 300):
         if artin._applicable(D):
             yield D, n
+
+
+def _local_powers():
+    for l in (3, 5, 7, 11, 13):
+        units = [u for u in range(1, 16, 2) if u % l]
+        for k in range(2, 6):
+            for m in range(1, 25):
+                D = l**k * m
+                if m % l == 0 or math.isqrt(D) ** 2 == D:
+                    continue
+                for a in range(13):
+                    for b in range(7):
+                        for u in units:
+                            yield D, 2**a * l**b * u
+                            yield D, -(2**a) * l**b * u
 
 
 def _verdict(v):
@@ -171,6 +191,9 @@ GRIDS = {
     ),
     "local_obstruction_anywhere": lambda: (
         ((D, n), intcore.local_obstruction_anywhere(D, n)) for D, n in _pairs(800, 400)
+    ),
+    "local_powers": lambda: (
+        ((D, n), intcore.local_obstruction_anywhere(D, n)) for D, n in _local_powers()
     ),
     "solve": lambda: (((D, n), _verdict(pellsolver.solve(D, n))) for D, n in _pairs(1000, 200)),
     "joint_artin_decide": lambda: (
