@@ -339,13 +339,29 @@ def _two_adic_layer(a: int, d: int, n: int) -> int | None:
     return None
 
 
+# bounded: one entry per 2-adic square-class key (v2(D), D's odd part mod 8,
+# v2(n), n's odd part mod 8), which ranges only as widely as the valuations
+@lru_cache(maxsize=4096)
+def _two_adic_ok(a: int, d8: int, s: int, u8: int) -> bool:
+    # Z_2-solvability of x^2 - D y^2 = n for D = 2^a d, n = 2^s u, given
+    # d8 = d mod 8 and u8 = u mod 8: the representatives d8 and u8 2^s are
+    # D and n times unit squares, and scaling D or n by a unit square w^2
+    # maps Z_2-points to Z_2-points
+    return _two_adic_layer(a, d8, u8 << s) is not None
+
+
 def local_solvable(D: int, n: int, l: int) -> bool:
     """True iff x^2 - D y^2 = n has a solution in Z_l x Z_l."""
     if n == 0:
         raise ValueError("n must be nonzero")
     if not is_prime(l):
         raise ValueError(f"{l} is not prime")
-    return two_adic_layer(D, n) is not None if l == 2 else _odd_solvable(D, n, l, valuation(n, l))
+    if l != 2:
+        return _odd_solvable(D, n, l, valuation(n, l))
+    if D == 0:
+        raise ValueError("D and n must be nonzero")
+    a, s = valuation(D, 2), valuation(n, 2)
+    return _two_adic_ok(a, (D >> a) & 7, s, (n >> s) & 7)
 
 
 def _odd_solvable(D: int, n: int, l: int, e: int) -> bool:
@@ -363,35 +379,41 @@ def _odd_solvable(D: int, n: int, l: int, e: int) -> bool:
     return e % 2 == 0 or pow(D, l >> 1, l) == 1
 
 
-# the local scan's per-D plan: D's odd primes, v2(D) and odd part; bounded like factor's memo
+# the local scan's per-D plan: D's odd primes, v2(D) and its odd part mod 8;
+# bounded like factor's memo
 @lru_cache(maxsize=4096)
 def _d_parts(D: int) -> tuple[tuple[int, ...], int, int]:
     odd = tuple(p for p, _ in factor(D).factors if p != 2)
-    return odd, valuation(D, 2), D >> valuation(D, 2)
+    a = valuation(D, 2)
+    return odd, a, (D >> a) & 7
 
 
-def local_obstruction_anywhere(D: int, n: int, *, fac: Factorization | None = None) -> int | None:
+def local_obstruction_anywhere(D: int, n: int) -> int | None:
     """The first prime l with no Z_l-point of x^2 - D y^2 = n, or None.
 
     D's odd primes, then 2, then the odd primes of n prime to D, so each
     prime of 2Dn is tested once, by a per-D plan (D's odd primes, v2(D) and
-    odd part).  The unit cases are Euler's criterion: n a square mod an odd
-    l | D prime to n, whatever the power of l in D, and D a square mod an
-    odd prime of n prime to D with v_l(n) odd; only an l dividing D and n
-    reaches ``_odd_solvable``'s descent.  ``fac`` is the factorization of
-    |n|, else made only once D's primes and 2 pass; no prime is proven
-    again: it proved them when built.
+    its odd part mod 8).  The unit cases are Euler's criterion: n a square
+    mod an odd l | D prime to n, whatever the power of l in D, and D a
+    square mod an odd prime of n prime to D with v_l(n) odd; only an l
+    dividing D and n reaches ``_odd_solvable``'s descent.  At 2 the test is
+    a lookup: a Z_2-point depends only on the square classes of D and n in
+    Q_2*/Q_2*^2, which v2 and the odd part mod 8 fix, since the odd squares
+    of Z_2 are 1 + 8 Z_2 and scaling D or n by a unit square w^2 maps
+    Z_2-points to Z_2-points; ``_two_adic_ok`` keeps the closed form's
+    verdict per (v2(D), d mod 8, v2(n), u mod 8).  |n| is factored only
+    once D's primes and 2 pass, through ``factor``'s memo; no prime is
+    proven again: the factorization proved them when built.
     """
-    odd, a, d = _d_parts(D)
+    odd, a, d8 = _d_parts(D)
     for l in odd:
         r = n % l
         if (pow(r, l >> 1, l) != 1) if r else not _odd_solvable(D, n, l, valuation(n, l)):
             return l
-    if _two_adic_layer(a, d, n) is None:
+    s = valuation(n, 2)
+    if not _two_adic_ok(a, d8, s, (n >> s) & 7):
         return 2
-    if fac is None:
-        fac = factor(abs(n))
-    for l, e in fac.factors:
+    for l, e in factor(abs(n)).factors:
         if e & 1 and l != 2 and D % l and pow(D % l, l >> 1, l) != 1:
             return l
     return None

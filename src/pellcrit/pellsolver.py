@@ -12,15 +12,21 @@ x - y sqrt(D)) have the same orbit-minimal (|x|, |y|) representative, so the
 PQa route searches one class of each conjugate pair.  The orbit bound
 B = ``orbit_y_bound(D, n)`` is an integer >= sqrt(|n| eps / D), eps the
 norm-plus-one fundamental unit, so that every class has a representative
-with |y| <= B.  The routes, in dispatch order:
+with |y| <= B.  B depends on |n| alone and never falls as |n| grows, so
+the dispatch reads a per-D plan, ``_oracle_plan`` (bounded like the
+expansions, 1,024 D): the +1 unit and n_scan, the largest |n| with
+B <= ``_ORBIT_SCAN_LIMIT``, found once per D by a binary search of an
+interval that holds one or two values once the unit is large.  A request
+then checks D through the plan and computes no B.  The routes, in
+dispatch order:
 
-* B <= ``_ORBIT_SCAN_LIMIT``: scan for n + D y^2 a square, in exact
-  integer arithmetic, over y in Nagell's range only (Introduction to Number
-  Theory, Thms 108 and 108a): with (x1, y1) the +1 unit, each class has a
-  member with 0 <= y <= y1 sqrt(n / (2 (x1 + 1))) for n > 0, and with
-  sqrt(-n / D) <= y <= y1 sqrt(-n / (2 (x1 - 1))) for n < 0.  That range
-  holds under half of the B + 1 values of y, and the cost is proportional
-  to its length;
+* |n| <= n_scan, that is B <= ``_ORBIT_SCAN_LIMIT``: scan for n + D y^2 a
+  square, in exact integer arithmetic, over y in Nagell's range only
+  (Introduction to Number Theory, Thms 108 and 108a): with (x1, y1) the +1
+  unit, each class has a member with 0 <= y <= y1 sqrt(n / (2 (x1 + 1)))
+  for n > 0, and with sqrt(-n / D) <= y <= y1 sqrt(-n / (2 (x1 - 1))) for
+  n < 0.  That range holds under half of the B + 1 values of y, and the
+  cost is proportional to its length;
 * n^2 < D: read the classes off the cached period of sqrt(D).  Each
   primitive solution x/y of x^2 - D y^2 = m with |m| < sqrt(D) is a
   convergent h_k/k_k (Lagrange), and h_k^2 - D k_k^2 = (-1)^(k+1) Q_(k+1),
@@ -187,11 +193,37 @@ def plus_unit(D: int) -> tuple[int, int]:
     return f.x1 * f.x1 + D * f.y1 * f.y1, 2 * f.x1 * f.y1
 
 
-def orbit_y_bound(D: int, n: int, unit: tuple[int, int] | None = None) -> int:
+def orbit_y_bound(D: int, n: int) -> int:
     """Integer B >= sqrt(|n| eps / D); every class has a rep with |y| <= B."""
-    xp, yp = plus_unit(D) if unit is None else unit
+    xp, yp = plus_unit(D)
     num = abs(n) * xp + isqrt(n * n * yp * yp * D) + 1
     return isqrt(num // D + 1) + 1
+
+
+# bounded like the expansions: one entry per D
+@lru_cache(maxsize=_CF_CACHE_SIZE)
+def _oracle_plan(D: int) -> tuple[tuple[int, int], int]:
+    """The +1 unit of D and n_scan, the largest |n| whose orbit bound is scanned.
+
+    ``orbit_y_bound(D, n) <= _ORBIT_SCAN_LIMIT`` iff f(|n|) <= C, with
+    f(k) = k xp + isqrt(k^2 yp^2 D) increasing and
+    C = (_ORBIT_SCAN_LIMIT^2 - 1) D - 2, so the scan route is exactly
+    -n_scan <= n <= n_scan.  As yp^2 D = xp^2 - 1, isqrt(yp^2 D) = xp - 1
+    and k (xp - 1) <= isqrt(k^2 yp^2 D) < k xp, so n_scan lies in
+    [(C + 1) // (2 xp), C // (2 xp - 1)], one or two values once the unit
+    is large, and a binary search of that interval finds it.  Raises
+    ValueError unless D is a positive non-square.
+    """
+    unit = xp, yp = plus_unit(D)
+    C = (_ORBIT_SCAN_LIMIT * _ORBIT_SCAN_LIMIT - 1) * D - 2
+    lo, hi = (C + 1) // (2 * xp), C // (2 * xp - 1)
+    while lo < hi:
+        k = (lo + hi + 1) // 2
+        if k * xp + isqrt((k * yp) ** 2 * D) <= C:
+            lo = k
+        else:
+            hi = k - 1
+    return unit, lo
 
 
 def _descend(D: int, x: int, y: int, unit: tuple[int, int] | None = None) -> tuple[int, int]:
@@ -359,15 +391,14 @@ def minimal_solutions(D: int, n: int) -> list[tuple[int, int]]:
     Sorted by (y, x); the first, the witness, is checked against the
     equation, and ArithmeticError raised if it fails.
     """
-    if D <= 0 or is_square(D):
-        raise ValueError(f"D must be a positive non-square, got {D}")
+    unit, n_scan = _oracle_plan(D)
     if n == 0:
         raise ValueError("n must be nonzero")
-    unit = xp, yp = plus_unit(D)
-    if orbit_y_bound(D, n, unit) <= _ORBIT_SCAN_LIMIT:
+    if -n_scan <= n <= n_scan:
         # only Nagell's range of least y per class (Thms 108 and 108a, see
         # the module docstring); for n < 0 it starts at the least y with
         # D y^2 >= -n, so t is never negative
+        xp, yp = unit
         if n > 0:
             ys = range(0, isqrt(n * yp * yp // (2 * (xp + 1))) + 1)
         else:

@@ -678,10 +678,13 @@ def test_joint_decide_is_one_pass(monkeypatch):
     # classifies D again, and tests each prime of 2 D n for a local point
     # once, by the per-D plan: Euler's criterion for a unit n at 41 | D and
     # for the unit D at 7 || n, the descent only at 17, which divides D and
-    # n, nothing at 3, whose exponent in n is even, and the 2-adic closed form
+    # n, nothing at 3, whose exponent in n is even, and at 2 one lookup of
+    # the verdict by square class, which runs no closed form once warm
     D, n = 1394, 1071  # 1394 = 2 * 17 * 41, 1071 = 3^2 * 7 * 17
     artin.joint_artin_decide(D, n)
-    names = ("factor", "classify_order", "_odd_solvable", "_two_adic_layer", "pow")
+    names = (
+        "factor", "classify_order", "_odd_solvable", "_two_adic_ok", "_two_adic_layer", "pow"
+    )
     calls = {name: [] for name in names}
 
     def counting(module, name, orig):
@@ -695,6 +698,7 @@ def test_joint_decide_is_one_pass(monkeypatch):
         counting(module, "factor", factor)
     counting(artin, "classify_order", artin.classify_order)
     counting(intcore, "_odd_solvable", intcore._odd_solvable)
+    counting(intcore, "_two_adic_ok", intcore._two_adic_ok)
     counting(intcore, "_two_adic_layer", intcore._two_adic_layer)
     counting(intcore, "pow", pow)  # shadows the builtin inside intcore only
     misses = factor.cache_info().misses
@@ -706,7 +710,9 @@ def test_joint_decide_is_one_pass(monkeypatch):
     # back from the memo, which computes nothing
     assert calls["factor"] == [(n,), (n,)] and factor.cache_info().misses == misses
     assert calls["classify_order"] == []
-    assert calls["_two_adic_layer"] == [(1, D // 2, n)]
+    # (v2(D), D's odd part mod 8, v2(n), n's odd part mod 8)
+    assert calls["_two_adic_ok"] == [(1, 697 & 7, 0, 1071 & 7)]
+    assert calls["_two_adic_layer"] == []
     assert calls["_odd_solvable"] == [(D, n, 17, 1)]
     assert sorted(args[2] for args in calls["pow"]) == [7, 17, 41]
 

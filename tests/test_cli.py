@@ -242,6 +242,7 @@ def test_scan_2p_walks_each_period_once_and_labels_nothing(monkeypatch, capsys):
     )
     pellsolver.cf_fundamental.cache_clear()
     pellsolver.plus_unit.cache_clear()
+    pellsolver._oracle_plan.cache_clear()
     assert cli.main(["scan", "--family", "2p", "--max", "300"]) == cli.EXIT_OK
     records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
     assert len(records) == 61 and all(rec["agree"] for rec in records)

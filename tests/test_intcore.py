@@ -242,16 +242,14 @@ def test_against_sympy_around_witness_bounds():
         assert dict(intcore.factor.__wrapped__(n).factors) == sympy.factorint(n), n
 
 
-# the scan as before the per-D memo of D's odd primes, verbatim
-def _reference_local_obstruction(D, n, *, fac=None):
+# the scan as before the per-D memo of D's odd primes
+def _reference_local_obstruction(D, n):
     for l in intcore.factor(D).primes():
         if l != 2 and not intcore.local_solvable(D, n, l):
             return l
     if not intcore.local_solvable(D, n, 2):
         return 2
-    if fac is None:
-        fac = intcore.factor(abs(n))
-    for l in fac.primes():
+    for l in intcore.factor(abs(n)).primes():
         if l != 2 and D % l and not intcore.local_solvable(D, n, l):
             return l
     return None
@@ -276,8 +274,6 @@ def test_local_obstruction_matches_reference():
                 continue
             want = _reference_local_obstruction(D, n)
             assert intcore.local_obstruction_anywhere(D, n) == want, (D, n)
-            fac = intcore.factor(abs(n))
-            assert intcore.local_obstruction_anywhere(D, n, fac=fac) == want, (D, n)
             obstructed += want is not None
     assert obstructed > 10_000
 
@@ -325,6 +321,25 @@ def test_locally_obstructed_decision_factors_nothing(monkeypatch):
     assert {2, 17, 41, None} < set(first.values())
 
 
+def test_two_adic_verdicts_by_square_class(assert_bounded):
+    # the memo keyed by (v2(D), d mod 8, v2(n), u mod 8), D = 2^a d and
+    # n = 2^s u, answers as the closed form does on D and n themselves, for
+    # either sign of d and u; local_solvable at 2 reads it
+    for a in range(11):
+        for d in range(-39, 40, 2):
+            for s in range(13):
+                for u in range(-31, 32, 2):
+                    n = u << s
+                    want = intcore._two_adic_layer(a, d, n) is not None
+                    assert intcore._two_adic_ok(a, d & 7, s, u & 7) == want, (a, d, n)
+                    assert intcore.local_solvable(d << a, n, 2) == want, (a, d, n)
+    keys = [(a, d, s, u) for a in range(17) for s in range(17) for d in (1, 3, 5, 7)
+            for u in (1, 3, 5, 7)]
+    assert_bounded(intcore._two_adic_ok, keys[:4097], 4096)
+    with pytest.raises(ValueError, match="nonzero"):
+        intcore.local_solvable(0, 3, 2)
+
+
 def test_local_solvable_rejects_its_edge():
     with pytest.raises(ValueError, match="nonzero"):
         intcore.local_solvable(34, 0, 17)
@@ -356,14 +371,16 @@ def test_local_solvable_descent_matches_brute_force():
 
 
 def test_warm_scan_reads_its_factorization(monkeypatch):
-    # given fac, the scan proves no prime and takes every v_l(n) of n's own
-    # primes from fac: valuation runs at an odd prime only where it divides
-    # both D and n (v2 belongs to the 2-adic closed form)
+    # with |n| in factor's memo, the scan proves no prime and takes every
+    # v_l(n) of n's own primes from the factorization: valuation runs at an
+    # odd prime only where it divides both D and n (v2 belongs to the 2-adic
+    # lookup)
     cases = [(D, n) for D in (45, 630, 1394, 7 * 11**3) for n in range(-200, 201) if n]
-    facs = {n: intcore.factor(abs(n)) for _, n in cases}
+    for n in range(1, 201):
+        intcore.factor(n)
     odd = {D: [p for p in intcore.factor(D).primes() if p != 2] for D, _ in cases}
     for D, n in cases:
-        intcore.local_obstruction_anywhere(D, n, fac=facs[n])
+        intcore.local_obstruction_anywhere(D, n)
     primes, valuations = [], []
     is_prime, valuation = intcore.is_prime, intcore.valuation
     monkeypatch.setattr(intcore, "is_prime", lambda m: primes.append(m) or is_prime(m))
@@ -372,7 +389,7 @@ def test_warm_scan_reads_its_factorization(monkeypatch):
     )
     for D, n in cases:
         valuations.clear()
-        l = intcore.local_obstruction_anywhere(D, n, fac=facs[n])
+        l = intcore.local_obstruction_anywhere(D, n)
         visited = odd[D][: odd[D].index(l) + 1] if l in odd[D] else odd[D]
         assert [c for c in valuations if c[1] != 2] == [(n, p) for p in visited if n % p == 0]
     assert primes == []

@@ -272,6 +272,35 @@ def test_scan_limit_boundary(monkeypatch):
     assert any(_orbit_scan(D, n) for D, n in at[limit + 1] if n * n >= D)
 
 
+def test_oracle_plan_threshold_is_exact():
+    # n_scan is the largest |n| with orbit bound <= the limit, so the scan
+    # route is -n_scan <= n <= n_scan; near 10^6 most units are large and
+    # n_scan is 0, while D = 1000^2 +- small has a small unit and a large
+    # n_scan
+    limit, bound = pellsolver._ORBIT_SCAN_LIMIT, pellsolver.orbit_y_bound
+    ds = [D for D in range(2, 3000) if not is_square(D)]
+    near = [D for D in range(10**6 - 50, 10**6 + 51) if not is_square(D)]
+    assert len(near) == 100
+    zero = 0
+    for D in ds + near:
+        unit, n_scan = pellsolver._oracle_plan(D)
+        assert unit == pellsolver.plus_unit(D)
+        assert bound(D, n_scan) <= limit < bound(D, n_scan + 1), D
+        zero += D in near and n_scan == 0
+    assert 0 < zero < 100
+    # D is checked before n
+    for D in (-3, 0, 49):
+        with pytest.raises(ValueError, match="positive non-square"):
+            pellsolver.minimal_solutions(D, 0)
+    with pytest.raises(ValueError, match="n must be nonzero"):
+        pellsolver.minimal_solutions(2, 0)
+
+
+def test_oracle_plans_are_bounded(assert_bounded):
+    ds = [D for D in range(2, 2000) if not is_square(D)][:1025]
+    assert_bounded(pellsolver._oracle_plan, [(D,) for D in ds], 1024)
+
+
 # the full-cycle thread, verbatim as before the early stop
 def _reference_pqa_solutions(D: int, m: int, z: int) -> list[tuple[int, int]]:
     """Solutions of x^2 - D y^2 = m on the CF thread of (z + sqrt(D))/|m|."""

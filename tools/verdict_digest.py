@@ -21,6 +21,9 @@ Each line is a sha256 over one grid, with every record written out in full:
   |n| <= 400 grid;
 * ``solve``: the verdict (status, witness, provenance, reason) for non-square
   D < 1000, 0 < |n| <= 200;
+* ``routes``: the route ``minimal_solutions`` takes (the orbit scan,
+  convergents or PQa threads) over the same pairs, seen by wrapping
+  ``_convergent_all`` and ``_lmm_all``;
 * ``joint_artin_decide``: the same tuple over the 12 family-B D of the
   ``joint_2d`` benchmark and 0 < |n| <= 500;
 * ``joint_families``: the same tuple over every D < 3000 where the joint
@@ -150,6 +153,23 @@ def _threads():
                         yield D, m, z
 
 
+def _routes():
+    # the route of minimal_solutions on each solve pair: "scan" unless it
+    # called _convergent_all or _lmm_all
+    taken = []
+    saved = {name: getattr(pellsolver, name) for name in ("_convergent_all", "_lmm_all")}
+    for name, f in saved.items():
+        setattr(pellsolver, name, lambda D, n, name=name, f=f: taken.append(name) or f(D, n))
+    try:
+        for D, n in _pairs(1000, 200):
+            taken.clear()
+            pellsolver.minimal_solutions(D, n)
+            yield (D, n), tuple(taken) or "scan"
+    finally:
+        for name, f in saved.items():
+            setattr(pellsolver, name, f)
+
+
 def _classify_argvs():
     ps = [p for p in intcore._sieve(300) if p % 4 == 1]
     for i, p in enumerate(ps):
@@ -196,6 +216,7 @@ GRIDS = {
         ((D, n), intcore.local_obstruction_anywhere(D, n)) for D, n in _local_powers()
     ),
     "solve": lambda: (((D, n), _verdict(pellsolver.solve(D, n))) for D, n in _pairs(1000, 200)),
+    "routes": _routes,
     "joint_artin_decide": lambda: (
         ((D, n), _verdict(artin.joint_artin_decide(D, n)))
         for D in JOINT_2D_D
