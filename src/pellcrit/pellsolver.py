@@ -31,8 +31,8 @@ dispatch order:
   primitive solution x/y of x^2 - D y^2 = m with |m| < sqrt(D) is a
   convergent h_k/k_k (Lagrange), and h_k^2 - D k_k^2 = (-1)^(k+1) Q_(k+1),
   so for each f^2 | n, m = n/f^2, the indices k with that value over one
-  period (two for an odd period) name every class; a convergent is rebuilt
-  only for a hit;
+  period (two for an odd period) name every class, and only a hit's
+  convergent is computed, by ``_continuants``;
 * otherwise the PQa method (Robertson, "Solving the generalized Pell
   equation x^2 - Dy^2 = N", 2004): one continued-fraction thread of
   (z + sqrt(D))/|m| per f^2 | n, m = n/f^2 and conjugate pair z, -z of
@@ -51,17 +51,15 @@ dispatch order:
   solution, at the next visit of (s, 1) = state L, after the run
   a_k..a_(L-1) of partial quotients (for k = L, the whole period
   rotated).  The convergent recurrence G <- a G + G' over a run
-  a_1..a_r multiplies (G, G') by the matrices [[a_j, 1], [1, 0]], whose
-  product has Euler's continuants c0 = K(a_1..a_r) and c1 = K(a_2..a_r)
-  in its first column, so the thread ends at G c0 + G' c1, and B likewise,
-  with a norm sign set by the parity of r.  (c0, c1, r mod 2) depends on
-  D and the entry state alone; ``_cycle_continuants`` keeps it, or None
-  off the cycle, in a bounded memo keyed by (D, P, Q) with as many entries
-  as the expansions (1,024).  A miss scans ``qs`` for k and takes the
-  continuants right to left, one multiply-add per partial quotient against
-  the recurrence's two; a thread takes no floor on the cycle.  The cost
-  grows with the number of threads, 2^(w(n)-1) for n with w(n) split
-  primes.
+  a_1..a_r takes the thread to G c0 + G' c1, and B likewise, with
+  c0 = K(a_1..a_r) and c1 = K(a_2..a_r) the run's continuants from
+  ``_continuants``, the one helper that also gives the unit and the
+  convergent route's convergents, and a norm sign set by the parity of r.
+  (c0, c1, r mod 2) depends on D and the entry state alone;
+  ``_cycle_continuants`` keeps it, or None off the cycle, in a bounded
+  memo of 4,096 entries keyed by (D, P, Q); a miss scans ``qs`` for k, and
+  a thread takes no floor on the cycle.  The cost grows with the number of
+  threads, 2^(w(n)-1) for n with w(n) split primes.
 
 The limit is set by the pairs that reach the oracle.  Measured over
 D < 1500, |n| <= 500, n^2 >= D (Python 3.11, one core of a 2-vCPU VM,
@@ -134,6 +132,16 @@ class PellFundamental(namedtuple("PellFundamental", "x1 y1 unit_norm")):
 _CF_CACHE_SIZE = 1024
 
 
+def _continuants(run) -> tuple[int, int]:
+    # Euler's continuants K(run) and K(run[1:]), right to left with one
+    # multiply-add per partial quotient, (1, 0) for an empty run: the
+    # convergent h_k / k_k of sqrt(D) is K(a_0..a_k) / K(a_1..a_k)
+    c0, c1 = 1, 0
+    for a in reversed(run):
+        c0, c1 = a * c0 + c1, c0
+    return c0, c1
+
+
 @lru_cache(maxsize=_CF_CACHE_SIZE)
 def cf_fundamental(D: int) -> tuple[CFExpansion, PellFundamental]:
     """CF expansion of sqrt(D) and the minimal solution of x^2 - D y^2 = +-1.
@@ -143,39 +151,41 @@ def cf_fundamental(D: int) -> tuple[CFExpansion, PellFundamental]:
     alpha_i = h_i + k_i sqrt(D) (alpha_(-1) = 1), the first m with
     P_(m+1) = P_m gives L = 2m and eps = alpha_(m-1)^2 / Q_m, and the first
     m with Q_(m+1) = Q_m gives L = 2m + 1 and eps = alpha_(m-1) alpha_m / Q_m.
-    The rest of the period follows by reflection: a_1..a_(L-1) is a
-    palindrome, a_L = 2 a_0 and Q_k = Q_(L-k).  The unit is still checked
-    against x^2 - D y^2 = +-1.
+    The walk runs in small integers, P, Q and a alone; (h_(m-1), k_(m-1))
+    are the two continuants of a_0..a_(m-1), and (h_m, k_m) those of
+    a_0..a_m.  The rest of the period follows by reflection:
+    a_1..a_(L-1) is a palindrome, a_L = 2 a_0 and Q_k = Q_(L-k).  The unit
+    is still checked against x^2 - D y^2 = +-1.
     """
     if D <= 0 or is_square(D):
         raise ValueError(f"D must be a positive non-square, got {D}")
     a0 = isqrt(D)
-    h_prev, h = 1, a0
-    k_prev, k = 0, 1
     P, Q, a = 0, 1, a0
     period: list[int] = []
     qs: list[int] = []
     while True:
         P_next = a * Q - P
         Q_next = (D - P_next * P_next) // Q
-        if P_next == P:
-            # L = 2m: a_m and Q_m are the middle terms, not repeated
-            x = (h_prev * h_prev + D * k_prev * k_prev) // Q
-            y = 2 * h_prev * k_prev // Q
-            mid, norm = -2, 1
-            break
-        if Q_next == Q:
-            # L = 2m + 1: a_m and Q_m repeat as a_(m+1) and Q_(m+1)
-            x = (h_prev * h + D * k_prev * k) // Q
-            y = (h_prev * k + h * k_prev) // Q
-            mid, norm = -1, -1
+        if P_next == P or Q_next == Q:
             break
         P, Q = P_next, Q_next
         a = (a0 + P) // Q
         period.append(a)
         qs.append(Q)
-        h_prev, h = h, a * h + h_prev
-        k_prev, k = k, a * k + k_prev
+    # a_0..a_m, with m = len(period)
+    quotients = [a0, *period]
+    h_prev, k_prev = _continuants(quotients[:-1])
+    if P_next == P:
+        # L = 2m: a_m and Q_m are the middle terms, not repeated
+        x = (h_prev * h_prev + D * k_prev * k_prev) // Q
+        y = 2 * h_prev * k_prev // Q
+        mid, norm = -2, 1
+    else:
+        # L = 2m + 1: a_m and Q_m repeat as a_(m+1) and Q_(m+1)
+        h, k = _continuants(quotients)
+        x = (h_prev * h + D * k_prev * k) // Q
+        y = (h_prev * k + h * k_prev) // Q
+        mid, norm = -1, -1
     # the second half by reflection, back to a_L = 2 a0 and Q_L = Q_0 = 1
     period += period[mid::-1] + [2 * a0]
     qs += qs[mid::-1] + [1]
@@ -286,15 +296,16 @@ def _pqa_solutions(D: int, m: int, z: int) -> list[tuple[int, int]]:
     return sols
 
 
-# bounded like the expansions: one entry per (D, P, Q), the first reduced
-# state of some thread, so per-D cycle data; no entry depends on n
-@lru_cache(maxsize=_CF_CACHE_SIZE)
+# bounded like the per-n memos: one entry per (D, P, Q), the first reduced
+# state of some thread, up to a period of them per D (the oracle sweep's 283
+# D with 0 < |n| <= 50 meet 1,190); no entry depends on n
+@lru_cache(maxsize=4096)
 def _cycle_continuants(D: int, P: int, Q: int) -> tuple[int, int, int] | None:
     # None off the principal cycle.  On it, as the state k with
     # Q_k = qs[k - 1] = Q and Q_(k-1) = qs[k - 2] = (D - P^2) / Q
     # (qs[-1] = Q_L = Q_0), the run a_k..a_(L-1) up to (s, 1) (for k = L,
-    # the whole period rotated), its continuants K(run) and K(run[1:]),
-    # taken right to left, and len(run) % 2
+    # the whole period rotated), its continuants K(run) and K(run[1:]) and
+    # len(run) % 2
     cf, _ = cf_fundamental(D)
     qs, q_prev = cf.qs, (D - P * P) // Q
     k = 0
@@ -306,10 +317,7 @@ def _cycle_continuants(D: int, P: int, Q: int) -> tuple[int, int, int] | None:
         return None
     period = cf.period
     run = period[k - 1 : -1] if k < len(period) else period[-1:] + period[:-1]
-    c0, c1 = 1, 0
-    for a in reversed(run):
-        c0, c1 = a * c0 + c1, c0
-    return c0, c1, len(run) % 2
+    return _continuants(run) + (len(run) % 2,)
 
 
 # bounded like ``factor``'s memo: the key is n itself
@@ -361,27 +369,16 @@ def _convergent_all(D: int, n: int) -> list[tuple[int, int]]:
     for f, _ in _square_divisors(n):
         m = n // (f * f)
         am = abs(m)
-        hits: dict[int, bool] = {}  # index k -> the hit is in the second period
         j = -1
         for _ in range(qs.count(am)):
             j = qs.index(am, j + 1)
             second = (j % 2 == 1) != (m > 0)
-            if not second or fund.unit_norm == -1:
-                hits[j] = second
-        if not hits:
-            continue
-        h_prev, h = 1, cf.a0
-        k_prev, k = 0, 1
-        for i in range(max(hits) + 1):
-            if i in hits:
-                if hits[i]:
-                    x, y = h * fund.x1 + D * k * fund.y1, h * fund.y1 + k * fund.x1
-                else:
-                    x, y = h, k
-                found.append((f * x, f * y))
-            a = cf.period[i]
-            h_prev, h = h, a * h + h_prev
-            k_prev, k = k, a * k + k_prev
+            if second and fund.unit_norm == 1:
+                continue
+            x, y = _continuants((cf.a0,) + cf.period[:j])
+            if second:
+                x, y = x * fund.x1 + D * y * fund.y1, x * fund.y1 + y * fund.x1
+            found.append((f * x, f * y))
     return found
 
 

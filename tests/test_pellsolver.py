@@ -779,8 +779,33 @@ def _continuant(run):
     return k
 
 
+def test_continuants_match_the_forward_recurrence():
+    # h_k = a_k h_(k-1) + h_(k-2) from (h_(-2), h_(-1)) = (0, 1) gives
+    # K(a_0..a_k), and from (1, 0) K(a_1..a_k).  The empty run is
+    # h_(-1) / k_(-1) = 1 / 0 and a one-quotient run is a_0 / 1: the
+    # symmetric stop passes both at period length 1 (D = a^2 + 1) and the
+    # latter at period length 2 (D = 3, 6)
+    rng = random.Random(31)
+    runs = [(), (1,), (2,), (7,)] + [
+        tuple(rng.randint(1, rng.choice((2, 50, 10**6))) for _ in range(rng.randint(0, 80)))
+        for _ in range(500)
+    ]
+    for run in runs:
+        h_prev, h = 0, 1
+        k_prev, k = 1, 0
+        for a in run:
+            h_prev, h = h, a * h + h_prev
+            k_prev, k = k, a * k + k_prev
+        assert pellsolver._continuants(run) == (h, k), run
+    assert pellsolver._continuants(()) == (1, 0) and pellsolver._continuants((7,)) == (7, 1)
+    for D, L, unit in ((2, 1, (1, 1, -1)), (5, 1, (2, 1, -1)), (10, 1, (3, 1, -1)),
+                       (3, 2, (2, 1, 1)), (6, 2, (5, 2, 1))):
+        cf, fund = pellsolver.cf_fundamental.__wrapped__(D)
+        assert len(cf.period) == L and tuple(fund) == unit, D
+
+
 def test_cycle_continuants_are_bounded(assert_bounded):
-    assert_bounded(pellsolver._cycle_continuants, _cycle_keys(1025), 1024)
+    assert_bounded(pellsolver._cycle_continuants, _cycle_keys(4097), 4096)
     # at state k the run is a_k..a_(L-1); at (s, 1), state L, it is the
     # whole period rotated, a_L, a_1..a_(L-1), so c1 = K(a_1..a_(L-1)) is
     # y1 of the +-1 unit

@@ -34,6 +34,10 @@ Each line is a sha256 over one grid, with every record written out in full:
 * ``cf_fundamental``: the period, ``qs`` and the states (P_k, Q_k) of sqrt(D)
   and the unit (x1, y1, unit_norm), for non-square D < 100,000, each D walked
   afresh past the cache so that memory stays flat;
+* ``large_units``: the period length and the unit (x1, y1, unit_norm) of
+  the first 30 non-square D above 10^9, D = 10^9 + 1..10^9 + 30, and
+  ``minimal_solutions(D, n)`` for n in {+-1, +-2, +-3, +-4}, all on the
+  convergent route, with units of thousands of digits;
 * ``class_group``: the principal set of reduced forms, sorted as plain
   (a, b, c) tuples, at disc 4D for every non-square D < 20,000 and also at
   disc D when D = 1 mod 4, each group built afresh past the cache;
@@ -143,6 +147,15 @@ def _walk(D):
     return (cf.period, cf.qs, _states(cf), (fund.x1, fund.y1, fund.unit_norm))
 
 
+def _large_unit(D):
+    cf, fund = pellsolver.cf_fundamental(D)
+    return (
+        len(cf.period),
+        (fund.x1, fund.y1, fund.unit_norm),
+        [pellsolver.minimal_solutions(D, n) for n in (1, -1, 2, -2, 3, -3, 4, -4)],
+    )
+
+
 def _threads():
     for m in range(-300, 301):
         if abs(m) > 1:
@@ -233,6 +246,7 @@ GRIDS = {
     "cf_fundamental": lambda: (
         (D, _walk(D)) for D in range(2, 100_000) if math.isqrt(D) ** 2 != D
     ),
+    "large_units": lambda: ((D, _large_unit(D)) for D in range(10**9 + 1, 10**9 + 31)),
     "class_group": lambda: (
         (disc, sorted(tuple(f) for f in artin.ClassGroup(disc)._principal_forms))
         for disc in _discs(20_000)
@@ -255,4 +269,8 @@ def main(argv):
 
 
 if __name__ == "__main__":
+    # the large_units grid writes out units past the int-to-str limit (4,300
+    # digits), so it is lifted for the run, as cli.main lifts it
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
     main(sys.argv[1:])
