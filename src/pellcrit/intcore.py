@@ -424,19 +424,36 @@ def sqrt_mod_factored(a: int, factors) -> list[int]:
 
     The roots mod each p^e are combined through the CRT idempotents of m;
     the list is empty when some p^e admits no root, and [0] when m = 1.
+    Both parts come from bounded memos that every modulus shares: the roots
+    keyed by (a mod p^e, p, e), whatever m they serve, and the idempotents
+    keyed by the factorization.
     """
-    m = math.prod(p**e for p, e in factors)
+    factors = tuple(factors)
+    m, idems = _crt_idempotents(factors)
     roots = [0]
-    for p, e in factors:
-        q = p**e
-        rs = sqrt_mod_prime_power(a, p, e)
+    for (p, e), (q, idem) in zip(factors, idems):
+        rs = _prime_power_roots(a % q, p, e)
         if not rs:
             return []
-        # idempotent: 1 mod q, 0 mod every other prime power of m
-        c = m // q
-        idem = c * pow(c, -1, q)
         roots = [(r + s * idem) % m for r in roots for s in rs]
     return sorted(roots)
+
+
+# bounded: the key ranges over the residues mod each prime power that the
+# moduli of a run contain, so an unbounded memo grows with the moduli
+@lru_cache(maxsize=4096)
+def _prime_power_roots(a: int, p: int, e: int) -> tuple[int, ...]:
+    return tuple(sqrt_mod_prime_power(a, p, e))
+
+
+# bounded like ``factor``'s memo: one entry per factored modulus m
+@lru_cache(maxsize=4096)
+def _crt_idempotents(factors: tuple[tuple[int, int], ...]):
+    # m, and per prime power q = p^e of m the pair (q, idempotent), the
+    # idempotent 1 mod q and 0 mod every other prime power of m
+    qs = [p**e for p, e in factors]
+    m = math.prod(qs)
+    return m, tuple((q, m // q * pow(m // q, -1, q)) for q in qs)
 
 
 def cornacchia(d: int, m: int) -> list[tuple[int, int]]:

@@ -6,8 +6,21 @@ from the convergents there, and fills in the rest of the period by
 reflection; its docstring gives the two stop rules.
 
 ``solve`` decides x^2 - D y^2 = n over Z for any positive non-square D and
-nonzero n.  ``minimal_solutions`` finds every solution class by one of three
-complete routes.  A class and its conjugate (the solutions x + y sqrt(D) and
+nonzero n.  It checks D through its per-D plan and n, then runs the local
+test, ``intcore.local_obstruction_anywhere``, before any search: a solution
+over Z is a point over every Z_l, so a pair with no Z_l-point is
+unsolvable, and ``solve`` returns ``local-obstruction:l`` without the
+search, which could only come back empty, once ``check.no_local_point``
+has certified l.  The oracle stays independent where it decides: that
+certificate is checked by code that shares nothing with ``intcore`` (its
+own primality proof, valuations, Euler's criterion and 2-adic coset test),
+and the search still decides every pair that the local test passes.
+``minimal_solutions``, ``confirm``, the CLI's ``decide`` and the scans keep
+searching locally obstructed pairs too, so the local criteria stay checked
+against the search.
+
+``minimal_solutions`` finds every solution class by one of three complete
+routes.  A class and its conjugate (the solutions x + y sqrt(D) and
 x - y sqrt(D)) have the same orbit-minimal (|x|, |y|) representative, so the
 PQa route searches one class of each conjugate pair.  The orbit bound
 B = ``orbit_y_bound(D, n)`` is an integer >= sqrt(|n| eps / D), eps the
@@ -39,7 +52,9 @@ dispatch order:
   square roots of D mod |m|, for the one with 0 <= z <= |m|/2 (the thread
   of -z finds the conjugate classes), all built from one factorization of
   n.  The square divisors of n and the roots of each thread, keyed by
-  D mod |m| and the factorization of |m|, stay in bounded memos.  A
+  D mod |m| and the factorization of |m|, stay in bounded memos, above
+  ``sqrt_mod_factored``'s own memos of the roots at each prime power and
+  of the CRT idempotents, which every D and n share.  A
   solution shows up where a thread meets Q = +-1.  A thread is periodic
   from its first reduced state (0 < P <= s, s - P < Q <= s + P,
   s = isqrt(D)) on, and (s, 1) is the only reduced state with Q = +-1, so
@@ -92,6 +107,7 @@ import math
 from collections import namedtuple
 from functools import lru_cache
 
+from .check import no_local_point
 from .intcore import factor, is_square, isqrt, local_obstruction_anywhere, sqrt_mod_factored
 from .verdict import Verdict
 
@@ -433,11 +449,29 @@ def _obstructed(provenance: str, l: int | None) -> Verdict:
 
 
 def solve(D: int, n: int) -> Verdict:
-    """Complete decision of x^2 - D y^2 = n over Z, with a minimal witness."""
+    """Complete decision of x^2 - D y^2 = n over Z, with a minimal witness.
+
+    In order: ``_oracle_plan(D)``, which raises ValueError unless D is a
+    positive non-square and builds the per-D plan on the first request for
+    D, whatever its verdict; the check that n is nonzero; then the local
+    test ``local_obstruction_anywhere``.  A prime l it names must pass
+    ``check.no_local_point(D, n, l)``, or ArithmeticError is raised, and the
+    verdict is ``local-obstruction:l`` with no search, since a solution
+    over Z is a point over every Z_l.  Every other pair is searched:
+    ``minimal_solutions`` gives the witness, or ``class-search-exhausted``.
+    """
+    _oracle_plan(D)
+    if n == 0:
+        raise ValueError("n must be nonzero")
+    l = local_obstruction_anywhere(D, n)
+    if l is not None:
+        if not no_local_point(D, n, l):
+            raise ArithmeticError(f"local obstruction at {l} fails its check for D={D}, n={n}")
+        return _obstructed("oracle", l)
     reps = minimal_solutions(D, n)
     if reps:
         return Verdict("solvable", reps[0], "oracle")
-    return _obstructed("oracle", local_obstruction_anywhere(D, n))
+    return _obstructed("oracle", None)
 
 
 def confirm(D: int, n: int, holds: bool, provenance: str, reason: str | None = None) -> Verdict:

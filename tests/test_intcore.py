@@ -225,6 +225,20 @@ def test_prime_power_roots_by_residue():
     assert intcore.sqrt_mod_prime_power(2, 7, 3) == intcore.sqrt_mod_prime_power(2 + 343, 7, 3)
     assert -1 not in intcore.sqrt_mod_factored(2, ((7, 3),))
     assert intcore.sqrt_mod_factored(2, ((7, 3),)) == intcore.sqrt_mod_factored(2 - 343, ((7, 3),))
+    # the combined roots come from the memos, and are fresh too
+    combined = intcore.sqrt_mod_factored(2, ((7, 3), (17, 1)))
+    want = list(combined)
+    combined.clear()
+    assert intcore.sqrt_mod_factored(2, ((7, 3), (17, 1))) == want and len(want) == 4
+
+
+def test_root_memos_are_bounded(assert_bounded):
+    # residues of a prime modulus 1 mod 4, and 4,097 factored moduli
+    assert_bounded(intcore._prime_power_roots, [(a, 10009, 1) for a in range(4097)], 4096)
+    assert intcore._prime_power_roots(4, 10009, 1) == (2, 10007)
+    facs = [(intcore.factor(m).factors,) for m in range(2, 4099)]
+    assert_bounded(intcore._crt_idempotents, facs, 4096)
+    assert intcore._crt_idempotents(((2, 2), (3, 1))) == (12, ((4, 9), (3, 4)))
 
 
 def test_against_sympy_around_witness_bounds():

@@ -839,6 +839,24 @@ def test_obstructed_pairs_share_one_verdict():
         pellsolver.Verdict("unsolvable", (1, 0), "oracle")
 
 
+def test_solve_searches_only_pairs_the_local_test_passes(monkeypatch):
+    # the oracle_sweep grid: the search stays the reference, finding nothing
+    # on every locally obstructed pair, and solve runs it on no such pair
+    grid = [(D, n) for D in range(2, 301) if not is_square(D) for n in range(-50, 51) if n]
+    obstructed = {(D, n) for D, n in grid if pellsolver.local_obstruction_anywhere(D, n)}
+    assert len(obstructed) == 21_926
+    reps = {(D, n): pellsolver.minimal_solutions(D, n) for D, n in grid}
+    assert not any(reps[pair] for pair in obstructed)
+    searched = []
+    search = pellsolver.minimal_solutions
+    monkeypatch.setattr(
+        pellsolver, "minimal_solutions", lambda D, n: searched.append((D, n)) or search(D, n)
+    )
+    for D, n in grid:
+        assert pellsolver.solve(D, n).solvable == bool(reps[D, n]), (D, n)
+    assert sorted(searched) == sorted(set(grid) - obstructed)
+
+
 def test_confirm_raises_on_disagreement():
     assert pellsolver.confirm(3, 2, False, "c", "r") is pellsolver._unsolvable("c", "r")
     with pytest.raises(ArithmeticError, match="contradicts the oracle at D=3, n=2"):

@@ -19,6 +19,10 @@ Each line is a sha256 over one grid, with every record written out in full:
   b <= 6 and odd u < 16 prime to l, so that the descent at l^2 | D, the
   primes l of both D and n, and the 2-adic layers run far beyond the
   |n| <= 400 grid;
+* ``local_certificates``: over the pairs of both grids above, the first
+  obstructing prime l and every prime of 2Dn that ``check.no_local_point``
+  certifies; the line also counts the obstructions l it certifies and those
+  it refuses, which must be none;
 * ``solve``: the verdict (status, witness, provenance, reason) for non-square
   D < 1000, 0 < |n| <= 200;
 * ``routes``: the route ``minimal_solutions`` takes (the orbit scan,
@@ -61,6 +65,7 @@ can be named on the command line, as in ``python3 tools/verdict_digest.py solve`
 import contextlib
 import hashlib
 import io
+import itertools
 import math
 import pathlib
 import sys
@@ -69,7 +74,10 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 from gen import JOINT_2D_D, JOINT_2D_N_MAX  # noqa: E402
-from pellcrit import artin, cli, criteria, intcore, localanalysis, pellsolver  # noqa: E402
+from pellcrit import artin, check, cli, criteria, intcore, localanalysis, pellsolver  # noqa: E402
+
+# per-grid counts that main prints beside the digest, set by the grid
+_TALLY: dict[str, int] = {}
 
 
 def _pairs(d_max, n_max):
@@ -100,6 +108,17 @@ def _local_powers():
                         for u in units:
                             yield D, 2**a * l**b * u
                             yield D, -(2**a) * l**b * u
+
+
+def _certificates():
+    _TALLY.update(certified=0, refused=0)
+    for D, n in itertools.chain(_pairs(800, 400), _local_powers()):
+        l = intcore.local_obstruction_anywhere(D, n)
+        primes = sorted({2, *intcore.factor(D).primes(), *intcore.factor(abs(n)).primes()})
+        certified = tuple(p for p in primes if check.no_local_point(D, n, p))
+        if l is not None:
+            _TALLY["certified" if l in certified else "refused"] += 1
+        yield (D, n), (l, certified)
 
 
 def _verdict(v):
@@ -228,6 +247,7 @@ GRIDS = {
     "local_powers": lambda: (
         ((D, n), intcore.local_obstruction_anywhere(D, n)) for D, n in _local_powers()
     ),
+    "local_certificates": _certificates,
     "solve": lambda: (((D, n), _verdict(pellsolver.solve(D, n))) for D, n in _pairs(1000, 200)),
     "routes": _routes,
     "joint_artin_decide": lambda: (
@@ -262,10 +282,12 @@ def main(argv):
     for name in argv or GRIDS:
         h = hashlib.sha256()
         count = 0
+        _TALLY.clear()
         for key, value in GRIDS[name]():
             h.update(f"{key}:{value}\n".encode())
             count += 1
-        print(f"{name}: {count} pairs, sha256 {h.hexdigest()}", flush=True)
+        counts = "".join(f"{v} {k}, " for k, v in _TALLY.items())
+        print(f"{name}: {count} pairs, {counts}sha256 {h.hexdigest()}", flush=True)
 
 
 if __name__ == "__main__":
