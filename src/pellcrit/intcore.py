@@ -199,7 +199,9 @@ def factor(n: int) -> Factorization:
         while n % p == 0:
             out[p] = out.get(p, 0) + 1
             n //= p
-    if n > 1:
+    if p * p > n > 1:
+        out[n] = 1  # no prime below p divides n, so n is prime
+    elif n > 1:
         _factor_into(n, out)
     # every prime was proven above; _make skips the constructor's re-check
     return Factorization._make((sign, tuple(sorted(out.items()))))

@@ -54,46 +54,47 @@ dispatch order:
   n.  The square divisors of n and the roots of each thread, keyed by
   D mod |m| and the factorization of |m|, stay in bounded memos, above
   ``sqrt_mod_factored``'s own memos of the roots at each prime power and
-  of the CRT idempotents, which every D and n share.  A
-  solution shows up where a thread meets Q = +-1.  A thread is periodic
-  from its first reduced state (0 < P <= s, s - P < Q <= s + P,
+  of the CRT idempotents, which every D and n share.  A solution shows up
+  where a thread meets Q = +-1, and a thread holds one class at most, so
+  it stops at its first hit.  Along the thread, G_i = |m| A_i - z B_i, so
+  every hit has x = -z y (mod |m|); a -m hit (g, b), taken through the
+  norm -1 unit (x1, y1), keeps it, as mod |m|
+  (g x1 + D b y1) + z (g y1 + b x1) = y1 b (D - z^2) = 0.  Two solutions
+  x + y sqrt(D), x' + y' sqrt(D) of norm m with that congruence have the
+  quotient (x x' - D y y')/m + ((x' y - x y')/m) sqrt(D), integral as
+  z^2 = D (mod |m|), and of norm 1: they lie in one class.  A thread is
+  periodic from its first reduced state (0 < P <= s, s - P < Q <= s + P,
   s = isqrt(D)) on, and (s, 1) is the only reduced state with Q = +-1, so
-  a thread whose first reduced state is not on the principal cycle of
-  sqrt(D) stops there.  The cycle's states (P_k, Q_k), k = 1..L, follow
-  from ``qs`` by P_k^2 = D - Q_(k-1) Q_k, so a reduced state (P, Q) is state
-  k iff Q_k = Q and Q_(k-1) = (D - P^2) / Q, found by a scan of ``qs``.  A
-  thread that enters the principal cycle at state k has exactly one more
-  solution, at the next visit of (s, 1) = state L, after the run
-  a_k..a_(L-1) of partial quotients (for k = L, the whole period
-  rotated).  The convergent recurrence G <- a G + G' over a run
-  a_1..a_r takes the thread to G c0 + G' c1, and B likewise, with
-  c0 = K(a_1..a_r) and c1 = K(a_2..a_r) the run's continuants from
-  ``_continuants``, the one helper that also gives the unit and the
-  convergent route's convergents, and a norm sign set by the parity of r.
-  (c0, c1, r mod 2) depends on D and the entry state alone;
-  ``_cycle_continuants`` keeps it, or None off the cycle, in a bounded
-  memo of 4,096 entries keyed by (D, P, Q); a miss scans ``qs`` for k, and
-  a thread takes no floor on the cycle.  The cost grows with the number of
-  threads, 2^(w(n)-1) for n with w(n) split primes.
+  a thread with no hit before that state has none if the state is off the
+  principal cycle of sqrt(D), and else its one hit at the next visit of
+  (s, 1) = state L.  The cycle's states (P_k, Q_k), k = 1..L, follow from
+  ``qs`` by P_k^2 = D - Q_(k-1) Q_k, so a reduced state (P, Q) is state k
+  iff Q_k = Q and Q_(k-1) = (D - P^2) / Q, found by a scan of ``qs``.  The
+  convergent recurrence G <- a G + G' over the run a_k..a_(L-1) to (s, 1)
+  (for k = L, the whole period rotated), of r partial quotients, takes the
+  thread to G c0 + G' c1, and B likewise, with c0 = K(run) and
+  c1 = K(run[1:]) from ``_continuants``, the one helper that also gives
+  the unit and the convergent route's convergents, and a norm sign set by
+  the parity of r.  ``_cycle_continuants`` keeps (c0, c1, r mod 2), or
+  None off the cycle, in a bounded memo of 4,096 entries keyed by
+  (D, P, Q); a miss scans ``qs`` for k, and a thread takes no floor on the
+  cycle.  The cost grows with the number of threads, 2^(w(n)-1) for n
+  with w(n) split primes.
 
 The limit is set by the pairs that reach the oracle.  Measured over
 D < 1500, |n| <= 500, n^2 >= D (Python 3.11, one core of a 2-vCPU VM,
 warm caches, min of 3 runs), the scan tries 44% of the B + 1 values of y
 on average and at most half, at about 0.10 us per y tried plus 1.3 us.
-The PQa figures come from three runs of one script on that VM, shared
-with other work, each time the least of 3 means of 10 warm
-``minimal_solutions`` calls with the route forced: absolute times moved
-by up to 40% from run to run, while each win rate compares the two
-routes within one run.  PQa costs 12 to 18 us per (D, n) while n is new
-to the memos of its square divisors and thread roots (the least of 3
-calls after clearing them), whether or not the continuants of its entry
-states are held, and 2.2 to 2.9 us in the median of 2,000 seeded pairs
-with B <= 96 once they hold n, as they do when pairs recur: then it
-beats the scan on 49-53% of the pairs with B < 32, 72-77% of those with
-B in [32, 64) and 91-93% of those with B in [64, 96].  On the locally
-solvable pairs of the ``joint_2d`` benchmark grid, the only pairs a
-joint decision sends to the oracle, the scan wins on 41 to 56 of 186
-with B in (64, 96] and on at most 1 of 36 in (96, 128].
+The PQa figures come from two runs of one script on that VM, shared with
+other work, over 2,000 seeded pairs with B <= 96 and the route forced:
+per pair, the least of 3 means of 10 warm ``minimal_solutions`` calls.
+PQa costs 1.7 to 1.9 us in the median, and 10.6 to 11.7 us (median of
+300 pairs, least of 3 calls) while n is new to the memos of its square
+divisors and thread roots.  Warm, it beats the scan on 54-55% of the
+pairs with B < 32, 88-89% of those with B in [32, 64) and 97% of those
+with B in [64, 96].  On the locally solvable pairs of the ``joint_2d``
+grid, the only pairs a joint decision sends to the oracle, the scan wins
+on 8 or 9 of 186 with B in (64, 96] and on none of 36 in (96, 128].
 For n^2 < D and B <= 96 (D < 3000) the scan costs 1.3/1.8/4.4 us at
 deciles 10/50/90% against 1.9/2.5/4.0 us for the convergent route.  The
 limit stays at 96, set when PQa had no memos; lowering it is a claim for
@@ -271,50 +272,45 @@ def _floor_quad(P: int, Q: int, s: int) -> int:
     return -((P + s) // (-Q)) - 1
 
 
-def _pqa_solutions(D: int, m: int, z: int) -> list[tuple[int, int]]:
-    """Solutions of x^2 - D y^2 = m on the CF thread of (z + sqrt(D))/|m|."""
-    s = isqrt(D)
-    am = abs(m)
-    _, fund = cf_fundamental(D)
-    sols: list[tuple[int, int]] = []
-
-    def hit(val: int, g: int, b: int) -> None:
-        if val == m:
-            sols.append((g, b))
-        elif val == -m and fund.unit_norm == -1:
-            sols.append((g * fund.x1 + D * b * fund.y1, g * fund.y1 + b * fund.x1))
-
+def _pqa_thread(D: int, m: int, z: int) -> tuple[int, int] | None:
+    """The first solution of x^2 - D y^2 = m on the CF thread of (z + sqrt(D))/|m|, or None."""
+    cf, fund = cf_fundamental(D)
+    s, am = cf.a0, abs(m)
     P, Q = z, am
     g_prev, g = -z, am
     b_prev, b = 1, 0
     i = 0
     while not (0 < P <= s and s - P < Q <= s + P):
-        a = _floor_quad(P, Q, s)
-        P_next = a * Q - P
-        Q_next = (D - P_next * P_next) // Q
-        g_prev, g = g, a * g + g_prev
-        b_prev, b = b, a * b + b_prev
-        # G_i^2 - D B_i^2 = (-1)^(i+1) Q0 Q_(i+1)
-        if Q_next in (1, -1):
-            hit(am * Q_next if (i + 1) % 2 == 0 else -am * Q_next, g, b)
-        P, Q = P_next, Q_next
         i += 1
         if i > _CF_THREAD_MAX_STEPS:
             raise ArithmeticError(f"CF thread failed to cycle for D={D}, m={m}")
-    # the first reduced state: off the principal cycle no Q = +-1 follows;
-    # on it the one remaining hit is at (s, 1), state L, where the
-    # recurrence over the run of partial quotients in between has taken
-    # g to g c0 + g_prev c1, and b alike
-    tail = _cycle_continuants(D, P, Q)
-    if tail is not None:
+        a = _floor_quad(P, Q, s)
+        P = a * Q - P
+        Q = (D - P * P) // Q
+        g_prev, g = g, a * g + g_prev
+        b_prev, b = b, a * b + b_prev
+        # G_(i-1)^2 - D B_(i-1)^2 = (-1)^i |m| Q_i
+        if Q == 1 or Q == -1:
+            norm = -am * Q if i % 2 else am * Q
+            if norm == m or fund.unit_norm == -1:
+                break
+    else:
+        # the first reduced state; on the principal cycle the hit is at (s, 1)
+        tail = _cycle_continuants(D, P, Q)
+        if tail is None:
+            return None
         c0, c1, odd = tail
-        hit(am if (i + odd) % 2 == 0 else -am, g * c0 + g_prev * c1, b * c0 + b_prev * c1)
-    return sols
+        g, b = g * c0 + g_prev * c1, b * c0 + b_prev * c1
+        norm = am if (i + odd) % 2 == 0 else -am
+        if norm != m and fund.unit_norm == 1:
+            return None
+    # a hit of -m is taken through the norm -1 unit
+    return (g, b) if norm == m else (g * fund.x1 + D * b * fund.y1, g * fund.y1 + b * fund.x1)
 
 
 # bounded like the per-n memos: one entry per (D, P, Q), the first reduced
 # state of some thread, up to a period of them per D (the oracle sweep's 283
-# D with 0 < |n| <= 50 meet 1,190); no entry depends on n
+# D with 0 < |n| <= 50 meet 1,166); no entry depends on n
 @lru_cache(maxsize=4096)
 def _cycle_continuants(D: int, P: int, Q: int) -> tuple[int, int, int] | None:
     # None off the principal cycle.  On it, as the state k with
@@ -368,8 +364,9 @@ def _lmm_all(D: int, n: int) -> list[tuple[int, int]]:
     for f, mfac in _square_divisors(n):
         m = n // (f * f)
         for z in _thread_roots(D % abs(m), mfac):
-            for x, y in _pqa_solutions(D, m, z):
-                found.append((f * x, f * y))
+            sol = _pqa_thread(D, m, z)
+            if sol is not None:
+                found.append((f * sol[0], f * sol[1]))
     return found
 
 

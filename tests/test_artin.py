@@ -788,11 +788,13 @@ def test_head_waits_for_a_principal_choice(monkeypatch):
     assert calls == {"_head": 1}
 
 
-def test_prime_records_hold_the_joint_2d_grid():
+def test_prime_records_hold_the_joint_2d_grid(monkeypatch):
     # the grid of the joint_2d benchmark, 12 D and 0 < |n| <= 500, needs
     # fewer records, square divisors, thread roots, principal-cycle
     # continuants and unsolvable verdicts than their bounds: a second pass
-    # builds none and decides alike.  Its 1,860 PQa threads end on 66 states
+    # builds none and decides alike.  Of its 1,860 PQa threads, 192 stop at
+    # a hit before their first reduced state, and the other 1,668 end on 66
+    # states
     ds = [
         D for D in range(2, 1001, 2)
         if not is_square(D) and quadring.classify_order(D).family == "2d"
@@ -806,11 +808,17 @@ def test_prime_records_hold_the_joint_2d_grid():
     )
     for memo in memos:
         memo.cache_clear()
+    threads = []
+    pqa = pellsolver._pqa_thread
+    monkeypatch.setattr(
+        pellsolver, "_pqa_thread", lambda D, m, z: threads.append(z) or pqa(D, m, z)
+    )
     first = [artin.joint_artin_decide(D, n) for D, n in grid]
     infos = [memo.cache_info() for memo in memos]
     for info in infos:
         assert 0 < info.currsize == info.misses < info.maxsize
-    assert infos[3].currsize == 66 and infos[3].hits == 1794
+    assert len(threads) == 1860
+    assert infos[3].currsize == 66 and infos[3].hits + infos[3].misses == 1668
     assert [artin.joint_artin_decide(D, n) for D, n in grid] == first
     assert [memo.cache_info().misses for memo in memos] == [info.misses for info in infos]
 

@@ -209,13 +209,20 @@ def test_factor_memo_matches_unmemoized():
 
 def test_factor_proves_each_prime_once(monkeypatch):
     # factor builds its result without the constructor's re-check, which
-    # still refuses a composite (see test_records)
+    # still refuses a composite (see test_records).  A remainder below the
+    # square of the first prime not tried is proven prime by trial division
+    # alone; above 2000^2, by one is_prime call
     calls = []
     is_prime = intcore.is_prime
     monkeypatch.setattr(intcore, "is_prime", lambda n: calls.append(n) or is_prime(n))
-    fac = intcore.factor.__wrapped__(199999)
-    assert fac.factors == ((199999, 1),)
-    assert calls.count(199999) == 1
+    for n, want, proofs in [
+        (199999, ((199999, 1),), 0),
+        (2 * 3 * 1999 * 1999, ((2, 1), (3, 1), (1999, 2)), 0),
+        (7 * 4000037, ((7, 1), (4000037, 1)), 1),
+    ]:
+        calls.clear()
+        assert intcore.factor.__wrapped__(n).factors == want
+        assert len(calls) == proofs and calls.count(want[-1][0]) == proofs, n
 
 
 def test_prime_power_roots_by_residue():

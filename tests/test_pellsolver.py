@@ -334,6 +334,25 @@ def _reference_pqa_solutions(D: int, m: int, z: int) -> list[tuple[int, int]]:
     return sols
 
 
+def _one_class(D, m, z, sols):
+    # every hit of the thread of z has x = -z y (mod |m|), and any two of
+    # them have an integral quotient of norm 1, so they lie in one class and
+    # descend to one orbit-minimal representative
+    am = abs(m)
+    assert all(x * x - D * y * y == m and (x + z * y) % am == 0 for x, y in sols)
+    x0, y0 = sols[0]
+    assert all((x0 * x - D * y0 * y) % am == 0 == (x * y0 - x0 * y) % am for x, y in sols)
+    assert len({pellsolver._descend(D, x, y) for x, y in sols}) == 1
+
+
+def _matches_first_hit(D, m, z, want):
+    # the thread returns the first hit of the full cycle, which is the class
+    # of every other hit
+    if want:
+        _one_class(D, m, z, want)
+    return pellsolver._pqa_thread(D, m, z) == (want[0] if want else None)
+
+
 def _roots(D, m, mfac):
     # every square root of D mod |m|, shifted into (-|m|/2, |m|/2]: the -z of
     # each conjugate pair included, which _lmm_all skips
@@ -386,11 +405,12 @@ def test_convergent_route_small_n():
 
 
 def test_pqa_threads_match_full_cycles():
-    # thread by thread: stopping at the first reduced state off the principal
-    # cycle loses no solution, since (s, 1) is the only reduced state with
-    # Q = +-1; each thread returns the full-cycle list itself.  The threads
-    # of every 0 < |n| <= 200 are those of m = n / f^2 with f = 1.
-    threads = 0
+    # thread by thread: stopping at the first hit, or at the first reduced
+    # state off the principal cycle, since (s, 1) is the only reduced state
+    # with Q = +-1, loses no class; each thread returns the first hit of the
+    # full cycle, and every hit of the full cycle lies in its class.  The
+    # threads of every 0 < |n| <= 200 are those of m = n / f^2 with f = 1.
+    threads = second_hits = 0
     for m in range(-200, 201):
         if m == 0:
             continue
@@ -400,9 +420,10 @@ def test_pqa_threads_match_full_cycles():
                 continue
             for z in _roots(D, m, mfac):
                 want = _reference_pqa_solutions(D, m, z)
-                assert pellsolver._pqa_solutions(D, m, z) == want, (D, m, z)
+                assert _matches_first_hit(D, m, z, want), (D, m, z)
                 threads += 1
-    assert threads > 200_000
+                second_hits += len(want) > 1
+    assert threads > 200_000 and second_hits > 20_000
 
 
 def test_pqa_thread_stops_off_the_principal_cycle(monkeypatch):
@@ -426,23 +447,34 @@ def test_pqa_thread_stops_off_the_principal_cycle(monkeypatch):
     v = pellsolver.solve(D, n)
     assert v.status == "unsolvable" and v.reason == "local-obstruction:5"
     assert len(floors) == steps
-    assert pellsolver._pqa_solutions(D, n, 30) == []
+    assert pellsolver._pqa_thread(D, n, 30) is None
 
 
 def test_cf_thread_guard_at_its_edge(monkeypatch):
     # the step guard of a PQa thread, moved down to the exact number of steps
-    # a known thread takes to its first reduced state: it passes at that
-    # count and raises one below; this thread takes 10 steps to a solution
-    D, m, z = 2, 1871, -716
-    _, steps = _first_reduced(D, m, z)
-    assert steps == 10
-    want = _reference_pqa_solutions(D, m, z)
-    assert want
-    monkeypatch.setattr(pellsolver, "_CF_THREAD_MAX_STEPS", steps)
-    assert pellsolver._pqa_solutions(D, m, z) == want
-    monkeypatch.setattr(pellsolver, "_CF_THREAD_MAX_STEPS", steps - 1)
-    with pytest.raises(ArithmeticError, match="failed to cycle"):
-        pellsolver._pqa_solutions(D, m, z)
+    # a known thread takes: it passes at that count and raises one below, as
+    # it is checked before each step and so before the hit that step would
+    # take.  D = 2, m = 1871 stops at its first hit, (-47, 13) on step 7,
+    # three steps before its first reduced state; D = 14, m = -157 takes 6
+    # steps to its first reduced state, on the principal cycle, and its one
+    # hit from the continuants of the run to (s, 1)
+    floors = []
+    floor_quad = pellsolver._floor_quad
+    monkeypatch.setattr(
+        pellsolver, "_floor_quad", lambda P, Q, s: floors.append(1) or floor_quad(P, Q, s)
+    )
+    for D, m, z, reduced_at, steps, first in [
+        (2, 1871, -716, 10, 7, (-47, 13)),
+        (14, -157, -64, 6, 6, (47, 13)),
+    ]:
+        assert _first_reduced(D, m, z)[1] == reduced_at
+        assert _reference_pqa_solutions(D, m, z)[0] == first
+        monkeypatch.setattr(pellsolver, "_CF_THREAD_MAX_STEPS", steps)
+        floors.clear()
+        assert pellsolver._pqa_thread(D, m, z) == first and len(floors) == steps
+        monkeypatch.setattr(pellsolver, "_CF_THREAD_MAX_STEPS", steps - 1)
+        with pytest.raises(ArithmeticError, match="failed to cycle"):
+            pellsolver._pqa_thread(D, m, z)
 
 
 def test_many_split_primes():
@@ -500,8 +532,8 @@ def _cycle_keys(count):
 
 def test_pqa_threads_match_full_cycles_on_long_periods():
     # thread by thread at D of 10^5..10^6 with periods in the hundreds, where
-    # a thread on the principal cycle takes its last solution from the
-    # continuants of the run to (s, 1); 136889 has an odd period, so its
+    # a thread that enters the principal cycle with no hit takes its solution
+    # from the continuants of the run to (s, 1); 136889 has an odd period, so its
     # threads of m < 0 also meet -m through the norm -1 unit.  Each thread
     # runs with the continuant memo cold, warm, and after eviction by keys
     # of other D: a warm pass makes no miss, an evicted one the same misses
@@ -537,16 +569,18 @@ def test_pqa_threads_match_full_cycles_on_long_periods():
                 memo(*key)
         before = memo.cache_info().misses
         for D, m, z, want in threads:
-            assert pellsolver._pqa_solutions(D, m, z) == want, (run, D, m, z)
+            assert _matches_first_hit(D, m, z, want), (run, D, m, z)
         misses.append(memo.cache_info().misses - before)
     assert misses[0] == misses[2] > 0 and misses[1] == 0
     # a thread whose first reduced state is (s, 1) itself: one hit on entering
-    # and one more a whole rotated period later
+    # and one more a whole rotated period later, in the same class
     D, m, z = 106979, -50, 23
     cf, _ = cf_fundamental(D)
     assert _first_reduced(D, m, z)[0] == _states(cf)[-1] == (isqrt(D), 1)
-    sols = pellsolver._pqa_solutions(D, m, z)
-    assert len(sols) == 2 and all(x * x - D * y * y == m for x, y in sols)
+    sols = _reference_pqa_solutions(D, m, z)
+    assert len(sols) == 2 and sols[0] != sols[1]
+    _one_class(D, m, z, sols)
+    assert pellsolver._pqa_thread(D, m, z) == sols[0]
 
 
 def test_pqa_thread_takes_no_floor_on_the_principal_cycle(monkeypatch):
@@ -563,8 +597,8 @@ def test_pqa_thread_takes_no_floor_on_the_principal_cycle(monkeypatch):
     monkeypatch.setattr(
         pellsolver, "_floor_quad", lambda P, Q, s: seen.append((P, Q)) or floor_quad(P, Q, s)
     )
-    sols = pellsolver._pqa_solutions(D, m, z)
-    assert sols == _reference_pqa_solutions(D, m, z) and len(sols) == 1
+    sols = _reference_pqa_solutions(D, m, z)
+    assert len(sols) == 1 and pellsolver._pqa_thread(D, m, z) == sols[0]
     assert len(seen) == steps < 10
     assert not any(0 < P <= s and s - P < Q <= s + P for P, Q in seen)
 
@@ -633,7 +667,7 @@ def test_pqa_route_solvability_against_sympy():
 
 
 # the PQa route verbatim as before it searched one class of each conjugate
-# pair: a thread for every root z of D mod |m|
+# pair, with full-cycle threads: a thread for every root z of D mod |m|
 def _reference_lmm_all(D: int, n: int) -> list[tuple[int, int]]:
     found: list[tuple[int, int]] = []
     for f, mfac in pellsolver._square_divisors(n):
@@ -642,7 +676,7 @@ def _reference_lmm_all(D: int, n: int) -> list[tuple[int, int]]:
         for z in pellsolver.sqrt_mod_factored(D, mfac):
             if 2 * z > am:
                 z -= am
-            for x, y in pellsolver._pqa_solutions(D, m, z):
+            for x, y in _reference_pqa_solutions(D, m, z):
                 found.append((f * x, f * y))
     return found
 
@@ -704,9 +738,9 @@ def test_four_roots_run_two_threads(monkeypatch):
     want = _classes(D, _reference_lmm_all(D, n))
     assert len(want) == 2
     calls = []
-    pqa = pellsolver._pqa_solutions
+    pqa = pellsolver._pqa_thread
     monkeypatch.setattr(
-        pellsolver, "_pqa_solutions", lambda D, m, z: calls.append(z) or pqa(D, m, z)
+        pellsolver, "_pqa_thread", lambda D, m, z: calls.append(z) or pqa(D, m, z)
     )
     assert _classes(D, pellsolver._lmm_all(D, n)) == want
     assert calls == [z for z in roots if 2 * z < n]

@@ -8,10 +8,14 @@ Each line is a sha256 over one grid, with every record written out in full:
 
 * ``minimal_solutions``: every solution class of x^2 - D y^2 = n, non-square
   D < 1500, 0 < |n| <= 300;
-* ``pqa_threads``: the raw solutions of one PQa thread (``_pqa_solutions``,
-  before any descent along the unit orbit) of x^2 - D y^2 = m, for
-  non-square D < 600, 1 < |m| <= 300 and every square root z of D mod |m|
-  with 0 <= z <= |m|/2;
+* ``pqa_threads``: the one raw solution of a PQa thread, or None
+  (``_pqa_thread``, before any descent along the unit orbit), of
+  x^2 - D y^2 = m, for non-square D < 600, 1 < |m| <= 300 and every square
+  root z of D mod |m| with 0 <= z <= |m|/2;
+* ``pqa_classes``: the orbit-minimal representatives, sorted by (y, x), of
+  every class that the PQa route ``_lmm_all`` finds, forced on every
+  non-square D < 400 and 0 < |n| <= 200 with n^2 >= D, whatever route
+  ``minimal_solutions`` would take;
 * ``local_obstruction_anywhere``: the first obstructing prime, or None, for
   non-square D < 800, 0 < |n| <= 400;
 * ``local_powers``: the same, for D = l^k m with l^2 | D, odd l <= 13,
@@ -185,6 +189,13 @@ def _threads():
                         yield D, m, z
 
 
+def _pqa_classes():
+    for D, n in _pairs(400, 200):
+        if n * n >= D:
+            reps = {pellsolver._descend(D, x, y) for x, y in pellsolver._lmm_all(D, n)}
+            yield (D, n), sorted(reps, key=lambda t: (t[1], t[0]))
+
+
 def _routes():
     # the route of minimal_solutions on each solve pair: "scan" unless it
     # called _convergent_all or _lmm_all
@@ -239,8 +250,9 @@ GRIDS = {
         ((D, n), pellsolver.minimal_solutions(D, n)) for D, n in _pairs(1500, 300)
     ),
     "pqa_threads": lambda: (
-        ((D, m, z), pellsolver._pqa_solutions(D, m, z)) for D, m, z in _threads()
+        ((D, m, z), pellsolver._pqa_thread(D, m, z)) for D, m, z in _threads()
     ),
+    "pqa_classes": _pqa_classes,
     "local_obstruction_anywhere": lambda: (
         ((D, n), intcore.local_obstruction_anywhere(D, n)) for D, n in _pairs(800, 400)
     ),
