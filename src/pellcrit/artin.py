@@ -68,30 +68,28 @@ class Form(namedtuple("Form", "a b c")):
     def disc(self) -> int:
         return self.b * self.b - 4 * self.a * self.c
 
-    def neg(self) -> "Form":
-        return Form._make((-self.a, self.b, -self.c))
 
-
-def _is_reduced(f: Form, s: int, disc: int) -> bool:
-    # 0 < b < sqrt(disc) and sqrt(disc) - b < 2|a| < sqrt(disc) + b
-    if f.b <= 0 or f.b > s:
+def _is_reduced(f: tuple, s: int, disc: int) -> bool:
+    # on a plain triple: 0 < b < sqrt(disc) and sqrt(disc) - b < 2|a| < sqrt(disc) + b
+    a, b, _ = f
+    if b <= 0 or b > s:
         return False
-    t = 2 * abs(f.a)
-    if (t - f.b) ** 2 >= disc and t > f.b:
+    t = 2 * abs(a)
+    if (t - b) ** 2 >= disc and t > b:
         return False
-    return (t + f.b) ** 2 > disc
+    return (t + b) ** 2 > disc
 
 
-def _rho(f: Form, s: int, disc: int) -> Form:
-    # reduction step: (a, b, c) -> (c, r, (r^2 - disc)/(4c)), r = -b mod 2|c|
-    c2 = 2 * abs(f.c)
-    r0 = (-f.b) % c2
-    if f.c * f.c > disc:
-        r = r0 if r0 <= abs(f.c) else r0 - c2
+def _rho(f: tuple, s: int, disc: int) -> tuple:
+    # reduction step on plain triples: (a, b, c) -> (c, r, (r^2 - disc)/(4c)), r = -b mod 2|c|
+    _, b, c = f
+    c2 = 2 * abs(c)
+    r0 = (-b) % c2
+    if c * c > disc:
+        r = r0 if r0 <= abs(c) else r0 - c2
     else:
         r = r0 + c2 * ((s - r0) // c2)
-    # a step keeps the form primitive, so _make skips the constructor's check
-    return Form._make((f.c, r, (r * r - disc) // (4 * f.c)))
+    return c, r, (r * r - disc) // (4 * c)
 
 
 def reduce_form(f: Form) -> Form:
@@ -101,10 +99,11 @@ def reduce_form(f: Form) -> Form:
     return _reduce(f, isqrt(disc), disc)
 
 
-def _reduce(f: Form, s: int, disc: int) -> Form:
+def _reduce(f: tuple, s: int, disc: int) -> Form:
     for _ in range(10000):
         if _is_reduced(f, s, disc):
-            return f
+            # a step keeps a form primitive, so _make skips the constructor's check
+            return Form._make(f)
         f = _rho(f, s, disc)
     raise ArithmeticError(f"reduction failed for {f}")
 
@@ -117,10 +116,10 @@ class ClassGroup:
     A form is principal in the wide sense when its reduction lies on the
     cycle of the principal form or on the cycle of its negation, since
     (a, b, c) ~ (-a, b, -c) merges exactly those two cycles.  Only that set
-    of reduced forms is built, one cycle walk of about the continued
-    fraction period: _rho and _is_reduced commute with that map, so the
-    negated cycle is the image of the principal one.  The rest of the group
-    is never enumerated.
+    of reduced forms is built, ``principal_forms``, as plain (a, b, c) tuples
+    from one cycle walk of about the continued fraction period: _rho and
+    _is_reduced commute with that map, so the negated cycle is the image of
+    the principal one.  The rest of the group is never enumerated.
     Composition is Gauss-Shanks (Cohen, GTM 138, Alg. 5.4.7).
     """
 
@@ -131,15 +130,15 @@ class ClassGroup:
         self._s = s = isqrt(disc)
         b = s - (s - disc) % 2  # the largest b <= sqrt(disc) with b = disc mod 2
         self.principal = Form(1, b, (b * b - disc) // 4)
-        cycle = [_reduce(self.principal, s, disc)]
+        cycle = [tuple(_reduce(self.principal, s, disc))]
         while (f := _rho(cycle[-1], s, disc)) != cycle[0]:
             cycle.append(f)
-        self._principal_forms = frozenset(cycle + [f.neg() for f in cycle])
+        self.principal_forms = frozenset(cycle + [(-a, b, -c) for a, b, c in cycle])
 
     def is_principal(self, f: Form) -> bool:
         if f.disc != self.disc:
             raise ValueError(f"form {f} does not have discriminant {self.disc}")
-        return reduce_form(f) in self._principal_forms
+        return reduce_form(f) in self.principal_forms
 
     def compose(self, f1: Form, f2: Form) -> Form:
         if f1.disc != self.disc or f2.disc != self.disc:
@@ -182,7 +181,7 @@ def _compose(f1: Form, f2: Form) -> Form:
     return reduce_form(Form(a3, b3, (b3 * b3 - disc) // (4 * a3)))
 
 
-# bounded: about 180 KB a group near D = 10^6; joint_2d needs 12, joint_families 68
+# bounded: about 120 KB a group near D = 10^6; joint_2d needs 12, joint_families 68
 @lru_cache(maxsize=128)
 def class_group(disc: int) -> ClassGroup:
     """Principality test of the wide class group of discriminant disc (cached)."""
@@ -471,7 +470,7 @@ def _some_choice_passes(D: int, n: int, twist: TwistPoint, fac: Factorization) -
     group, obstruction, base, records, split = _ideals(D, n, fac, twist)
     if obstruction is not None:
         return False
-    principal_forms, head = group._principal_forms, None
+    principal_forms, head = group.principal_forms, None
 
     def passes(js: list, form: Form) -> bool:
         nonlocal head

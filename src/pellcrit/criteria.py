@@ -93,11 +93,15 @@ def decide_221(n: int) -> Verdict:
     (n1/17)_4 = (-1)^(s + v13(n) + t), where s = 1 for n < 0 and t counts
     the odd-exponent p with (13/p) = (17/p) that are 3 mod 4, plus those
     with (13/p) = (17/p) = 1 where x^4 - 238 x^2 + 17 has no root mod p.
+    Every verdict leaves through ``pellsolver.confirm``, which checks it.
     """
     if n == 0:
         raise ValueError("n must be nonzero")
+
+    def verdict(holds: bool, reason: str | None = None) -> Verdict:
+        return pellsolver.confirm(221, n, holds, "221-closed-form", reason)
+
     fac = factor(n)
-    norm_fails = Verdict("unsolvable", None, "221-closed-form", reason="norm-condition")
     n1, t, both_negative = 1, 0, False
     for p, e in fac.factors:
         if p in (2, 13, 17):
@@ -105,7 +109,7 @@ def decide_221(n: int) -> Verdict:
         j13 = jacobi(13, p)
         if j13 != jacobi(17, p):
             if e % 2:
-                return norm_fails
+                return verdict(False, "norm-condition")
             continue
         n1 *= p**e
         if j13 == -1:
@@ -115,30 +119,28 @@ def decide_221(n: int) -> Verdict:
         if e % 2 and p % 4 == 3:
             t += 1
     if fac.exponent(2) % 2 or jacobi(n1, 17) != 1:
-        return norm_fails
+        return verdict(False, "norm-condition")
     if not both_negative and quartic_residue(n1, 17) != (-1) ** (fac.exponent(13) + t + (n < 0)):
-        return Verdict("unsolvable", None, "221-closed-form", reason="twist-condition")
-    return pellsolver.confirm(221, n, True, "221-closed-form")
+        return verdict(False, "twist-condition")
+    return verdict(True)
 
 
 def known_obstructions(d: int, n: int) -> Verdict | None:
     """Closed-form unsolvability of x^2 - 2d y^2 = n for n in {-1, 2, -2}.
 
-    None when no criterion applies (which does not mean solvable).
+    None when no criterion applies (which does not mean solvable); a verdict
+    leaves through ``pellsolver.confirm``, which checks it.
     """
     if d <= 0:
         raise ValueError("d must be positive")
-    if n == 2:
-        if d % 16 == 9:
-            return Verdict("unsolvable", None, "mod16-obstruction")
+    if d % 2 == 0 and n != 2:  # the 2d family needs d odd
         return None
-    if d % 2 == 0:  # the 2d family needs d odd
+    if n == 2 and d % 16 == 9:
+        label = "mod16-obstruction"
+    elif n == -1 and thm24_applicable(d):
+        label = "two-squares-obstruction"
+    elif n == -2 and classify_order(2 * d).family == FAMILY_2D and quartic_2_of_d(d) == -1:
+        label = "quartic-obstruction"
+    else:
         return None
-    if n == -1:
-        if thm24_applicable(d):
-            return Verdict("unsolvable", None, "two-squares-obstruction")
-        return None
-    if n == -2 and classify_order(2 * d).family == FAMILY_2D:
-        if quartic_2_of_d(d) == -1:
-            return Verdict("unsolvable", None, "quartic-obstruction")
-    return None
+    return pellsolver.confirm(2 * d, n, False, label)

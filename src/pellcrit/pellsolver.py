@@ -27,11 +27,11 @@ B = ``orbit_y_bound(D, n)`` is an integer >= sqrt(|n| eps / D), eps the
 norm-plus-one fundamental unit, so that every class has a representative
 with |y| <= B.  B depends on |n| alone and never falls as |n| grows, so
 the dispatch reads a per-D plan, ``_oracle_plan`` (bounded like the
-expansions, 1,024 D): the +1 unit and n_scan, the largest |n| with
-B <= ``_ORBIT_SCAN_LIMIT``, found once per D by a binary search of an
-interval that holds one or two values once the unit is large.  A request
-then checks D through the plan and computes no B.  The routes, in
-dispatch order:
+expansions, 1,024 D): n_scan, the largest |n| with B <= ``_ORBIT_SCAN_LIMIT``,
+found once per D by a binary search of an interval that holds one or two
+values once the unit is large.  A request then checks D through the plan
+and computes no B; the +1 unit is stored once, in ``plus_unit``'s memo.
+The routes, in dispatch order:
 
 * |n| <= n_scan, that is B <= ``_ORBIT_SCAN_LIMIT``: scan for n + D y^2 a
   square, in exact integer arithmetic, over y in Nagell's range only
@@ -229,8 +229,8 @@ def orbit_y_bound(D: int, n: int) -> int:
 
 # bounded like the expansions: one entry per D
 @lru_cache(maxsize=_CF_CACHE_SIZE)
-def _oracle_plan(D: int) -> tuple[tuple[int, int], int]:
-    """The +1 unit of D and n_scan, the largest |n| whose orbit bound is scanned.
+def _oracle_plan(D: int) -> int:
+    """n_scan, the largest |n| whose orbit bound is scanned at D.
 
     ``orbit_y_bound(D, n) <= _ORBIT_SCAN_LIMIT`` iff f(|n|) <= C, with
     f(k) = k xp + isqrt(k^2 yp^2 D) increasing and
@@ -241,7 +241,7 @@ def _oracle_plan(D: int) -> tuple[tuple[int, int], int]:
     is large, and a binary search of that interval finds it.  Raises
     ValueError unless D is a positive non-square.
     """
-    unit = xp, yp = plus_unit(D)
+    xp, yp = plus_unit(D)
     C = (_ORBIT_SCAN_LIMIT * _ORBIT_SCAN_LIMIT - 1) * D - 2
     lo, hi = (C + 1) // (2 * xp), C // (2 * xp - 1)
     while lo < hi:
@@ -250,7 +250,7 @@ def _oracle_plan(D: int) -> tuple[tuple[int, int], int]:
             lo = k
         else:
             hi = k - 1
-    return unit, lo
+    return lo
 
 
 def _descend(D: int, x: int, y: int, unit: tuple[int, int] | None = None) -> tuple[int, int]:
@@ -401,9 +401,10 @@ def minimal_solutions(D: int, n: int) -> list[tuple[int, int]]:
     Sorted by (y, x); the first, the witness, is checked against the
     equation, and ArithmeticError raised if it fails.
     """
-    unit, n_scan = _oracle_plan(D)
+    n_scan = _oracle_plan(D)
     if n == 0:
         raise ValueError("n must be nonzero")
+    unit = plus_unit(D)
     if -n_scan <= n <= n_scan:
         # only Nagell's range of least y per class (Thms 108 and 108a, see
         # the module docstring); for n < 0 it starts at the least y with

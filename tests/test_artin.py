@@ -20,13 +20,42 @@ from pellcrit.localanalysis import (
 from pellcrit.quadring import INERT, SPLIT, splitting_type
 
 
+def _ref_is_reduced(f, disc):
+    # the definition, 0 < b < sqrt(disc) and |sqrt(disc) - 2|a|| < b, in integers
+    a, b, _ = f
+    t = 2 * abs(a)
+    return 0 < b and b * b < disc and (t + b) ** 2 > disc and (t <= b or (t - b) ** 2 < disc)
+
+
+def _ref_rho(f, disc):
+    # one reduction step (Cohen, GTM 138, section 5.6), written apart from artin._rho:
+    # (a, b, c) -> (c, r, (r^2 - disc)/(4c)) with r = -b mod 2|c|, and
+    # -|c| < r <= |c| when |c| > sqrt(disc), else sqrt(disc) - 2|c| < r < sqrt(disc)
+    _, b, c = f
+    m, s = 2 * abs(c), math.isqrt(disc)
+    if c * c > disc:
+        r = (-b) % m
+        r = r - m if r > abs(c) else r
+    else:
+        r = s - (s + b) % m
+    return c, r, (r * r - disc) // (4 * c)
+
+
+def _ref_reduce(f, disc):
+    f = tuple(f)
+    while not _ref_is_reduced(f, disc):
+        f = _ref_rho(f, disc)
+    return f
+
+
 class _ReferenceClasses:
     """Brute-force wide class group of discriminant disc, a test reference.
 
     disc is 4D, or D = 1 mod 4.  Enumerates every reduced form (every
     b <= sqrt(disc) of disc's parity, so odd b at D = 1 mod 4, and every
     divisor a of (disc - b^2)/4), then merges forms along reduction steps
-    and under (a, b, c) ~ (-a, b, -c) with a union-find.
+    and under (a, b, c) ~ (-a, b, -c) with a union-find.  Reduction is the
+    test's own, so the reference shares no step with ``artin``.
     """
 
     def __init__(self, disc):
@@ -38,10 +67,8 @@ class _ReferenceClasses:
             for u in sorted(divisors):
                 for a in (u, -u):
                     c = -M // a
-                    if math.gcd(math.gcd(a, b), c) == 1:
-                        f = artin.Form(a, b, c)
-                        if artin._is_reduced(f, s, disc):
-                            forms.append(f)
+                    if math.gcd(math.gcd(a, b), c) == 1 and _ref_is_reduced((a, b, c), disc):
+                        forms.append(artin.Form(a, b, c))
         parent = {f: f for f in forms}
 
         def find(f):
@@ -51,9 +78,11 @@ class _ReferenceClasses:
             return f
 
         for f in forms:
-            for g in (artin._rho(f, s, disc), f.neg()):
+            a, b, c = f
+            for g in (_ref_rho(f, disc), (-a, b, -c)):
                 parent[find(f)] = find(g)
-        roots = sorted({find(f) for f in forms}, key=lambda f: (f.a, f.b))
+        roots = sorted({find(f) for f in forms})
+        self.disc = disc
         self.forms = forms
         self._find = find
         self._index = {r: k for k, r in enumerate(roots)}
@@ -61,7 +90,7 @@ class _ReferenceClasses:
         self.principal_id = self.class_id(artin.class_group(disc).principal)
 
     def class_id(self, f):
-        return self._index[self._find(artin.reduce_form(f))]
+        return self._index[self._find(_ref_reduce(f, self.disc))]
 
     def reps(self):
         out = {}
@@ -76,16 +105,16 @@ def _reference_principal_forms(disc):
     b = s - (s - disc) % 2
 
     def cycle(f):
-        f = artin.reduce_form(f)
+        f = _ref_reduce(f, disc)
         out = [f]
-        g = artin._rho(f, s, disc)
+        g = _ref_rho(f, disc)
         while g != f:
             out.append(g)
-            g = artin._rho(g, s, disc)
+            g = _ref_rho(g, disc)
         return out
 
-    principal = artin.Form(1, b, (b * b - disc) // 4)
-    return frozenset(cycle(principal) + cycle(principal.neg()))
+    c = (b * b - disc) // 4
+    return frozenset(cycle((1, b, c)) + cycle((-1, b, -c)))
 
 
 def test_one_cycle_walk_gives_both_cycles():
@@ -96,9 +125,22 @@ def test_one_cycle_walk_gives_both_cycles():
         if is_square(D):
             continue
         for disc in (4 * D, D) if D % 4 == 1 else (4 * D,):
-            assert artin.ClassGroup(disc)._principal_forms == _reference_principal_forms(disc), disc
+            assert artin.ClassGroup(disc).principal_forms == _reference_principal_forms(disc), disc
             count += 1
     assert count == 3668
+
+
+def test_reduction_steps_plain_triples():
+    # _rho takes and returns plain tuples and the cycle set holds plain
+    # tuples; a Form is made only where a caller receives one
+    g = artin.ClassGroup(4 * 1394)
+    assert {type(f) for f in g.principal_forms} == {tuple}
+    f = artin.prime_form(1394, 17)
+    assert type(f) is artin.Form and not artin._is_reduced(f, g._s, g.disc)
+    assert type(artin._rho(f, g._s, g.disc)) is tuple
+    assert not hasattr(artin.Form, "neg")
+    for got in (artin.reduce_form(f), g.compose(g.principal, f), g.compose(f, f), g.power(f, 3)):
+        assert type(got) is artin.Form and artin._is_reduced(got, g._s, g.disc), got
 
 
 def test_class_group_orders():
@@ -852,7 +894,7 @@ def test_prime_records_are_bounded():
 
 def test_class_groups_are_bounded(assert_bounded):
     ds = [D for D in range(2, 200) if not is_square(D)][:129]
-    view = attrgetter("disc", "principal", "_principal_forms")
+    view = attrgetter("disc", "principal", "principal_forms")
     assert_bounded(artin.class_group, [(4 * D,) for D in ds], 128, view)
 
 

@@ -166,6 +166,18 @@ def test_scan_inconsistency_exit_code(monkeypatch, capsys):
     assert "Traceback" not in err
 
 
+def test_scan_221_inconsistency_exit_code(monkeypatch, capsys):
+    # each 221 record takes its oracle status from the checked verdict, so an
+    # oracle that solves every n stops the scan at the first unsolvable
+    # verdict (n = -1, the twist condition), with exit 3 and no traceback
+    monkeypatch.setattr(pellsolver, "minimal_solutions", lambda D, n: [(1, 0)])
+    assert cli.main(["scan", "--family", "221", "--max", "20"]) == cli.EXIT_INCONSISTENT
+    out, err = capsys.readouterr()
+    assert [json.loads(line)["n"] for line in out.splitlines()] == [1]
+    assert len(err.splitlines()) == 1 and err.startswith("pellcrit: inconsistency: ")
+    assert "Traceback" not in err
+
+
 def test_scan_prints_each_record_before_the_next_is_computed(monkeypatch, capsys):
     # a worker that breaks an invariant on its third instance: the two records
     # before it are on stdout already, and the scan exits 3

@@ -230,6 +230,29 @@ def test_criteria_raise_when_oracle_disagrees(monkeypatch):
             call(*args)
 
 
+def test_unsolvable_criterion_verdicts_leave_checked(monkeypatch):
+    # decide_221's norm and twist conditions and known_obstructions return
+    # through confirm: the same interned verdicts, and an oracle that reports
+    # a solution makes each raise
+    norm_n = -2 * 13 * 43 * 43
+    assert criteria.decide_221(norm_n) is pellsolver.confirm(
+        221, norm_n, False, "221-closed-form", "norm-condition"
+    )
+    assert criteria.decide_221(-1) == ("unsolvable", None, "221-closed-form", "twist-condition")
+    assert criteria.known_obstructions(41, 2) == ("unsolvable", None, "mod16-obstruction", None)
+    monkeypatch.setattr(pellsolver, "minimal_solutions", lambda D, n: [(1, 0)])
+    for call, args in [
+        (criteria.decide_221, (norm_n,)),
+        (criteria.decide_221, (-1,)),
+        (criteria.known_obstructions, (41, 2)),
+        (criteria.known_obstructions, (17, -1)),
+        (criteria.known_obstructions, (17, -2)),
+    ]:
+        with pytest.raises(ArithmeticError, match="contradicts the oracle"):
+            call(*args)
+    assert criteria.known_obstructions(73, -2) is None
+
+
 def test_oracle_fallback_labels_nothing_and_checks_its_witness(monkeypatch):
     # where the symbols leave the target open (p = 113 = 1 mod 16 with
     # (2/p)_4 = +1; p or q = 3 mod 4), the oracle's search decides each

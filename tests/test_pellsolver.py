@@ -283,11 +283,17 @@ def test_oracle_plan_threshold_is_exact():
     assert len(near) == 100
     zero = 0
     for D in ds + near:
-        unit, n_scan = pellsolver._oracle_plan(D)
-        assert unit == pellsolver.plus_unit(D)
+        n_scan = pellsolver._oracle_plan(D)
         assert bound(D, n_scan) <= limit < bound(D, n_scan + 1), D
         zero += D in near and n_scan == 0
     assert 0 < zero < 100
+    # the plan holds n_scan alone: a warm search reads the unit from
+    # plus_unit's memo, which then hits and never misses
+    pellsolver.minimal_solutions(7, 2)
+    before = pellsolver.plus_unit.cache_info()
+    assert pellsolver.minimal_solutions(7, 2) == [(3, 1)]
+    after = pellsolver.plus_unit.cache_info()
+    assert after.hits > before.hits and after.misses == before.misses
     # D is checked before n
     for D in (-3, 0, 49):
         with pytest.raises(ValueError, match="positive non-square"):

@@ -280,7 +280,7 @@ GRIDS = {
     ),
     "large_units": lambda: ((D, _large_unit(D)) for D in range(10**9 + 1, 10**9 + 31)),
     "class_group": lambda: (
-        (disc, sorted(tuple(f) for f in artin.ClassGroup(disc)._principal_forms))
+        (disc, sorted(artin.ClassGroup(disc).principal_forms))
         for disc in _discs(20_000)
     ),
     "classify": lambda: ((tuple(argv), _printed(argv)) for argv in _classify_argvs()),
