@@ -16,7 +16,8 @@ classes and its twist signs, both built with the record.  One walk
 over the split exponents, on an explicit stack, serves the decision and the
 class images; the decision stops at the first choice with a principal class
 and a trivial twist symbol.  The symbol's head, its factors at 2 and at the
-odd twist prime, is computed once, at the first principal choice.
+odd twist prime (a quartic residue symbol), is computed once, at the first
+principal choice.
 """
 
 from __future__ import annotations
@@ -303,7 +304,7 @@ def _ideals(D: int, n: int, fac: Factorization, twist: TwistPoint | None) -> tup
         else:
             raise NotImplementedError("split conductor prime 2 with 4 | n is outside the model")
     if len(split) > _MAX_SPLIT_PRIMES:
-        raise ValueError(f"more than {_MAX_SPLIT_PRIMES} split primes in n")
+        raise NotImplementedError(f"more than {_MAX_SPLIT_PRIMES} split primes in n")
     return group, None, base, records, split
 
 
@@ -369,8 +370,10 @@ def twist_symbol(
     Product of Hilbert symbols (f-value, x0 - y0 sqrt(D)) over the ramified
     places (those over 2 and the twist prime), times residue-character
     contributions at odd-valuation places elsewhere; real places give +1
-    because the twist element is totally positive.  ``fac``, when given,
-    is the factorization of |n|.
+    because the twist element is totally positive.  At an odd twist prime
+    the symbol there is ``_head``'s quartic residue symbol, which needs
+    l || D and z0 = 1 and raises ValueError otherwise.  ``fac``, when
+    given, is the factorization of |n|.
     """
     disc = D if D % 8 == 5 and n % 4 == 0 else 4 * D
     sym = _head(D, twist, n)
@@ -381,16 +384,37 @@ def twist_symbol(
 
 
 def _head(D: int, twist: TwistPoint, n: int) -> int:
-    # the factors at the places over 2 and the odd twist prime, shared by
-    # every choice at (D, n)
+    """The factors at the places over 2 and the odd twist prime, shared by
+    every choice at (D, n).
+
+    At an odd twist prime l (the pq family: l = 1 mod 4 and l || D) the
+    factor (alpha, theta)_v, alpha an l-adic point of norm n and
+    theta = x0 - y0 sqrt(D) with z0 = 1, is the quartic symbol (u/l)_4,
+    u = n / l^k, k = v_l(n).  At the one place v over l, pi = sqrt(D) is a
+    uniformizer and the residue field is F_l; write D1 = D / l.  The tame
+    symbol is (-1)^(v(alpha) v(theta) (l-1)/2) (a/l)^v(theta) (t/l)^v(alpha),
+    a and t the residues of the unit parts, and its sign is 1 as l = 1 mod 4.
+    * theta: its norm is l, so v(theta) = 1, and theta / pi = -y0 mod pi as
+      x0 = l x1.  From l x1^2 - D1 y0^2 = 1, y0^2 = -1/D1 mod l, so -D1 is
+      a square mod l and (t/l) = (-y0/l) = (-D1/l)_4.
+    * alpha: v(alpha) = k, and alpha / pi^k has norm u (-D1)^(-k), so
+      a^2 = u (-D1)^(-k) mod l and (a/l) = (u/l)_4 (-D1/l)_4^(-k).
+    The powers of (-D1/l)_4 cancel, which leaves (u/l)_4.  An l-adic point
+    exists iff u is a square mod l: one way by a^2 above, the other by
+    Hensel, alpha = pi^k beta with beta a unit of norm u (-D1)^(-k).  So
+    ``quartic_residue`` raises ValueError exactly where there is none.
+    ``canonical_twist`` checks z0 = 1 where cor14 holds, and any other
+    odd twist point is refused here.  The factor at 2 has no such closed
+    form and stays the table ``_two_adic_factor``.
+    """
     v = valuation(n, 2)
     sym = _two_adic_factor(D, twist, ((n >> v) % 16) << (v % 4))
     ell = twist.ell
     if ell != 2:
-        pt = find_local_point(D, n, ell, prec=valuation(n, ell) + 10)
-        if pt is None:
-            raise ValueError(f"no {ell}-adic point for D={D}, n={n}")
-        sym *= hilbert_ev((pt.x, pt.y), twist.element(), places_over(D, ell)[0])
+        # the docstring's proof needs l || D and z0 = 1
+        if twist.z0 != 1 or D % ell or D // ell % ell == 0:
+            raise ValueError(f"no quartic form of the factor at {ell} for D={D}, {twist}")
+        sym *= quartic_residue(n // ell ** valuation(n, ell), ell)
     return sym
 
 
@@ -447,8 +471,13 @@ def canonical_twist(D: int) -> TwistPoint:
     if info.family == FAMILY_PQ:
         p, q = info.primes
         # the twist prime is the one whose quartic symbol base gives +1
-        ell = p if quartic_residue(q, p) == 1 else q
-        return find_twist_point(D, ell)
+        twist = find_twist_point(D, p if quartic_residue(q, p) == 1 else q)
+        # under cor14 the twist prime is the solvable target of x^2 - D y^2 in
+        # {-1, p, q} (classify_pq), so the least twist point has z0 = 1, which
+        # _head's quartic symbol needs
+        if twist.z0 != 1 and cor14_applicable(p, q):
+            raise ArithmeticError(f"twist point {twist} at D={D} has z0 != 1")
+        return twist
     if info.family == FAMILY_2D:
         return find_twist_point(D, 2)
     raise ValueError(f"D={D} is outside both families")
@@ -500,7 +529,9 @@ def joint_artin_decide(D: int, n: int) -> Verdict:
     """Decide x^2 - D y^2 = n by the two-character criterion when it applies.
 
     Falls back to the Pell oracle, flagged as such, outside the families'
-    hypotheses; raises if the criterion ever contradicts the oracle.
+    hypotheses and outside the model (4 | n at a split 2, or more than
+    ``_MAX_SPLIT_PRIMES`` split primes in n); raises if the criterion ever
+    contradicts the oracle.
     """
     if n == 0:
         raise ValueError("n must be nonzero")
@@ -512,7 +543,7 @@ def joint_artin_decide(D: int, n: int) -> Verdict:
         try:
             holds = _some_choice_passes(D, n, canonical_twist(D), factor(abs(n)))
         except NotImplementedError:
-            pass  # conductor prime split in the order and 4 | n: outside the model
+            pass  # 4 | n at a split conductor prime 2, or too many split primes
         else:
             return pellsolver.confirm(D, n, holds, "artin", "artin-condition-fails")
     return pellsolver.solve(D, n)

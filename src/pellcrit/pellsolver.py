@@ -15,9 +15,10 @@ has certified l.  The oracle stays independent where it decides: that
 certificate is checked by code that shares nothing with ``intcore`` (its
 own primality proof, valuations, Euler's criterion and 2-adic coset test),
 and the search still decides every pair that the local test passes.
-``minimal_solutions``, ``confirm``, the CLI's ``decide`` and the scans keep
-searching locally obstructed pairs too, so the local criteria stay checked
-against the search.
+``minimal_solutions``, ``confirm`` and the scans keep searching locally
+obstructed pairs too, so the local criteria stay checked against the
+search.  The CLI's ``decide`` searches once, inside the joint decision,
+and certifies that decision's local obstructions with the same check.
 
 ``minimal_solutions`` finds every solution class by one of three complete
 routes.  A class and its conjugate (the solutions x + y sqrt(D) and

@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import os
 import random
@@ -18,6 +19,7 @@ from pellcrit.localanalysis import (
     twist_residue_square,
 )
 from pellcrit.quadring import INERT, SPLIT, splitting_type
+from pellcrit.symbols import jacobi, quartic_residue
 
 
 def _ref_is_reduced(f, disc):
@@ -454,6 +456,82 @@ def test_twist_symbol_matches_reference():
                 for choice, _ in artin.class_images_of_norm(D, n).entries:
                     got = artin.twist_symbol(D, twist, choice, n)
                     assert got == _reference_twist_symbol(D, twist, choice, n), (D, twist, n)
+
+
+def _pq_family_ds():
+    # the 25 D < 3000 where the joint criterion applies with an odd twist prime
+    ds = [D for D in range(3, 3000, 2) if not is_square(D) and artin._applicable(D)]
+    assert len(ds) == 25
+    return ds
+
+
+def test_head_reads_the_hilbert_symbol_at_the_odd_twist_prime():
+    # at the odd twist prime l, _head's quartic symbol (u/l)_4 equals the
+    # Hilbert symbol over E_v at an l-adic point, on every applicable pq D
+    # < 3000 and every locally solvable 0 < |n| <= 1000, and u is a square
+    # mod l exactly when an l-adic point exists, on every n
+    compared = 0
+    for D in _pq_family_ds():
+        twist = artin.canonical_twist(D)
+        ell, theta, place = twist.ell, twist.element(), places_over(D, twist.ell)[0]
+        for n in range(-1000, 1001):
+            if n == 0:
+                continue
+            pt = find_local_point(D, n, ell, prec=valuation(n, ell) + 10)
+            u = n // ell ** valuation(n, ell)
+            assert (pt is not None) == (jacobi(u, ell) == 1), (D, n)
+            if pt is None or artin.local_obstruction_anywhere(D, n) is not None:
+                continue
+            v = valuation(n, 2)
+            want = artin._two_adic_factor(D, twist, ((n >> v) % 16) << (v % 4))
+            want *= hilbert_ev((pt.x, pt.y), theta, place)
+            assert artin._head(D, twist, n) == want, (D, n)
+            compared += 1
+    assert compared == 7642
+
+
+def test_warm_pq_decisions_take_no_odd_local_point(monkeypatch):
+    # the odd twist prime's factor is a quartic symbol: warm pq decisions
+    # search for a local point and take a Hilbert symbol at 2 at most
+    grid = [(D, n) for D in (205, 221, 1469) for n in range(-500, 501) if n]
+    first = [artin.joint_artin_decide(D, n) for D, n in grid]
+    primes = {"find_local_point": set(), "hilbert_ev": set()}
+
+    def counting(module, name, prime):
+        orig = getattr(module, name)
+
+        def wrapped(*args, **kwargs):
+            primes[name].add(prime(args))
+            return orig(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapped)
+
+    for module in (artin, localanalysis):
+        counting(module, "find_local_point", lambda args: args[2])
+        counting(module, "hilbert_ev", lambda args: args[2].l)
+    artin._two_adic_factor.cache_clear()
+    assert [artin.joint_artin_decide(D, n) for D, n in grid] == first
+    assert primes == {"find_local_point": {2}, "hilbert_ev": {2}}
+    assert sum(v.provenance == "artin" and v.solvable for v in first) > 100
+
+
+def test_canonical_twist_checks_z0_in_the_pq_family(monkeypatch):
+    # D = 205 = 5 * 41 with cor14: the least twist point has z0 = 1, and
+    # the next, (15, 1, 2), has (z0/5) = -1, so the Hilbert symbol at 5
+    # against it is not (u/5)_4 (at n = 5, u = 1).  canonical_twist refuses
+    # such a point, and _head refuses it wherever it comes from, as it does a
+    # twist prime that does not divide D
+    D = 205
+    far = next(tp for tp in quadring.twist_point_candidates(D, 5) if tp.z0 != 1)
+    assert far == (15, 1, 2, 5, D) and artin.canonical_twist(D).z0 == 1
+    pt = find_local_point(D, 5, 5)
+    assert hilbert_ev((pt.x, pt.y), far.element(), places_over(D, 5)[0]) == -quartic_residue(1, 5)
+    monkeypatch.setattr(artin, "find_twist_point", lambda D, ell: far)
+    with pytest.raises(ArithmeticError, match="z0"):
+        artin.canonical_twist.__wrapped__(D)
+    for twist in (far, next(quadring.twist_point_candidates(D, 61))):
+        with pytest.raises(ValueError, match="quartic form"):
+            artin._head(D, twist, 5)
 
 
 def test_class_images_forms_are_reduced():
@@ -1096,12 +1174,18 @@ def test_split_prime_cap_boundary(capsys):
     assert v.provenance == "artin" and x * x - 34 * y * y == n12
     # n12 * 131 is obstructed (at 17, the odd prime of D the scan tests
     # first), so the local test would return before the cap; n12 * 137 is
-    # locally solvable and has 13 split primes
+    # locally solvable and has 13 split primes, past the model, so the
+    # oracle decides it
     assert artin.local_obstruction_anywhere(34, n12 * split[12]) == 17
     n13 = n12 * split[13]
+    assert n13 == 944219910885030712185
     assert artin.local_obstruction_anywhere(34, n13) is None
-    with pytest.raises(ValueError, match="split primes"):
-        artin.joint_artin_decide(34, n13)
-    assert cli.main(["decide", "34", str(n13)]) == cli.EXIT_USAGE
+    with pytest.raises(NotImplementedError, match="split primes"):
+        artin.class_images_of_norm(34, n13)
+    v = artin.joint_artin_decide(34, n13)
+    x, y = v.witness
+    assert v.status == "solvable" and v.provenance == "oracle" and x * x - 34 * y * y == n13
+    assert cli.main(["decide", "34", str(n13)]) == cli.EXIT_OK
     out, err = capsys.readouterr()
-    assert out == "" and len(err.splitlines()) == 1
+    rec = json.loads(out)
+    assert rec["provenance"] == "oracle" and rec["witness"] == [x, y] and err == ""

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from pellcrit import artin, cli, intcore, pellsolver
+from pellcrit import artin, check, cli, intcore, pellsolver
 
 
 def run_cli(*args):
@@ -127,8 +127,8 @@ def test_verify_lemmas_rejects_other_families():
 
 
 def test_decide_scans_for_a_local_obstruction_once(monkeypatch, capsys):
-    # a locally obstructed decide still gets the oracle's own search for
-    # oracle_status, but no second local-obstruction label
+    # a locally obstructed decide runs the local test once and no search:
+    # its oracle_status is the verdict's, once the obstruction is certified
     calls = []
     scan = intcore.local_obstruction_anywhere
 
@@ -143,6 +143,31 @@ def test_decide_scans_for_a_local_obstruction_once(monkeypatch, capsys):
     assert rec["status"] == rec["oracle_status"] == "unsolvable"
     assert rec["provenance"] == "artin"
     assert calls == [(34, 3)]
+
+
+def test_decide_searches_once(monkeypatch, capsys):
+    # the joint decision's confirm is the one oracle search; decide prints
+    # the checked verdict's status as oracle_status
+    calls = []
+    search = pellsolver.minimal_solutions
+    monkeypatch.setattr(
+        pellsolver, "minimal_solutions", lambda D, n: calls.append((D, n)) or search(D, n)
+    )
+    assert cli.main(["decide", "221", "17"]) == cli.EXIT_OK
+    rec = json.loads(capsys.readouterr().out)
+    assert rec["status"] == rec["oracle_status"] == "solvable" and rec["witness"] == [119, 8]
+    assert calls == [(221, 17)]
+
+
+def test_decide_refuses_a_failed_certificate(monkeypatch, capsys):
+    # the joint decision's local obstruction of 3 at D = 34 is certified by
+    # check.no_local_point; a certificate that fails is an inconsistency
+    assert artin.joint_artin_decide(34, 3).reason == "local-obstruction:17"
+    monkeypatch.setattr(check, "no_local_point", lambda D, n, l: False)
+    assert cli.main(["decide", "34", "3"]) == cli.EXIT_INCONSISTENT
+    out, err = capsys.readouterr()
+    assert out == "" and len(err.splitlines()) == 1 and "Traceback" not in err
+    assert "local obstruction at 17" in err
 
 
 def test_classify_rejects_p_below_2(capsys):

@@ -53,6 +53,10 @@ Each line is a sha256 over one grid, with every record written out in full:
   ``joint_families``: the disc, the obstruction, and per entry the split
   exponents, the exact reduced form and the ``twist_symbol`` at
   ``canonical_twist(D)``; an exception is written out by its type;
+* ``twist_heads``: ``artin._head(D, canonical_twist(D), n)``, the twist
+  symbol's factors at 2 and at the odd twist prime, for every D < 3000
+  where the joint criterion applies and every 0 < |n| <= 3000 that the
+  local test passes;
 * ``classify``: the exit code and the JSON line of ``cli.main`` for
   ``classify-pq p q`` on every pair of ``scan --family pq --max 300`` (p < q,
   both 1 mod 4, with ``cor14_applicable``) and for ``classify-2p p`` on
@@ -153,6 +157,12 @@ def _images(D, n):
         (choice.split, tuple(form), _outcome(artin.twist_symbol, D, twist, choice, n))
         for choice, form in images.entries
     ])
+
+
+def _heads():
+    for D, n in _pairs(3000, 3000):
+        if artin._applicable(D) and intcore.local_obstruction_anywhere(D, n) is None:
+            yield (D, n), _outcome(artin._head, D, artin.canonical_twist(D), n)
 
 
 def _states(cf):
@@ -272,6 +282,7 @@ GRIDS = {
         ((D, n), _verdict(artin.joint_artin_decide(D, n))) for D, n in _family_pairs()
     ),
     "class_images": lambda: (((D, n), _images(D, n)) for D, n in _family_pairs()),
+    "twist_heads": _heads,
     "decide_221": lambda: (
         (n, _verdict(criteria.decide_221(n))) for n in range(-30_000, 30_001) if n
     ),
