@@ -27,7 +27,6 @@ from .localanalysis import (
     local_solvable,
     places_over,
     square_class_2,
-    twist_residue_square,
 )
 from .pellsolver import CFExpansion, PellFundamental, cf_fundamental, minimal_solutions, solve
 from .artin import (
@@ -83,7 +82,6 @@ __all__ = [
     "splitting_type",
     "sqrt_mod",
     "square_class_2",
-    "twist_residue_square",
     "twist_symbol",
     "two_squares_all",
 ]

@@ -8,7 +8,9 @@ inert there, and n is a norm from Z[sqrt(D)] iff its odd part is a norm
 from Z[(1 + sqrt(D))/2].  Forms compose by the general Gauss-Shanks rule
 at either discriminant.  The auxiliary quadratic
 extension built from a twist point contributes a second condition, a
-product of local Hilbert symbols.  Solvability for the supported families
+product of local Hilbert symbols.  Away from 2 each of them is a Legendre
+or quartic residue symbol in plain integers, and only the place over 2 is
+computed in ``localanalysis``.  Solvability for the supported families
 is equivalent to some single adelic choice passing both conditions at once.
 
 The joint decision reads one bounded record per prime power of n: its
@@ -16,8 +18,8 @@ classes and its twist signs, both built with the record.  One walk
 over the split exponents, on an explicit stack, serves the decision and the
 class images; the decision stops at the first choice with a principal class
 and a trivial twist symbol.  The symbol's head, its factors at 2 and at the
-odd twist prime (a quartic residue symbol), is computed once, at the first
-principal choice.
+odd twist prime (a quartic residue symbol times a Legendre symbol of z0), is
+computed once, at the first principal choice.
 """
 
 from __future__ import annotations
@@ -27,7 +29,8 @@ from collections import namedtuple
 from functools import lru_cache
 
 from .intcore import (
-    Factorization, factor, isqrt, is_square, local_obstruction_anywhere, sqrt_mod, valuation
+    Factorization, factor, isqrt, is_square, lift_unit_sqrt, local_obstruction_anywhere, sqrt_mod,
+    valuation,
 )
 from .symbols import jacobi, quartic_residue, burde_product
 from .verdict import Verdict
@@ -43,12 +46,7 @@ from .quadring import (
     splitting_type,
     two_squares_all,
 )
-from .localanalysis import (
-    find_local_point,
-    hilbert_ev,
-    places_over,
-    twist_residue_square,
-)
+from .localanalysis import find_local_point, hilbert_ev, places_over
 from . import pellsolver
 
 
@@ -194,7 +192,8 @@ def prime_form(D: int, l: int, disc: int | None = None) -> Form:
 
     disc is 4D, for Z[sqrt(D)], by default, or D = 1 mod 4, for the maximal
     order (odd l only).  At a split l the ideal is the one where sqrt(D) is
-    sqrt_mod(D, l), the place places_over(D, l)[0], at either discriminant.
+    the root sqrt_mod(D, l), at either discriminant.  ``_twist_half`` and
+    places_over(D, l)[0] lift that root, so all three name one place.
     """
     if disc is None:
         disc = 4 * D
@@ -271,14 +270,45 @@ def _prime_record(D: int, disc: int, twist: TwistPoint | None, l: int, e: int) -
 
 
 def _twist_half(D: int, twist: TwistPoint, l: int, e: int, kind: str) -> tuple[int, int]:
-    # away from 2 and the twist prime a place counts when n's share of it is
-    # odd; z0 adds none, as an inert l | z0 would divide x0, y0
+    """l's factor of the twist symbol at j even and at j odd, for l^e || n.
+
+    Away from 2 and the twist prime the factor is the residue character of
+    theta = x0 - y0 sqrt(D) at each place over l whose share of n is odd;
+    N(theta) = l' z0^2, l' the twist prime, and c = (l'/l).
+    * Inert l (it counts when e/2 is odd): an inert l | z0 would divide x0
+      and y0, so the unit part of theta has norm l' times a unit square,
+      and a unit of F_{l^2} is a square iff its norm is a square in F_l.
+      Both halves are c.
+    * Ramified l (it counts when e is odd): when l || D (an l^2 | D is
+      refused) and gcd(x0, y0) = 1, l does not divide z0 (l | z0 gives
+      l | x0, then l^2 | D y0^2 and l | y0), and theta is a unit with
+      residue x0.  Both halves are (x0/l).
+    * Split l: j factors of l lie over the first place, where sqrt(D) is
+      the root s that ``lift_unit_sqrt`` lifts from sqrt_mod(D, l) (the root
+      of ``places_over``), e - j over the second.  The two images of theta
+      multiply to l' z0^2, so their valuations sum to 2v, v = v_l(z0), and
+      their unit characters multiply to c.  With k = 2v + 2 the residue
+      t = x0 - y0 s mod l^k fixes the first image's valuation (at most 2v)
+      and its unit residue, whose character is r.  For odd e the halves are
+      (r c, r); for even e one place counts whatever j is, and they are
+      (1, c).
+    """
     if l in (2, twist.ell) or (kind != SPLIT and (e // 2 if kind == INERT else e) % 2 == 0):
         return (1, 1)
-    # the twist residue character at each place over l, as +1 or -1
-    r = [1 if twist_residue_square(D, twist, pl) else -1 for pl in places_over(D, l)]
-    # j factors of a split l lie over its first place, e - j over its second
-    return (r[0], r[0]) if kind != SPLIT else (r[1], r[0]) if e % 2 else (1, r[0] * r[1])
+    if kind == RAMIFIED:
+        if D % (l * l) == 0:
+            raise ValueError(f"no place over {l} for D = {D}: {l}^2 divides D")
+        r = jacobi(twist.x0, l)
+        return (r, r)
+    c = jacobi(twist.ell, l)
+    if kind == INERT:
+        return (c, c)
+    if e % 2 == 0:
+        return (1, c)
+    k = 2 * valuation(twist.z0, l) + 2
+    t = (twist.x0 - twist.y0 * lift_unit_sqrt(D, l, k)) % l**k
+    r = jacobi(t // l ** valuation(t, l), l)
+    return (r * c, r)
 
 
 def _ideals(D: int, n: int, fac: Factorization, twist: TwistPoint | None) -> tuple:
@@ -371,8 +401,9 @@ def twist_symbol(
     places (those over 2 and the twist prime), times residue-character
     contributions at odd-valuation places elsewhere; real places give +1
     because the twist element is totally positive.  At an odd twist prime
-    the symbol there is ``_head``'s quartic residue symbol, which needs
-    l || D and z0 = 1 and raises ValueError otherwise.  ``fac``, when
+    l the symbol there is ``_head``'s (u/l)_4 (z0/l)^k, which needs l || D
+    and raises ValueError otherwise; elsewhere away from 2 the residue
+    characters are ``_twist_half``'s Legendre symbols.  ``fac``, when
     given, is the factorization of |n|.
     """
     disc = D if D % 8 == 5 and n % 4 == 0 else 4 * D
@@ -387,34 +418,37 @@ def _head(D: int, twist: TwistPoint, n: int) -> int:
     """The factors at the places over 2 and the odd twist prime, shared by
     every choice at (D, n).
 
-    At an odd twist prime l (the pq family: l = 1 mod 4 and l || D) the
-    factor (alpha, theta)_v, alpha an l-adic point of norm n and
-    theta = x0 - y0 sqrt(D) with z0 = 1, is the quartic symbol (u/l)_4,
+    At an odd twist prime l with l || D (the pq family, where l = 1 mod 4)
+    the factor (alpha, theta)_v, alpha an l-adic point of norm n and
+    theta = x0 - y0 sqrt(D) of norm l z0^2, is (u/l)_4 (z0/l)^k,
     u = n / l^k, k = v_l(n).  At the one place v over l, pi = sqrt(D) is a
     uniformizer and the residue field is F_l; write D1 = D / l.  The tame
     symbol is (-1)^(v(alpha) v(theta) (l-1)/2) (a/l)^v(theta) (t/l)^v(alpha),
     a and t the residues of the unit parts, and its sign is 1 as l = 1 mod 4.
-    * theta: its norm is l, so v(theta) = 1, and theta / pi = -y0 mod pi as
-      x0 = l x1.  From l x1^2 - D1 y0^2 = 1, y0^2 = -1/D1 mod l, so -D1 is
-      a square mod l and (t/l) = (-y0/l) = (-D1/l)_4.
+    * theta: l does not divide z0 (l | z0 gives l | x0, then l^2 | D y0^2
+      and l | y0, against gcd(x0, y0) = 1), so v(theta) = 1, and
+      theta / pi = -y0 mod pi as x0 = l x1.  From l x1^2 - D1 y0^2 = z0^2,
+      y0^2 = -z0^2 / D1 mod l, so -D1 is a square mod l and
+      (t/l) = (-y0/l) = (z0/l) (-D1/l)_4.
     * alpha: v(alpha) = k, and alpha / pi^k has norm u (-D1)^(-k), so
       a^2 = u (-D1)^(-k) mod l and (a/l) = (u/l)_4 (-D1/l)_4^(-k).
-    The powers of (-D1/l)_4 cancel, which leaves (u/l)_4.  An l-adic point
-    exists iff u is a square mod l: one way by a^2 above, the other by
-    Hensel, alpha = pi^k beta with beta a unit of norm u (-D1)^(-k).  So
-    ``quartic_residue`` raises ValueError exactly where there is none.
-    ``canonical_twist`` checks z0 = 1 where cor14 holds, and any other
-    odd twist point is refused here.  The factor at 2 has no such closed
-    form and stays the table ``_two_adic_factor``.
+    The powers of (-D1/l)_4 cancel, which leaves (u/l)_4 (z0/l)^k.  An
+    l-adic point exists iff u is a square mod l: one way by a^2 above, the
+    other by Hensel, alpha = pi^k beta with beta a unit of norm
+    u (-D1)^(-k).  So ``quartic_residue`` raises ValueError exactly where
+    there is none.  A twist prime that does not divide D, or whose square
+    does, is refused.  The factor at 2 has no such closed form and stays
+    the table ``_two_adic_factor``.
     """
     v = valuation(n, 2)
     sym = _two_adic_factor(D, twist, ((n >> v) % 16) << (v % 4))
     ell = twist.ell
     if ell != 2:
-        # the docstring's proof needs l || D and z0 = 1
-        if twist.z0 != 1 or D % ell or D // ell % ell == 0:
+        # the docstring's proof needs l || D
+        if D % ell or D // ell % ell == 0:
             raise ValueError(f"no quartic form of the factor at {ell} for D={D}, {twist}")
-        sym *= quartic_residue(n // ell ** valuation(n, ell), ell)
+        k = valuation(n, ell)
+        sym *= quartic_residue(n // ell**k, ell) * jacobi(twist.z0, ell) ** k
     return sym
 
 
@@ -471,13 +505,7 @@ def canonical_twist(D: int) -> TwistPoint:
     if info.family == FAMILY_PQ:
         p, q = info.primes
         # the twist prime is the one whose quartic symbol base gives +1
-        twist = find_twist_point(D, p if quartic_residue(q, p) == 1 else q)
-        # under cor14 the twist prime is the solvable target of x^2 - D y^2 in
-        # {-1, p, q} (classify_pq), so the least twist point has z0 = 1, which
-        # _head's quartic symbol needs
-        if twist.z0 != 1 and cor14_applicable(p, q):
-            raise ArithmeticError(f"twist point {twist} at D={D} has z0 != 1")
-        return twist
+        return find_twist_point(D, p if quartic_residue(q, p) == 1 else q)
     if info.family == FAMILY_2D:
         return find_twist_point(D, 2)
     raise ValueError(f"D={D} is outside both families")

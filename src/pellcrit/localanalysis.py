@@ -3,8 +3,8 @@
 Z_l-points of x^2 - D y^2 = n (the solvability test is
 intcore.local_solvable, re-exported here), square classes of 2-adic
 numbers, quadratic Hilbert symbols over the completions E_v (including the
-wild quadratic extensions of Q_2), the norm-class character table of the
-auxiliary quadratic extension, and residue-field splitting tests.
+wild quadratic extensions of Q_2) and the norm-class character table of
+the auxiliary quadratic extension.
 
 Every symbol is computed on integers.  At a split or odd place an element
 is reduced to its valuation and an integer that names the residue
@@ -459,15 +459,3 @@ def character_table(D: int, twist: TwistPoint) -> CharacterTable:
     if tab.chi_1 != 1 or tab.chi_neg2 != tab.chi_neg1 * tab.chi_2:
         raise ArithmeticError(f"character table inconsistent for D={D}: {tab}")
     return tab
-
-
-def twist_residue_square(D: int, twist: TwistPoint, place: Place) -> bool:
-    """Whether x0 - y0 sqrt(D) is a square in the residue field at the place.
-
-    Only defined away from 2 and the twist prime (where the extension is
-    unramified); the unit part of the element is tested.
-    """
-    l = place.l
-    if l == 2 or l == twist.ell:
-        raise ValueError("place must be prime to 2 and the twist prime")
-    return jacobi(_val_unit(*twist.element(), place)[1], l) == 1

@@ -38,14 +38,14 @@ def quartic_residue(a: int, p: int) -> int:
     """
     if p % 4 != 1 or not is_prime(p):
         raise ValueError(f"{p} is not a prime = 1 mod 4")
-    if jacobi(a, p) != 1:
-        raise ValueError(f"({a}/{p}) != 1, quartic symbol undefined")
+    # t^2 = a^((p-1)/2) is 1 iff (a/p) = 1; otherwise t is 0 (p | a) or a
+    # square root of -1
     t = pow(a, (p - 1) // 4, p)
     if t == 1:
         return 1
     if t == p - 1:
         return -1
-    raise ArithmeticError(f"Euler criterion gave {t} mod {p}")
+    raise ValueError(f"({a}/{p}) != 1, quartic symbol undefined")
 
 
 def quartic_2_of_d(d: int) -> int:

@@ -11,13 +11,7 @@ import pytest
 
 from pellcrit import artin, cli, intcore, localanalysis, pellsolver, quadring
 from pellcrit.intcore import factor, is_prime, is_square, valuation
-from pellcrit.localanalysis import (
-    find_local_point,
-    hilbert_ev,
-    places_over,
-    square_class_2,
-    twist_residue_square,
-)
+from pellcrit.localanalysis import find_local_point, hilbert_ev, places_over, square_class_2
 from pellcrit.quadring import INERT, SPLIT, splitting_type
 from pellcrit.symbols import jacobi, quartic_residue
 
@@ -380,6 +374,18 @@ def test_twist_symbol_matches_character_table():
             assert got == tab.value(cls), (D, n)
 
 
+def twist_residue_square(D, twist, place):
+    """Whether x0 - y0 sqrt(D) is a square in the residue field at the place.
+
+    Only defined away from 2 and the twist prime (where the extension is
+    unramified); the unit part of the element is tested.
+    """
+    l = place.l
+    if l == 2 or l == twist.ell:
+        raise ValueError("place must be prime to 2 and the twist prime")
+    return jacobi(localanalysis._val_unit(*twist.element(), place)[1], l) == 1
+
+
 def _reference_twist_symbol(D, twist, choice, n, *, fac=None):
     # the twist symbol as it was before its per-prime and 2-adic caches:
     # every place recomputed from n on every call
@@ -490,12 +496,101 @@ def test_head_reads_the_hilbert_symbol_at_the_odd_twist_prime():
     assert compared == 7642
 
 
+def _twist_points():
+    # the three least twist points of every twist prime of every D < 3000
+    # in either family: both primes of a pq D, 2 for a 2d D
+    for D in range(2, 3000):
+        if is_square(D):
+            continue
+        info = quadring.classify_order(D)
+        for ell in {"pq": info.primes, "2d": (2,)}.get(info.family, ()):
+            yield from itertools.islice(quadring.twist_point_candidates(D, ell), 3)
+
+
+def _reference_twist_half(D, twist, l, e, kind):
+    # the twist half as it was computed from the places over l, with a
+    # 24-digit root of D at a split l
+    if l in (2, twist.ell) or (kind != SPLIT and (e // 2 if kind == INERT else e) % 2 == 0):
+        return (1, 1)
+    r = [1 if twist_residue_square(D, twist, pl) else -1 for pl in places_over(D, l)]
+    return (r[0], r[0]) if kind != SPLIT else (r[1], r[0]) if e % 2 else (1, r[0] * r[1])
+
+
+def test_twist_half_matches_the_places_over_l():
+    # _twist_half's Legendre symbols against the residue characters at the
+    # places over l, over the twist points of both families, every odd
+    # l < 600 and e in {1, 2, 3}, with the split l that divide z0 (where the
+    # root needs 2 v_l(z0) + 2 digits) counted apart
+    odd = [l for l in intcore._sieve(600) if l != 2]
+    points = list(_twist_points())
+    assert len(points) == 399
+    compared = split_z0 = 0
+    for tw in points:
+        for l in odd:
+            kind = splitting_type(tw.D, l)
+            for e in (1, 2, 3):
+                got = artin._twist_half(tw.D, tw, l, e, kind)
+                assert got == _reference_twist_half(tw.D, tw, l, e, kind), (tw, l, e)
+                compared += 1
+                split_z0 += kind == SPLIT and tw.z0 % l == 0
+    assert compared == 399 * 108 * 3 and split_z0 == 891
+    # an odd l with l^2 | D has no place with sqrt(D) as uniformizer
+    tw98 = quadring.find_twist_point(98, 2)
+    for half in (artin._twist_half, _reference_twist_half):
+        with pytest.raises(ValueError, match="7\\^2 divides"):
+            half(98, tw98, 7, 1, "ramified")
+
+
+def test_head_reads_the_hilbert_symbol_at_any_odd_twist_point(monkeypatch):
+    # at every odd twist point with z0 != 1 of the grid above, and every
+    # 0 < |n| <= 150, the factor at the twist prime l is the Hilbert symbol
+    # over E_v at an l-adic point, (u/l)_4 (z0/l)^k, or ValueError where
+    # there is no l-adic point
+    monkeypatch.setattr(artin, "_two_adic_factor", lambda *args: 1)
+    points = [tw for tw in _twist_points() if tw.ell != 2 and tw.z0 != 1]
+    assert len(points) == 222
+    compared = 0
+    for tw in points:
+        D, ell, theta = tw.D, tw.ell, tw.element()
+        place = places_over(D, ell)[0]
+        for n in range(-150, 151):
+            if n == 0:
+                continue
+            pt = find_local_point(D, n, ell, prec=valuation(n, ell) + 10)
+            if pt is None:
+                with pytest.raises(ValueError, match="quartic symbol undefined"):
+                    artin._head(D, tw, n)
+            else:
+                assert artin._head(D, tw, n) == hilbert_ev((pt.x, pt.y), theta, place), (tw, n)
+            compared += 1
+    assert compared == 66600
+
+
+def test_twist_symbol_at_a_twist_point_with_z0_3():
+    # D = 145 = 5 * 29 is outside cor14, and its twist point has z0 = 3:
+    # the symbol is defined there and agrees with the Hilbert-symbol path
+    D = 145
+    twist = artin.canonical_twist(D)
+    assert twist.z0 == 3 and not artin._applicable(D)
+    compared = 0
+    for n in range(-300, 301):
+        if n == 0 or n % 4 == 0 or artin.local_obstruction_anywhere(D, n) is not None:
+            continue  # 2 splits at D = 1 mod 8, so 4 | n is outside the model
+        for choice, _ in artin.class_images_of_norm(D, n).entries:
+            got = artin.twist_symbol(D, twist, choice, n)
+            assert got == _reference_twist_symbol(D, twist, choice, n), (n, choice)
+            compared += 1
+    assert compared == 168
+
+
 def test_warm_pq_decisions_take_no_odd_local_point(monkeypatch):
-    # the odd twist prime's factor is a quartic symbol: warm pq decisions
-    # search for a local point and take a Hilbert symbol at 2 at most
-    grid = [(D, n) for D in (205, 221, 1469) for n in range(-500, 501) if n]
+    # the odd twist prime's factor is a quartic symbol and the twist halves
+    # are Legendre symbols: decisions whose records are built afresh search
+    # for a local point, take a Hilbert symbol and name a place at 2 only,
+    # in both families
+    grid = [(D, n) for D in (205, 221, 1469, 34, 146, 1394) for n in range(-500, 501) if n]
     first = [artin.joint_artin_decide(D, n) for D, n in grid]
-    primes = {"find_local_point": set(), "hilbert_ev": set()}
+    primes = {"find_local_point": set(), "hilbert_ev": set(), "places_over": set()}
 
     def counting(module, name, prime):
         orig = getattr(module, name)
@@ -509,29 +604,33 @@ def test_warm_pq_decisions_take_no_odd_local_point(monkeypatch):
     for module in (artin, localanalysis):
         counting(module, "find_local_point", lambda args: args[2])
         counting(module, "hilbert_ev", lambda args: args[2].l)
+        counting(module, "places_over", lambda args: args[1])
     artin._two_adic_factor.cache_clear()
+    artin._prime_record.cache_clear()
     assert [artin.joint_artin_decide(D, n) for D, n in grid] == first
-    assert primes == {"find_local_point": {2}, "hilbert_ev": {2}}
-    assert sum(v.provenance == "artin" and v.solvable for v in first) > 100
+    assert primes == {"find_local_point": {2}, "hilbert_ev": {2}, "places_over": {2}}
+    assert sum(v.provenance == "artin" and v.solvable for v in first) > 200
 
 
-def test_canonical_twist_checks_z0_in_the_pq_family(monkeypatch):
+def test_head_takes_twist_points_with_z0_other_than_1(monkeypatch):
     # D = 205 = 5 * 41 with cor14: the least twist point has z0 = 1, and
     # the next, (15, 1, 2), has (z0/5) = -1, so the Hilbert symbol at 5
-    # against it is not (u/5)_4 (at n = 5, u = 1).  canonical_twist refuses
-    # such a point, and _head refuses it wherever it comes from, as it does a
-    # twist prime that does not divide D
+    # against it is -(u/5)_4 at n = 5 (u = 1, k = 1).  canonical_twist takes
+    # such a point as it comes, and _head reads the symbol from it; a twist
+    # prime that does not divide D, or whose square does, is refused
     D = 205
     far = next(tp for tp in quadring.twist_point_candidates(D, 5) if tp.z0 != 1)
     assert far == (15, 1, 2, 5, D) and artin.canonical_twist(D).z0 == 1
     pt = find_local_point(D, 5, 5)
-    assert hilbert_ev((pt.x, pt.y), far.element(), places_over(D, 5)[0]) == -quartic_residue(1, 5)
+    want = hilbert_ev((pt.x, pt.y), far.element(), places_over(D, 5)[0])
+    assert want == -quartic_residue(1, 5)
+    assert artin._head(D, far, 5) == artin._two_adic_factor(D, far, 5) * want
     monkeypatch.setattr(artin, "find_twist_point", lambda D, ell: far)
-    with pytest.raises(ArithmeticError, match="z0"):
-        artin.canonical_twist.__wrapped__(D)
-    for twist in (far, next(quadring.twist_point_candidates(D, 61))):
+    assert artin.canonical_twist.__wrapped__(D) == far
+    for D, twist in ((D, next(quadring.twist_point_candidates(D, 61))),
+                     (275, quadring.TwistPoint(20, 1, 5, 5, 275))):
         with pytest.raises(ValueError, match="quartic form"):
-            artin._head(D, twist, 5)
+            artin._head(D, twist, 1)
 
 
 def test_class_images_forms_are_reduced():

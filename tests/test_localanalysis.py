@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from pellcrit import localanalysis as la
-from pellcrit import pellsolver, quadring
+from pellcrit import artin, pellsolver, quadring
 from pellcrit.intcore import factor, lift_unit_sqrt, two_adic_layer, valuation
 from pellcrit.symbols import hilbert_q, jacobi
 
@@ -502,30 +502,32 @@ def _mul_sqrt(D, u, v):
     return (u[0] * v[0] + D * u[1] * v[1], u[0] * v[1] + u[1] * v[0])
 
 
-def test_twist_residue_square_221():
+def _half_221(l, e):
     tw = quadring.TwistPoint(119, 8, 1, 17, 221)
-    assert any(
-        la.twist_residue_square(221, tw, p) for p in la.places_over(221, 53)
-    )
-    assert not any(
-        la.twist_residue_square(221, tw, p) for p in la.places_over(221, 79)
-    )
-    assert not la.twist_residue_square(221, tw, la.places_over(221, 3)[0])
-    with pytest.raises(ValueError):
-        la.twist_residue_square(221, tw, la.places_over(221, 17)[0])
+    return artin._twist_half(221, tw, l, e, quadring.splitting_type(221, l))
+
+
+def test_twist_residue_square_221():
+    # the twist half of l^e || n: the residue character of x0 - y0 sqrt(D)
+    # is a square at both places over the split 53 (so (17/53) = 1), at the
+    # place over the inert 79 and 3 it is not, and the twist prime 17
+    # brings no factor.  An inert l counts only when e/2 is odd
+    assert _half_221(53, 1) == (1, 1)
+    assert _half_221(79, 2) == _half_221(3, 2) == (-1, -1)
+    assert _half_221(79, 1) == _half_221(79, 4) == (1, 1)
+    assert _half_221(17, 1) == (1, 1)
 
 
 def test_twist_residue_square_matches_quartic_221():
-    # for split p with (13/p) = (17/p) = 1 the residue test at either place
-    # agrees with solvability of x^4 - 238 x^2 + 17 mod p
+    # for split p with (13/p) = (17/p) = 1 the residue character at the
+    # first place over p (the half at j odd, e = 1) agrees with solvability
+    # of x^4 - 238 x^2 + 17 mod p
     from pellcrit.intcore import _SMALL_PRIMES
 
-    tw = quadring.TwistPoint(119, 8, 1, 17, 221)
     for p in [q for q in _SMALL_PRIMES if q < 500 and q not in (2, 13, 17)]:
         if jacobi(13, p) == 1 and jacobi(17, p) == 1:
             has_root = any((x**4 - 238 * x * x + 17) % p == 0 for x in range(p))
-            place = la.places_over(221, p)[0]
-            assert la.twist_residue_square(221, tw, place) == has_root, p
+            assert _half_221(p, 1)[1] == (1 if has_root else -1), p
 
 
 def test_local_point_liftability_flag():

@@ -57,6 +57,11 @@ Each line is a sha256 over one grid, with every record written out in full:
   symbol's factors at 2 and at the odd twist prime, for every D < 3000
   where the joint criterion applies and every 0 < |n| <= 3000 that the
   local test passes;
+* ``twist_halves``: ``artin._twist_half(D, tw, l, e, splitting_type(D, l))``,
+  the pair of signs that l^e || n brings to the twist symbol, for the three
+  least twist points tw of every twist prime of every D < 3000 in either
+  family (both primes of a pq D, 2 for a 2d D), every odd prime l < 1500
+  and e in {1, 2, 3};
 * ``classify``: the exit code and the JSON line of ``cli.main`` for
   ``classify-pq p q`` on every pair of ``scan --family pq --max 300`` (p < q,
   both 1 mod 4, with ``cor14_applicable``) and for ``classify-2p p`` on
@@ -82,7 +87,9 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 from gen import JOINT_2D_D, JOINT_2D_N_MAX  # noqa: E402
-from pellcrit import artin, check, cli, criteria, intcore, localanalysis, pellsolver  # noqa: E402
+from pellcrit import (  # noqa: E402
+    artin, check, cli, criteria, intcore, localanalysis, pellsolver, quadring
+)
 
 # per-grid counts that main prints beside the digest, set by the grid
 _TALLY: dict[str, int] = {}
@@ -163,6 +170,24 @@ def _heads():
     for D, n in _pairs(3000, 3000):
         if artin._applicable(D) and intcore.local_obstruction_anywhere(D, n) is None:
             yield (D, n), _outcome(artin._head, D, artin.canonical_twist(D), n)
+
+
+def _twist_points():
+    for D in range(2, 3000):
+        if math.isqrt(D) ** 2 != D:
+            info = quadring.classify_order(D)
+            ells = {quadring.FAMILY_PQ: info.primes, quadring.FAMILY_2D: (2,)}.get(info.family, ())
+            for ell in ells:
+                yield from itertools.islice(quadring.twist_point_candidates(D, ell), 3)
+
+
+def _halves():
+    odd = intcore._sieve(1500)[1:]
+    for tw in _twist_points():
+        for l in odd:
+            kind = quadring.splitting_type(tw.D, l)
+            for e in (1, 2, 3):
+                yield (tw, l, e), artin._twist_half(tw.D, tw, l, e, kind)
 
 
 def _states(cf):
@@ -283,6 +308,7 @@ GRIDS = {
     ),
     "class_images": lambda: (((D, n), _images(D, n)) for D, n in _family_pairs()),
     "twist_heads": _heads,
+    "twist_halves": _halves,
     "decide_221": lambda: (
         (n, _verdict(criteria.decide_221(n))) for n in range(-30_000, 30_001) if n
     ),
