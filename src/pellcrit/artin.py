@@ -46,7 +46,7 @@ from .quadring import (
     splitting_type,
     two_squares_all,
 )
-from .localanalysis import find_local_point, hilbert_ev, places_over
+from .localanalysis import find_local_point, hilbert_ev, two_adic_context
 from . import pellsolver
 
 
@@ -437,8 +437,9 @@ def _head(D: int, twist: TwistPoint, n: int) -> int:
     other by Hensel, alpha = pi^k beta with beta a unit of norm
     u (-D1)^(-k).  So ``quartic_residue`` raises ValueError exactly where
     there is none.  A twist prime that does not divide D, or whose square
-    does, is refused.  The factor at 2 has no such closed form and stays
-    the table ``_two_adic_factor``.
+    does, is refused.  The factor at 2 is the table ``_two_adic_factor``:
+    ``hilbert_ev`` at a 2-adic point of norm n, two Hilbert symbols over
+    Q_2.
     """
     v = valuation(n, 2)
     sym = _two_adic_factor(D, twist, ((n >> v) % 16) << (v % 4))
@@ -463,7 +464,7 @@ def _two_adic_factor(D: int, twist: TwistPoint, r: int) -> int:
     r = ((n >> v) % 16) << (v % 4), v = v2(n), names n's class.  The Q_2
     square class is coarser and wrong: at D = 34, n = 1 and n = 9 differ.
     """
-    place2 = places_over(D, 2)[-1]  # the only place over 2, or the second
+    place2 = two_adic_context(D)[-1]  # the only place over 2, or the second
     theta = twist.element()
     if place2.kind == SPLIT:
         # 2 is never a split prime of a choice (_ideals stops first), so

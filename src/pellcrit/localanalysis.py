@@ -6,23 +6,13 @@ numbers, quadratic Hilbert symbols over the completions E_v (including the
 wild quadratic extensions of Q_2) and the norm-class character table of
 the auxiliary quadratic extension.
 
-Every symbol is computed on integers.  At a split or odd place an element
-is reduced to its valuation and an integer that names the residue
-character of its unit part, and the Q_l formula hilbert_q_parts pairs two
-of them; at an inert odd place the sign drops, as -1 is a square in
-F_{l^2}.
-
-The 2-adic symbol engine works on the finite group E_v*/(E_v*)^2 of 16
-square classes: a unit is a square iff it is one modulo pi^(2e+1), and
-8 O_E lies in pi^(2e+1) O_E, so a unit's coordinates mod 8 fix its class;
-elements have integer coordinates, so class computations need no rational
-arithmetic.
-The Hilbert pairing on that group is its definition: (a, b)_v = 1 iff b
-is a norm from E_v(sqrt a).  For a not a square those norms form an
-index-2 subgroup, spanned by the classes of x^2 - a y^2 over a small box
-of O_E.  2-adic points come from the coset that the closed form of
-intcore.two_adic_layer names: y = 2^t w with w^2 = 1 + 8r, then a square
-root for x.
+Every symbol is computed on integers.  At a split place E_v is Q_l: an
+element is reduced to its valuation and its unit part under the place's
+root, and the Q_l formula hilbert_q_parts pairs two of them.  At a
+nonsplit place, over 2 or an odd l, the symbol over E_v is a product of
+two symbols over Q_l (the proof is in hilbert_ev).  2-adic points come
+from the coset that the closed form of intcore.two_adic_layer names:
+y = 2^t w with w^2 = 1 + 8r, then a square root for x.
 """
 
 from __future__ import annotations
@@ -37,10 +27,9 @@ from .intcore import (
     two_adic_layer,
     valuation,
 )
-from .symbols import hilbert_q_parts, jacobi
+from .symbols import hilbert_q, hilbert_q_parts, jacobi
 from .quadring import (
     FAMILY_2D,
-    INERT,
     SPLIT,
     TwistPoint,
     classify_order,
@@ -192,231 +181,84 @@ def _point_at_2(D: int, n: int, prec: int) -> LocalPoint | None:
 
 
 # ---------------------------------------------------------------------------
-# the 2-adic quadratic field engine
-
-_COORD_BITS = 3
-_COORD_MOD = 1 << _COORD_BITS
-# elements x, y of O_E whose values x^2 - a y^2 span the norm groups; 0 comes
-# late because y = 0 gives only squares, and the span mostly fills early
-_NORM_BOX = tuple((i, j) for i in (1, 0, -1, 2, -2) for j in (1, 0, -1, 2, -2))
-
-
-class TwoAdicQuad:
-    """E_v = Q_2(sqrt(D)) for nonsplit D: exact square-class arithmetic
-    and the quadratic Hilbert pairing on E_v*/(E_v*)^2."""
-
-    def __init__(self, D: int):
-        v2 = valuation(D, 2)
-        if v2 >= 2:
-            raise ValueError("D must have 2-adic valuation 0 or 1")
-        if v2 == 0 and D % 8 == 1:
-            raise ValueError("Q_2(sqrt(D)) is split, not a field")
-        self.D = D
-        if v2 == 1:
-            self.kind = "ram2"
-            self.pi = (0, 1)
-        elif D % 4 == 3:
-            self.kind = "ram3"
-            self.pi = (1, 1)
-        else:
-            self.kind = "inert"
-            self.pi = (2, 0)
-            self.c = (D - 1) // 4
-        self._build_classes()
-        self._build_pairing()
-
-    # -- basis arithmetic (inert uses the (1, phi) basis, phi = (1+sqrt D)/2)
-
-    def from_sqrt_basis(self, x, y):
-        if self.kind == "inert":
-            return (x - y, 2 * y)
-        return (x, y)
-
-    def mul(self, u, v):
-        a1, b1 = u
-        a2, b2 = v
-        if self.kind == "inert":
-            return (a1 * a2 + self.c * b1 * b2, a1 * b2 + a2 * b1 + b1 * b2)
-        return (a1 * a2 + self.D * b1 * b2, a1 * b2 + a2 * b1)
-
-    def norm(self, u):
-        a, b = u
-        if self.kind == "inert":
-            return a * a + a * b - self.c * b * b
-        return a * a - self.D * b * b
-
-    def _mulmod(self, u, v) -> tuple[int, int]:
-        w = self.mul(u, v)
-        return (w[0] % _COORD_MOD, w[1] % _COORD_MOD)
-
-    def class_of(self, u: tuple[int, int]) -> tuple[int, tuple[int, int]]:
-        """Square class as (valuation parity, canonical unit residue).
-
-        u holds integer coordinates; a rational element takes the same class
-        once scaled by the square of its common denominator.
-        """
-        a, b = u
-        nrm = self.norm((a, b))
-        if nrm == 0:
-            raise ValueError("square class of 0 undefined")
-        v = valuation(nrm, 2)
-        # divide by pi v times, up to square factors: by 2 (inert, where
-        # v(norm) = 2v), by sqrt(D) times d^2 (D = 2d), or by 1 + sqrt(D)
-        # times m^2 (m = (1 - D)/2)
-        D = self.D
-        if self.kind == "inert":
-            if v % 2:
-                raise ArithmeticError(f"odd norm valuation in the inert field, D={D}")
-            v //= 2
-            a, b = a >> v, b >> v
-        elif self.kind == "ram2":
-            d = D >> 1
-            for _ in range(v):
-                a, b = b * d * d, (a >> 1) * d
-        else:
-            m = (1 - D) >> 1
-            for _ in range(v):
-                a, b = ((a - b * D) >> 1) * m, ((b - a) >> 1) * m
-        return (v & 1, self._canon[(a % _COORD_MOD, b % _COORD_MOD)])
-
-    # -- the group of square classes and the pairing on it
-
-    def _build_classes(self):
-        units = [
-            (a, b)
-            for a in range(_COORD_MOD)
-            for b in range(_COORD_MOD)
-            if self.norm((a, b)) % 2 == 1
-        ]
-        squares = {self._mulmod(u, u) for u in units}
-        # each unit residue mod 8 to the least residue of its square class
-        self._canon = {u: min(self._mulmod(u, s) for s in squares) for u in units}
-        unit_classes = sorted(set(self._canon.values()))
-        if len(unit_classes) != 8:
-            raise ArithmeticError(f"{len(unit_classes)} unit square classes for D={self.D}, not 8")
-        self._trivial = (0, self._canon[(1, 0)])
-        self.classes = [(p, c) for p in (0, 1) for c in unit_classes]
-        # exact integer representatives
-        self._rep = {}
-        for p, c in self.classes:
-            rep = (c[0], c[1])
-            if p:
-                rep = self.mul(self.pi, rep)
-            self._rep[(p, c)] = rep
-        # GF(2) coordinates via greedy basis
-        vec = {self._trivial: 0}
-        basis = []
-        for cls in self.classes:
-            if cls not in vec:
-                basis.append(cls)
-                bit = 1 << (len(basis) - 1)
-                for known, kv in list(vec.items()):
-                    prod = self.class_of(self.mul(self._rep[known], self._rep[cls]))
-                    vec[prod] = kv | bit
-        if len(basis) != 4 or len(vec) != 16:
-            raise ArithmeticError(f"square classes for D={self.D} span {len(vec)} elements, not 16")
-        self._vec = vec
-
-    def _norm_span(self, a) -> set[int]:
-        # (a, b) = 1 iff b is a norm from E(sqrt a).  Those norms are all of
-        # E* when a is a square and an index-2 subgroup otherwise, and the
-        # values x^2 - a y^2 over a box of O_E span them.
-        target = 16 if self._vec[self.class_of(a)] == 0 else 8
-        squares = [self.mul(x, x) for x in _NORM_BOX]
-        span = {0}
-        for ysq in squares:
-            ay2 = self.mul(a, ysq)
-            for xsq in squares:
-                nrm = (xsq[0] - ay2[0], xsq[1] - ay2[1])
-                if nrm == (0, 0):
-                    continue
-                bit = self._vec[self.class_of(nrm)]
-                if bit not in span:
-                    span |= {s ^ bit for s in span}
-                    if len(span) == target:
-                        return span
-        raise ArithmeticError(
-            f"norms from E(sqrt a) span {len(span)} square classes, not {target},"
-            f" for D={self.D}, a={a}"
-        )
-
-    def _build_pairing(self):
-        self._table = {}
-        for ca in self.classes:
-            span = self._norm_span(self._rep[ca])
-            for cb in self.classes:
-                self._table[(ca, cb)] = 1 if self._vec[cb] in span else -1
-        if any(self._table[(ca, cb)] != self._table[(cb, ca)] for ca, cb in self._table):
-            raise ArithmeticError(f"Hilbert pairing for D={self.D} is not symmetric")
-
-    def pair(self, u, v) -> int:
-        """Quadratic Hilbert symbol (u, v) over this field."""
-        return self._table[(self.class_of(u), self.class_of(v))]
-
-
-# bounded: about 37 KB an engine near D = 10^6, and as few D in use as class groups
-@lru_cache(maxsize=128)
-def two_adic_context(D: int) -> TwoAdicQuad:
-    return TwoAdicQuad(D)
-
-
-# ---------------------------------------------------------------------------
 # Hilbert symbols over E_v
 
 
-def _val_unit(x: int, y: int, place: Place) -> tuple[int, int]:
-    """(v, c) for x + y sqrt(D), integers, at a split or odd place.
+# bounded: as few D in use as class groups
+@lru_cache(maxsize=128)
+def two_adic_context(D: int) -> tuple[Place, ...]:
+    """places_over(D, 2), kept per D for the twist symbol's factor at 2 and
+    character_table."""
+    return places_over(D, 2)
 
-    v is the valuation.  At odd l, jacobi(c, l) is the quadratic residue
-    character of the unit part; at a split place over 2, c is the unit
-    part itself mod 2^k, k >= 4.
+
+def _val_unit(x: int, y: int, place: Place) -> tuple[int, int]:
+    """(v, c) for x + y sqrt(D), integers, at a split place.
+
+    v is the valuation, and c the unit part mod l^k, k >= 4, of the image
+    of x + y sqrt(D) in Q_l under the place's root.
     """
+    # while the root's precision does not fix the valuation and unit, lift
+    # the same root further
     l, D = place.l, place.D
-    if place.kind == SPLIT:
-        # embed by the place's root; while the root's precision does not
-        # fix the valuation and unit, lift the same root further
-        prec, root = place.prec, place.root
-        while True:
-            t = (x + y * root) % l**prec
-            v = valuation(t, l) if t else prec
-            if v <= prec - 4:
-                return v, t // l**v
-            prec = 2 * v + 8
-            root = lift_unit_sqrt(D, l, prec)
-            if (root - place.root) % l**place.prec:
-                root = l**prec - root
-    nrm = x * x - D * y * y
-    v = valuation(nrm, l)
-    if place.kind == INERT:
-        # v(norm) = 2v, and a unit of F_{l^2} is a square iff its norm is
-        return v // 2, nrm // l**v
-    # ramified, pi = sqrt(D): the residue of x / D^k (v = 2k) or y / D^k
-    # (v = 2k + 1), whose character is that of (x or y) / l^k times (D/l)^k
-    k = v // 2
-    return v, (y if v & 1 else x) // l**k * pow(D // l, k, l)
+    prec, root = place.prec, place.root
+    while True:
+        t = (x + y * root) % l**prec
+        v = valuation(t, l) if t else prec
+        if v <= prec - 4:
+            return v, t // l**v
+        prec = 2 * v + 8
+        root = lift_unit_sqrt(D, l, prec)
+        if (root - place.root) % l**place.prec:
+            root = l**prec - root
 
 
 def hilbert_ev(alpha, beta, place: Place) -> int:
     """Quadratic Hilbert symbol (alpha, beta) over E_v.
 
     Elements are integers or integer pairs (x, y) meaning x + y sqrt(D).
+    A split place embeds E in Q_l by its root.  At a nonsplit place E_v is
+    a quadratic field, and the symbol is two Hilbert symbols over Q_l.  Let
+    alpha = a + b sqrt(D), beta = c + d sqrt(D), and N the norm to Q_l.
+
+    * For r in Q_l, (r, beta)_v = (r, N beta)_l: by the projection formula
+      the corestriction to Q_l takes (r, beta) to (r, N beta), and
+      inv_v = inv_l o cor.  So b = 0 gives (a, N beta)_l, and by symmetry
+      d = 0 gives (N alpha, c)_l.
+    * Otherwise alpha = s + t beta with t = b/d and s = (ad - bc)/d.  If
+      s = 0, then (alpha, beta)_v = (t, beta)_v (beta, -1)_v
+      = (-t, N beta)_l, and -t is -bd up to squares.
+    * If s != 0, let w = -t beta / s, so that 1 - w = alpha / s.  The
+      Steinberg relation (1 - w, w)_v = 1 and beta = -s w / t give
+      (alpha / s, beta)_v = (alpha / s, -s/t)_v = (N alpha, -st)_l, since
+      N(alpha / s) = N alpha / s^2.  Hence
+      (alpha, beta)_v = (s, N beta)_l (N alpha, -st)_l, and up to squares
+      s is (ad - bc) d and -st is -(ad - bc) b.
+
+    Over 2 this needs v2(D) <= 1: at 4 | D the ramified place that
+    places_over names is Q_2(sqrt(D/4)), which may split.
     """
-    a = alpha if isinstance(alpha, tuple) else (alpha, 0)
-    b = beta if isinstance(beta, tuple) else (beta, 0)
-    if not all(isinstance(t, int) for t in a + b):
+    u = alpha if isinstance(alpha, tuple) else (alpha, 0)
+    w = beta if isinstance(beta, tuple) else (beta, 0)
+    if not all(isinstance(t, int) for t in u + w):
         raise TypeError(f"Hilbert symbol arguments must be integers, got {alpha!r}, {beta!r}")
-    if a == (0, 0) or b == (0, 0):
+    if u == (0, 0) or w == (0, 0):
         raise ValueError("Hilbert symbol arguments must be nonzero")
-    l = place.l
-    if l == 2 and place.kind != SPLIT:
-        ctx = two_adic_context(place.D)
-        return ctx.pair(ctx.from_sqrt_basis(*a), ctx.from_sqrt_basis(*b))
-    v1, c1 = _val_unit(*a, place)
-    v2, c2 = _val_unit(*b, place)
-    if place.kind == INERT:
-        # the tame symbol with no sign: -1 is a square in F_{l^2}
-        return jacobi(c1, l) ** (v2 & 1) * jacobi(c2, l) ** (v1 & 1)
-    return hilbert_q_parts(l, v1, c1, v2, c2)
+    l, D = place.l, place.D
+    if place.kind == SPLIT:
+        return hilbert_q_parts(l, *_val_unit(*u, place), *_val_unit(*w, place))
+    if l == 2 and D % 4 == 0:
+        raise ValueError("D must have 2-adic valuation 0 or 1")
+    (a, b), (c, d) = u, w
+    if d == 0:
+        return hilbert_q(a * a - D * b * b, c, l)
+    nbeta = c * c - D * d * d
+    if b == 0:
+        return hilbert_q(a, nbeta, l)
+    m = a * d - b * c
+    if m == 0:
+        return hilbert_q(-b * d, nbeta, l)
+    return hilbert_q(m * d, nbeta, l) * hilbert_q(a * a - D * b * b, -m * b, l)
 
 
 # ---------------------------------------------------------------------------
@@ -441,8 +283,8 @@ class CharacterTable(namedtuple("CharacterTable", "chi_1 chi_neg1 chi_2 chi_neg2
 def character_table(D: int, twist: TwistPoint) -> CharacterTable:
     """chi'(c) = ((xi_c, x0 - y0 sqrt(D)) / v) for norm classes c in {1,-1,2,-2}.
 
-    Computed through the 2-adic Hilbert engine on explicit local points of
-    norm c, not through closed forms.
+    Computed as Hilbert symbols over E_v at explicit local points of norm c,
+    not through closed forms.
     """
     info = classify_order(D)
     if info.family != FAMILY_2D:
@@ -454,7 +296,7 @@ def character_table(D: int, twist: TwistPoint) -> CharacterTable:
         pt = find_local_point(D, c, 2)
         if pt is None:
             raise ArithmeticError(f"no 2-adic point of norm {c} for D={D}")
-        values[c] = hilbert_ev((pt.x, pt.y), twist.element(), places_over(D, 2)[0])
+        values[c] = hilbert_ev((pt.x, pt.y), twist.element(), two_adic_context(D)[0])
     tab = CharacterTable(values[1], values[-1], values[2], values[-2])
     if tab.chi_1 != 1 or tab.chi_neg2 != tab.chi_neg1 * tab.chi_2:
         raise ArithmeticError(f"character table inconsistent for D={D}: {tab}")

@@ -15,6 +15,8 @@ from pellcrit.localanalysis import find_local_point, hilbert_ev, places_over, sq
 from pellcrit.quadring import INERT, SPLIT, splitting_type
 from pellcrit.symbols import jacobi, quartic_residue
 
+from hilbert_reference import tame_residue
+
 
 def _ref_is_reduced(f, disc):
     # the definition, 0 < b < sqrt(disc) and |sqrt(disc) - 2|a|| < b, in integers
@@ -383,7 +385,8 @@ def twist_residue_square(D, twist, place):
     l = place.l
     if l == 2 or l == twist.ell:
         raise ValueError("place must be prime to 2 and the twist prime")
-    return jacobi(localanalysis._val_unit(*twist.element(), place)[1], l) == 1
+    residue = localanalysis._val_unit if place.kind == SPLIT else tame_residue
+    return jacobi(residue(*twist.element(), place)[1], l) == 1
 
 
 def _reference_twist_symbol(D, twist, choice, n, *, fac=None):
@@ -604,9 +607,10 @@ def test_warm_pq_decisions_take_no_odd_local_point(monkeypatch):
     for module in (artin, localanalysis):
         counting(module, "find_local_point", lambda args: args[2])
         counting(module, "hilbert_ev", lambda args: args[2].l)
-        counting(module, "places_over", lambda args: args[1])
+    counting(localanalysis, "places_over", lambda args: args[1])
     artin._two_adic_factor.cache_clear()
     artin._prime_record.cache_clear()
+    localanalysis.two_adic_context.cache_clear()
     assert [artin.joint_artin_decide(D, n) for D, n in grid] == first
     assert primes == {"find_local_point": {2}, "hilbert_ev": {2}, "places_over": {2}}
     assert sum(v.provenance == "artin" and v.solvable for v in first) > 200
@@ -962,7 +966,7 @@ def test_warm_decision_reads_per_prime_caches(monkeypatch):
     n1 = n * 23**2
     assert n1 == -195730 and quadring.splitting_type(D, 23) == INERT
     assert artin.joint_artin_decide(D, n1).status == "solvable"
-    calls = {"prime_form": 0, "places_over": 0, "find_local_point": 0}
+    calls = {"prime_form": 0, "two_adic_context": 0, "find_local_point": 0}
 
     def counting(name):
         orig = getattr(artin, name)
@@ -978,7 +982,7 @@ def test_warm_decision_reads_per_prime_caches(monkeypatch):
     v = artin.joint_artin_decide(D, n)
     x, y = v.witness
     assert v.status == "solvable" and v.provenance == "artin" and x * x - D * y * y == n
-    assert calls == {"prime_form": 0, "places_over": 0, "find_local_point": 0}
+    assert calls == {"prime_form": 0, "two_adic_context": 0, "find_local_point": 0}
 
 
 def test_head_waits_for_a_principal_choice(monkeypatch):
@@ -1075,11 +1079,11 @@ def test_class_groups_are_bounded(assert_bounded):
     assert_bounded(artin.class_group, [(4 * D,) for D in ds], 128, view)
 
 
-def test_two_adic_engines_are_bounded(assert_bounded):
-    # nonsplit D with v2(D) <= 1, the fields Q_2(sqrt(D))
-    ds = [D for D in range(2, 400) if D % 4 in (2, 3) or D % 8 == 5][:129]
-    view = attrgetter("kind", "_vec", "_table")
-    assert_bounded(localanalysis.two_adic_context, [(D,) for D in ds], 128, view)
+def test_two_adic_places_are_bounded(assert_bounded):
+    # every kind of place over 2, the split ones with their lifted roots
+    ds = [D for D in range(2, 200) if not is_square(D)][:129]
+    assert {localanalysis.two_adic_context(D)[0].kind for D in ds} == {"split", "inert", "ramified"}
+    assert_bounded(localanalysis.two_adic_context, [(D,) for D in ds], 128)
 
 
 def _family_ds():

@@ -8,9 +8,11 @@ from fractions import Fraction
 import pytest
 
 from pellcrit import localanalysis as la
-from pellcrit import artin, pellsolver, quadring
+from pellcrit import artin, intcore, pellsolver, quadring
 from pellcrit.intcore import factor, lift_unit_sqrt, two_adic_layer, valuation
 from pellcrit.symbols import hilbert_q, jacobi
+
+import hilbert_reference as ref
 
 
 def _scaled(u):
@@ -229,31 +231,26 @@ def test_character_table_twist_choice_invariance():
 def test_norm_one_elements_have_trivial_symbol():
     random.seed(3)
     for D in (34, 146, 82, 1394):
-        ctx = la.two_adic_context(D)
-        tw = quadring.find_twist_point(D, 2)
-        theta = ctx.from_sqrt_basis(*tw.element())
+        place = la.places_over(D, 2)[0]
+        theta = quadring.find_twist_point(D, 2).element()
         count = 0
         while count < 100:
-            x = Fraction(random.randint(-60, 60))
-            y = Fraction(random.randint(-60, 60))
-            g = ctx.from_sqrt_basis(x, y)
-            nrm = ctx.norm(g)
+            x = random.randint(-60, 60)
+            y = random.randint(-60, 60)
+            nrm = x * x - D * y * y
             if nrm == 0:
                 continue
-            sg = ctx.from_sqrt_basis(x, -y)
-            sq = ctx.mul(sg, sg)
-            xi = (sq[0] / nrm, sq[1] / nrm)  # sigma(g)/g has norm 1
-            assert ctx.norm(xi) == 1
-            assert ctx.pair(_scaled(xi), theta) == 1, (D, x, y)
+            sq = _mul_sqrt(D, (x, -y), (x, -y))
+            xi = (Fraction(sq[0], nrm), Fraction(sq[1], nrm))  # sigma(g)/g has norm 1
+            assert xi[0] ** 2 - D * xi[1] ** 2 == 1
+            assert la.hilbert_ev(_scaled(xi), theta, place) == 1, (D, x, y)
             count += 1
 
 
 def test_explicit_norm_minus_one_element():
-    ctx = la.two_adic_context(34)
     x2 = lift_unit_sqrt(33, 2, 20)
-    alpha = ctx.from_sqrt_basis(x2, 1)  # norm 33 - 34 = -1
-    theta = ctx.from_sqrt_basis(6, -1)
-    assert ctx.pair(alpha, theta) == -1
+    # x2 + sqrt(34) has norm 33 - 34 = -1
+    assert la.hilbert_ev((x2, 1), (6, -1), la.places_over(34, 2)[0]) == -1
 
 
 def test_character_laws_family_sweep():
@@ -284,27 +281,24 @@ def test_symbol_depends_only_on_norm_class():
     # different local points with the same norm pair identically with theta
     random.seed(8)
     for D in (34, 146):
-        ctx = la.two_adic_context(D)
-        tw = quadring.find_twist_point(D, 2)
-        theta = ctx.from_sqrt_basis(*tw.element())
+        place = la.places_over(D, 2)[0]
+        theta = quadring.find_twist_point(D, 2).element()
         for n in (-1, 2, -2, 7, -7, 17, 23):
             if not la.local_solvable(D, n, 2):
                 continue
             pt = la.find_local_point(D, n, 2, prec=20)
-            base = ctx.pair(ctx.from_sqrt_basis(pt.x, pt.y), theta)
+            base = la.hilbert_ev((pt.x, pt.y), theta, place)
             for _ in range(10):
                 # twist the point by a random norm-one element
                 x = random.randint(-40, 40)
                 y = random.randint(-40, 40)
-                g = ctx.from_sqrt_basis(x, y)
-                nrm = ctx.norm(g)
+                nrm = x * x - D * y * y
                 if nrm == 0:
                     continue
-                sg = ctx.from_sqrt_basis(x, -y)
-                unit = ctx.mul(sg, sg)
+                unit = _mul_sqrt(D, (x, -y), (x, -y))
                 unit = (Fraction(unit[0], nrm), Fraction(unit[1], nrm))
-                other = ctx.mul(ctx.from_sqrt_basis(pt.x, pt.y), unit)
-                assert ctx.pair(_scaled(other), theta) == base, (D, n)
+                other = _mul_sqrt(D, (pt.x, pt.y), unit)
+                assert la.hilbert_ev(_scaled(other), theta, place) == base, (D, n)
 
 
 def test_hilbert_ev_split_matches_hilbert_q():
@@ -483,19 +477,88 @@ def test_hilbert_ev_bimultiplicative_2adic():
     random.seed(14)
     for D in (34, 221):
         place = la.places_over(D, 2)[0]
-        ctx = la.two_adic_context(D)
         for _ in range(60):
             vals = [random.randint(-30, 30) for _ in range(6)]
             a1, a2, b1, b2, c1, c2 = vals
             x = (a1, a2)
             y = (b1, b2)
             z = (c1, c2)
-            if any(ctx.norm(ctx.from_sqrt_basis(*t)) == 0 for t in (x, y, z)):
+            if any(t[0] * t[0] == D * t[1] * t[1] for t in (x, y, z)):
                 continue
             xy = _mul_sqrt(D, x, y)
             lhs = la.hilbert_ev(xy, z, place)
             rhs = la.hilbert_ev(x, z, place) * la.hilbert_ev(y, z, place)
             assert lhs == rhs
+
+
+def test_hilbert_ev_refuses_4_dividing_d_at_2():
+    # at 4 | D the ramified place over 2 that places_over names is
+    # Q_2(sqrt(D/4)): a field at D = 8, 12, 20, but Q_2 x Q_2 at 68 = 4 * 17,
+    # where a product of symbols over Q_2 would be a wrong answer
+    for D in (8, 12, 20, 68):
+        place = la.places_over(D, 2)[0]
+        assert place.kind == "ramified"
+        for alpha, beta in (((1, 1), 3), (3, (1, 1)), ((1, 1), (3, 3)), ((1, 2), (3, 1))):
+            with pytest.raises(ValueError, match="2-adic valuation 0 or 1"):
+                la.hilbert_ev(alpha, beta, place)
+    # zero arguments are refused at every kind of place
+    for D, l in ((34, 2), (221, 2), (35, 2), (221, 3), (221, 13), (34, 3)):
+        for place in la.places_over(D, l):
+            for alpha, beta in ((0, 3), ((0, 0), (1, 1)), ((1, 1), 0)):
+                with pytest.raises(ValueError, match="nonzero"):
+                    la.hilbert_ev(alpha, beta, place)
+
+
+def _element(rng, l):
+    # integer coordinates, each times a power of l, not both zero
+    while True:
+        u = tuple(rng.randint(-40, 40) * l ** rng.randint(0, 3) for _ in "xy")
+        if u != (0, 0):
+            return u
+
+
+def _branch_box(D, l):
+    # pairs that reach every branch of hilbert_ev: beta rational, alpha
+    # rational, alpha a rational multiple of beta, and neither
+    elems = [(x * l**k, y) for x in (1, -1, 3) for y in (1, -2, l) for k in (0, 1)]
+    for u in elems:
+        for r in (u[0] + u[1], u[1] - 2 * u[0]):
+            if r:
+                yield u, (r, 0)
+                yield (r, 0), u
+        yield (3 * u[0], 3 * u[1]), u
+        yield (-u[0] * l, -u[1] * l), u
+        for w in elems:
+            yield u, w
+
+
+def test_hilbert_ev_matches_the_references():
+    # the two symbols over Q_l against the engine that computed the symbol
+    # at 2 from its definition, on every field Q_2(sqrt D) with v2(D) <= 1
+    # and D < 3000, and against the tame symbol at every inert and ramified
+    # odd place over l < 60 of D < 800
+    rng = random.Random(38)
+    compared = 0
+    for D in range(2, 3000):
+        if D % 4 != 2 and D % 8 not in (3, 5, 7):
+            continue
+        engine, place = ref.TwoAdicQuad(D), la.places_over(D, 2)[0]
+        pairs = [(_element(rng, 2), _element(rng, 2)) for _ in range(12)]
+        if D < 100:
+            pairs += _branch_box(D, 2)
+        for a, b in pairs:
+            want = engine.pair(engine.from_sqrt_basis(*a), engine.from_sqrt_basis(*b))
+            assert la.hilbert_ev(a, b, place) == want, (D, a, b)
+            compared += 1
+    primes = [l for l in range(3, 60) if intcore.is_prime(l)]
+    for D, l, place in _odd_nonsplit_places(800, primes):
+        pairs = [(_element(rng, l), _element(rng, l)) for _ in range(4)]
+        if D < 60:
+            pairs += _branch_box(D, l)
+        for a, b in pairs:
+            assert la.hilbert_ev(a, b, place) == ref.tame_hilbert_ev(a, b, place), (D, l, a, b)
+            compared += 1
+    assert compared > 100_000
 
 
 def _mul_sqrt(D, u, v):
@@ -631,10 +694,10 @@ def test_pairing_matches_gf2_reference():
     # on all 256 class pairs of every field Q_2(sqrt D) with D < 100
     Ds = [D for D in range(2, 100) if D % 4 == 2 or D % 8 in (3, 5, 7)]
     for D in Ds + [1394, 221, 1691629]:
-        ctx = la.TwoAdicQuad(D)
-        ref = _reference_pairing(ctx)
-        got = {(ca, cb): ctx.pair(ctx._rep[ca], ctx._rep[cb]) for ca, cb in ref}
-        assert got == ref, D
+        ctx = ref.TwoAdicQuad(D)
+        want = _reference_pairing(ctx)
+        got = {(ca, cb): ctx.pair(ctx._rep[ca], ctx._rep[cb]) for ca, cb in want}
+        assert got == want, D
 
 
 def _reference_class_of(ctx, u):
@@ -667,7 +730,7 @@ def test_integer_classes_match_rational_reference():
     rng = random.Random(21)
     Ds = [D for D in range(2, 200) if D % 4 == 2 or D % 8 in (3, 5, 7)]
     for D in Ds + [1394, 221, 1691629]:
-        ctx = la.two_adic_context(D)
+        ctx = ref.TwoAdicQuad(D)
         for k in range(60):
             if k % 2:
                 u = tuple(rng.randint(-(1 << 40), 1 << 40) << rng.randint(0, 14) for _ in "ab")
@@ -685,7 +748,7 @@ def test_unit_table_is_built_whole():
     # are the residues of odd norm: 32 in a ramified field, 48 in the inert
     rng = random.Random(27)
     for D, kind, units in ((34, "ram2", 32), (7, "ram3", 32), (221, "inert", 48)):
-        ctx = la.TwoAdicQuad(D)
+        ctx = ref.TwoAdicQuad(D)
         assert ctx.kind == kind
         table = dict(ctx._canon)
         assert set(table) == {(a, b) for a in range(8) for b in range(8)

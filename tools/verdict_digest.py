@@ -66,10 +66,11 @@ Each line is a sha256 over one grid, with every record written out in full:
   ``classify-pq p q`` on every pair of ``scan --family pq --max 300`` (p < q,
   both 1 mod 4, with ``cor14_applicable``) and for ``classify-2p p`` on
   every odd prime p below 20,000;
-* ``two_adic``: the engine kind, and the square class (``class_of``) and the
-  Hilbert symbol at the place over 2 (``hilbert_ev``, each unordered pair) of
-  23 small elements x + y sqrt(D), for every D < 3000 where Q_2(sqrt(D)) is
-  a field with v2(D) <= 1.
+* ``hilbert_ev``: the Hilbert symbol over E_v (``hilbert_ev``, each
+  unordered pair) of 23 small elements x + y sqrt(D) at the place over 2 of
+  every D < 3000 where Q_2(sqrt(D)) is a field with v2(D) <= 1, and at the
+  place over every odd prime l < 60 of those D where l is inert or
+  ramified with l^2 not dividing D.
 
 Equal digests on two trees mean equal output on every pair.  A single grid
 can be named on the command line, as in ``python3 tools/verdict_digest.py solve``.
@@ -266,18 +267,23 @@ def _printed(argv):
     return rc, buf.getvalue()
 
 
-_TWO_ADIC_BOX = [(x, y) for x in (-3, -1, 0, 1, 2, 4, 6, 16) for y in (0, 1, -2) if x or y]
+_HILBERT_BOX = [(x, y) for x in (-3, -1, 0, 1, 2, 4, 6, 16) for y in (0, 1, -2) if x or y]
 
 
-def _two_adic(D):
-    ctx = localanalysis.two_adic_context(D)
-    place = localanalysis.places_over(D, 2)[0]
-    box = _TWO_ADIC_BOX
-    return (
-        ctx.kind,
-        [ctx.class_of(ctx.from_sqrt_basis(*u)) for u in box],
-        [localanalysis.hilbert_ev(u, w, place) for i, u in enumerate(box) for w in box[i:]],
-    )
+def _nonsplit_places():
+    odd = [l for l in range(3, 60) if intcore.is_prime(l)]
+    for D in range(2, 3000):
+        if D % 4 == 2 or D % 8 in (3, 5, 7):
+            yield D, 2
+            for l in odd:
+                if D % (l * l) and quadring.splitting_type(D, l) != quadring.SPLIT:
+                    yield D, l
+
+
+def _hilbert(D, l):
+    place = localanalysis.places_over(D, l)[0]
+    box = _HILBERT_BOX
+    return [localanalysis.hilbert_ev(u, w, place) for i, u in enumerate(box) for w in box[i:]]
 
 
 GRIDS = {
@@ -321,9 +327,7 @@ GRIDS = {
         for disc in _discs(20_000)
     ),
     "classify": lambda: ((tuple(argv), _printed(argv)) for argv in _classify_argvs()),
-    "two_adic": lambda: (
-        (D, _two_adic(D)) for D in range(2, 3000) if D % 4 == 2 or D % 8 in (3, 5, 7)
-    ),
+    "hilbert_ev": lambda: (((D, l), _hilbert(D, l)) for D, l in _nonsplit_places()),
 }
 
 
