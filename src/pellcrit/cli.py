@@ -8,6 +8,9 @@ Subcommands:
   verify-lemmas         numerical checks of the 2-adic character laws
   table                 classification table, json or csv
 
+One table, COMMANDS, lists them; a call that names one builds its sub-parser
+alone.  scan --jobs N is an upper bound on the workers.
+
 Records are emitted one JSON object per line on stdout (csv for table).
 Exit codes: 0 success, 2 usage error, 3 internal inconsistency (criteria
 disagreeing with the oracle anywhere is a finding, never swallowed), 141 a
@@ -36,6 +39,7 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_INCONSISTENT = 3
 EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE: what a shell reports for a writer whose reader left
+_CHUNK = 16  # instances per task of a parallel scan
 
 # x^2 - pq y^2 in {-1, p, q} and x^2 - 2p y^2 in {-1, 2, -2}: the criterion's name in criteria
 # (looked up per call, as a wrapper may replace it), params -> (D, the oracle's targets in order)
@@ -70,7 +74,7 @@ def cmd_decide(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    family = TARGET_FAMILIES[args.family]
+    family = TARGET_FAMILIES[args.command.removeprefix("classify-")]
     record = {name: getattr(args, name) for name in family.params}
     target, verdict = getattr(criteria, family.criterion)(*record.values())
     record.update(target=target, provenance=verdict.provenance, witness=verdict.witness)
@@ -128,13 +132,15 @@ def _scan_instances(family: str, maxval: int):
 
 def _records(args):
     worker, instances = _scan_instances(args.family, args.max)
-    jobs = getattr(args, "jobs", 1)
+    # the pool starts all its workers at once: no more than the chunks or the usable CPUs
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    jobs = min(getattr(args, "jobs", 1), (len(instances) + _CHUNK - 1) // _CHUNK, cpus or 1)
     if jobs > 1:
         # the pool pulls in multiprocessing, so only a parallel scan imports it
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            yield from pool.map(worker, instances, chunksize=16)
+            yield from pool.map(worker, instances, chunksize=_CHUNK)
     else:
         yield from map(worker, instances)
 
@@ -209,50 +215,55 @@ def cmd_table(args) -> int:
     return EXIT_OK if all(rec["agree"] for rec in records) else EXIT_INCONSISTENT
 
 
-# built once per process: main reuses one tree, and parsing leaves it as it was
-@functools.lru_cache(maxsize=1)
-def build_parser() -> argparse.ArgumentParser:
+_FAMILY_CHOICES = [*TARGET_FAMILIES, "221"]
+# the one list of commands, in help order: name -> (help, its arguments, func)
+COMMANDS = {
+    "decide": ("decide one equation", [("D", {"type": int}), ("n", {"type": int})], cmd_decide),
+    **{f"classify-{name}": (family.help, [(param, {"type": int}) for param in family.params],
+                            cmd_classify) for name, family in TARGET_FAMILIES.items()},
+    "scan": ("criteria vs oracle over a family range", [
+        ("--family", {"choices": _FAMILY_CHOICES, "required": True}),
+        ("--max", {"type": int, "required": True}),
+        ("--jobs", {"type": int, "default": 1}),
+    ], cmd_scan),
+    "verify-lemmas": ("2-adic character law checks", [
+        ("--family", {"choices": ["2d"], "default": "2d"}),
+        ("--max", {"type": int, "default": 300}),
+    ], cmd_verify_lemmas),
+    "table": ("emit a classification table", [
+        ("--format", {"choices": ["json", "csv"], "default": "json"}),
+        ("--out", {"required": True}),
+        ("--family", {"choices": _FAMILY_CHOICES, "default": "2p"}),
+        ("--max", {"type": int, "default": 200}),
+    ], cmd_table),
+}
+
+
+# built once per key and process (parsing leaves a tree as it was): None or a command
+@functools.lru_cache(maxsize=len(COMMANDS) + 1)
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pellcrit",
         description="Decide solvability of x^2 - D y^2 = n by residue-symbol"
         " criteria, cross-checked against a continued-fraction oracle.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("decide", help="decide one equation")
-    p.add_argument("D", type=int)
-    p.add_argument("n", type=int)
-    p.set_defaults(func=cmd_decide)
-
-    for name, family in TARGET_FAMILIES.items():
-        p = sub.add_parser(f"classify-{name}", help=family.help)
-        for param in family.params:
-            p.add_argument(param, type=int)
-        p.set_defaults(func=cmd_classify, family=name)
-
-    p = sub.add_parser("scan", help="criteria vs oracle over a family range")
-    p.add_argument("--family", choices=[*TARGET_FAMILIES, "221"], required=True)
-    p.add_argument("--max", type=int, required=True)
-    p.add_argument("--jobs", type=int, default=1)
-    p.set_defaults(func=cmd_scan)
-
-    p = sub.add_parser("verify-lemmas", help="2-adic character law checks")
-    p.add_argument("--family", choices=["2d"], default="2d")
-    p.add_argument("--max", type=int, default=300)
-    p.set_defaults(func=cmd_verify_lemmas)
-
-    p = sub.add_parser("table", help="emit a classification table")
-    p.add_argument("--format", choices=["json", "csv"], default="json")
-    p.add_argument("--out", required=True)
-    p.add_argument("--family", choices=[*TARGET_FAMILIES, "221"], default="2p")
-    p.add_argument("--max", type=int, default=200)
-    p.set_defaults(func=cmd_table)
+    for name, (help_, arguments, func) in COMMANDS.items():
+        if command in (None, name):
+            p = sub.add_parser(name, help=help_)
+            for flag, keywords in arguments:
+                p.add_argument(flag, **keywords)
+            p.set_defaults(func=func)
+    if command is not None:
+        # an error at the root (unrecognized arguments) prints the full tree's usage
+        parser.error = lambda message: build_parser().error(message)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    # a known command builds its sub-parser alone; help, no command or an unknown one the whole tree
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(argv[0] if argv and argv[0] in COMMANDS else None).parse_args(argv)
     # witnesses at large D outgrow the int-to-str limit (4,300 digits): lifted after
     # parsing, so an over-long argument is still refused, and restored on return
     limit = sys.get_int_max_str_digits() if hasattr(sys, "set_int_max_str_digits") else None

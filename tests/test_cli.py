@@ -235,6 +235,47 @@ def test_help_from_the_one_parser_matches_a_fresh_process(monkeypatch, capsys):
             assert capsys.readouterr().out == fresh.stdout, argv
 
 
+# help, missing arguments, invalid choices, unknown commands and extra arguments
+ARGV_GRID = (
+    [], ["--help"], ["-h"], ["-h", "scan"], ["--bogus"],
+    ["scan", "--help"], ["decide", "-h"], ["classify-pq", "--help"], ["classify-2p", "-h"],
+    ["verify-lemmas", "-h"], ["table", "--help"],
+    ["decide", "221"], ["scan", "--family", "2p"], ["table"],
+    ["scan", "--family", "weird", "--max", "10"], ["verify-lemmas", "--family", "3d"],
+    ["decide", "x", "17"], ["frobnicate"], ["decid", "221", "17"],
+    ["scan", "--family", "2p", "--max", "10", "--bogus"], ["classify-2p", "5", "7"],
+)
+
+
+def _exit_and_output(capsys, parse, argv):
+    with pytest.raises(SystemExit) as exc:
+        parse(argv)
+    return exc.value.code, *capsys.readouterr()
+
+
+def test_one_command_tree_prints_the_full_trees_bytes(monkeypatch, capsys):
+    # main parses with the root and one sub-parser when argv names a command; its
+    # help, usage and errors are those of the full tree, root-level errors included
+    full = cli.build_parser().parse_args
+    for argv in ARGV_GRID:
+        expected = _exit_and_output(capsys, full, argv)
+        assert _exit_and_output(capsys, cli.main, argv) == expected, argv
+    # with no argv, main reads sys.argv[1:] as parse_args does
+    argv = ["scan", "--family", "2p", "--max", "10", "--bogus"]
+    monkeypatch.setattr(sys, "argv", ["pellcrit", *argv])
+    assert _exit_and_output(capsys, cli.main, None) == _exit_and_output(capsys, full, argv)
+    monkeypatch.setattr(sys, "argv", ["pellcrit", "classify-2p", "5"])
+    cli.build_parser.cache_clear()
+    assert cli.main(None) == cli.EXIT_OK
+    assert json.loads(capsys.readouterr().out)["target"] == -1
+    # a command builds its own tree and not the full one
+    info = cli.build_parser.cache_info()
+    assert (info.misses, info.currsize) == (1, 1)
+    usage = cli.build_parser("classify-2p").format_usage()
+    assert usage == "usage: pellcrit [-h] {classify-2p} ...\n"
+    assert cli.build_parser.cache_info().hits == 1
+
+
 def test_scan_asks_the_oracle_ahead_of_the_target(monkeypatch, capsys):
     # the scan takes the criteria's confirmed target as solvable, but an
     # oracle that also solves -1 must still contradict every target 2 or -2;
@@ -303,6 +344,48 @@ def test_scan_jobs_identical_records():
         parallel = run_cli("scan", "--family", family, "--max", maxval, "--jobs", "3")
         assert serial.returncode == parallel.returncode == 0, family
         assert serial.stdout and parallel.stdout == serial.stdout, family
+
+
+def test_scan_pool_is_no_larger_than_its_chunks_or_cpus(monkeypatch, capsys):
+    # the pool starts every worker at once, so --jobs is an upper bound: a stub
+    # pool records its size and maps in this process, and no process starts
+    import concurrent.futures
+
+    sizes = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, iterable, chunksize=1):
+            return map(fn, iterable)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(6)), raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 6)
+    # (family, --max, --jobs, pool size or None for the serial path); 2p at
+    # --max 300 has 61 instances (4 chunks of 16), 221 at --max 200 has 400
+    for family, maxval, jobs, size in (
+        ("2p", "3", "2", None),
+        ("2p", "2", "8", None),
+        ("2p", "300", "3", 3),
+        ("2p", "300", "1000", 4),
+        ("221", "200", "1000", 6),
+        ("221", "200", "1", None),
+    ):
+        argv = ["scan", "--family", family, "--max", maxval]
+        assert cli.main(argv) == cli.EXIT_OK
+        serial = capsys.readouterr().out
+        sizes.clear()
+        assert cli.main([*argv, "--jobs", jobs]) == cli.EXIT_OK
+        assert capsys.readouterr().out == serial, (family, maxval, jobs)
+        assert sizes == ([size] if size else []), (family, maxval, jobs)
 
 
 def test_scan_into_a_reader_that_closes_early():
